@@ -21,8 +21,10 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Everything CI should gate on: build, vet/gofmt, the race detector over the
-# internal packages (the telemetry registry/span tree, series store and the
+# Everything CI should gate on: build, vet/gofmt, the read-after-Sync and
+# refresh-in-flight ordering tests at high -count under the race detector,
+# the race detector over the internal packages (the telemetry registry/span
+# tree, series store and the
 # watch monitor first — spans/exporter/series ticks/alert evaluation cross
 # goroutines in every binary — then the parallel sweeps and shared caches),
 # the full suite, a short fuzz pass over the ingestion surfaces (10s per
@@ -30,6 +32,8 @@ test-short:
 # report-only bench-gate comparison against the committed render trajectory
 # (shared CI runners are too noisy to enforce here; nightly enforces).
 check: build vet
+	$(GO) test -race -count=200 -run 'TestStreamingAutoAMIRefresh|TestSyncObservesBatchHooks' ./internal/streaming/
+	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestStoresAllConcurrentAppends' ./internal/shard/
 	$(GO) test -race ./internal/obs/ ./internal/obs/series/ ./internal/watch/ ./internal/webaudio/ ./internal/diag/
 	$(GO) test -race ./internal/shard/
 	$(GO) test -race ./internal/...

@@ -188,6 +188,15 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 		logger.Printf("telemetry export to %s", *export)
 	}
 
+	// The analytics bootstrap and the verify enrollment replay the same
+	// stored history: read it once for both.
+	var history []storage.Record
+	if *analytics || *watchFlag || *verifyFlag {
+		if history, err = store.All(); err != nil {
+			return err
+		}
+	}
+
 	var eng *streaming.Engine
 	var analyticsPlane collectserver.Analytics
 	if *analytics || *watchFlag {
@@ -197,15 +206,11 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 		if exporter != nil {
 			cfg.Spans = exporter
 		}
-		recs, err := store.All()
-		if err != nil {
-			return err
-		}
 		start := time.Now()
 		if *shards == 1 {
 			eng = streaming.New(cfg)
 			defer eng.Close()
-			eng.Bootstrap(recs)
+			eng.Bootstrap(history)
 			analyticsPlane = eng
 		} else {
 			rt, err := shard.NewRouter(shard.Config{Shards: *shards, Engine: cfg})
@@ -213,11 +218,11 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 				return err
 			}
 			defer rt.Close()
-			rt.Bootstrap(recs) // recs arrive seq-ordered from Stores.All
+			rt.Bootstrap(history) // history arrives seq-ordered from Stores.All
 			analyticsPlane = rt
 		}
 		logger.Printf("analytics plane (%d shard(s)) rebuilt from %d records in %v",
-			*shards, len(recs), time.Since(start).Round(time.Millisecond))
+			*shards, len(history), time.Since(start).Round(time.Millisecond))
 	}
 
 	var ts *series.Store
@@ -244,26 +249,22 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 			logger.Printf("verify calibration loaded from %s (EER %.4f at threshold %.2f over %d+%d trials)",
 				*verifyCal, cal.EER, cal.EERThreshold, cal.GenuineTrials, cal.ImpostorTrials)
 		}
-		recs, err := store.All()
-		if err != nil {
-			return err
-		}
 		start := time.Now()
 		if *shards == 1 {
 			e := verify.New(vcfg)
-			e.Enroll(recs)
+			e.Enroll(history)
 			verifier = e
 		} else {
 			vs, err := shard.NewVerifiers(*shards, vcfg)
 			if err != nil {
 				return err
 			}
-			vs.Enroll(recs)
+			vs.Enroll(history)
 			verifier = vs
 		}
 		st := verifier.Stats()
 		logger.Printf("verify plane (%d shard(s)) enrolled %d users from %d records in %v, threshold %.2f",
-			*shards, st.Users, len(recs), time.Since(start).Round(time.Millisecond), st.Threshold)
+			*shards, st.Users, len(history), time.Since(start).Round(time.Millisecond), st.Threshold)
 	} else if *verifyThr != 0 || *verifyCal != "" {
 		return errors.New("-verify-threshold/-verify-calibration require -verify")
 	}

@@ -25,7 +25,7 @@ func TestRunSmoke(t *testing.T) {
 	defer func() { onListen = nil }()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	var logs bytes.Buffer
+	var logs syncBuf
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, []string{

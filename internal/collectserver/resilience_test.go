@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 func TestIdempotentReplay(t *testing.T) {
@@ -112,6 +113,18 @@ func TestSubmitRateLimitSheds(t *testing.T) {
 func TestOverloadShedding(t *testing.T) {
 	f := newFixture(t, func(c *Config) { c.MaxInFlight = 1 })
 
+	// waitInFlight waits until n requests hold in-flight slots: probing
+	// earlier lets a probe take the slot first and the slow request be
+	// shed, or finds the slot not yet released.
+	waitInFlight := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); len(f.srv.inflight) != n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("in-flight requests = %d, want %d", len(f.srv.inflight), n)
+			}
+		}
+	}
+
 	// Occupy the single in-flight slot with a request whose body never
 	// finishes arriving, then probe with a second request.
 	pr, pw := io.Pipe()
@@ -128,29 +141,25 @@ func TestOverloadShedding(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
+	waitInFlight(1)
 
-	// Wait until the slot is actually held, then expect sheds.
-	shedSeen := false
-	for i := 0; i < 200 && !shedSeen; i++ {
-		resp, err := http.Get(f.ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			shedSeen = true
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("shed response missing Retry-After")
-			}
-		}
-		resp.Body.Close()
+	resp, err := http.Get(f.ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("saturated server answered %d, want a 503 shed", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("shed response missing Retry-After")
 	}
 	pw.Close()
 	<-done
-	if !shedSeen {
-		t.Fatal("saturated server never shed a request")
-	}
+
 	// With the slot released, requests flow again.
-	resp, err := http.Get(f.ts.URL + "/healthz")
+	waitInFlight(0)
+	resp, err = http.Get(f.ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@ package shard_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/storage"
 	"repro/internal/streaming"
 )
 
@@ -82,5 +84,46 @@ func BenchmarkShardCachedSnapshot(b *testing.B) {
 				_ = rt.Diversity()
 			}
 		})
+	}
+}
+
+// BenchmarkStoresOpenRecoverAll measures a sharded restart's storage half
+// over ~20k persisted records on 4 shards: OpenStores (one walk of each
+// file, shards concurrently), Recover (nothing left to re-read) and one
+// All (every shard decoded concurrently, then merged by Seq).
+func BenchmarkStoresOpenRecoverAll(b *testing.B) {
+	recs := paperRecords(b)
+	recs = recs[:min(len(recs), 20000)]
+	base := filepath.Join(b.TempDir(), "fp.ndjson")
+	ss, err := shard.OpenStores(base, 4, storage.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for next := 0; next < len(recs); next += 210 {
+		if err := ss.Append(recs[next:min(next+210, len(recs))]...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := ss.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ss, err := shard.OpenStores(base, 4, storage.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ss.Recover(); err != nil {
+			b.Fatal(err)
+		}
+		all, err := ss.All()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(all) != len(recs) {
+			b.Fatalf("All returned %d records, want %d", len(all), len(recs))
+		}
+		ss.Close()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -45,10 +46,11 @@ type Router struct {
 	nextSeq  int64
 	routed   int64 // records routed (drives the AMI refresh cadence)
 
-	amiEvery int
-	amiMu    sync.Mutex
-	ami      *streaming.AMISnapshot
-	lastAMI  int64
+	amiEvery   int
+	amiMu      sync.Mutex
+	ami        *streaming.AMISnapshot
+	lastAMI    int64
+	refreshing atomic.Bool // an auto refresh is in flight
 
 	cacheMu  sync.Mutex
 	cacheKey string
@@ -136,11 +138,16 @@ func (r *Router) EnqueueContext(ctx context.Context, recs []storage.Record) {
 		r.engines[sh].EnqueueContext(ctx, g)
 		r.met.ingest[sh].Add(int64(len(g)))
 	}
-	if r.amiEvery > 0 && routed-r.loadLastAMI() >= int64(r.amiEvery) {
+	if r.amiEvery > 0 && routed-r.loadLastAMI() >= int64(r.amiEvery) && r.refreshing.CompareAndSwap(false, true) {
 		// Mirror the single engine's auto refresh, off the request path
 		// (RefreshAMI syncs all shards first, which would otherwise stall
-		// the submitting request on queue drain).
-		go r.RefreshAMI()
+		// the submitting request on queue drain). One at a time: until it
+		// installs its snapshot, every later enqueue still sees the
+		// interval crossed.
+		go func() {
+			defer r.refreshing.Store(false)
+			r.RefreshAMI()
+		}()
 	}
 }
 

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/storage"
@@ -43,34 +45,59 @@ func StorePath(base string, i int) string {
 	return fmt.Sprintf("%s.shard%d", base, i)
 }
 
-// OpenStores opens (creating if needed) n per-shard stores under base and
-// resumes the global sequence counter from the highest persisted Seq. The
-// ".shard<i>" suffix never collides with segment naming: sealed segments
-// are "<path>.<6 digits>", and "shard0" is not six digits.
+// OpenStores opens (creating if needed) n per-shard stores under base,
+// one goroutine per shard when any shard file holds data, and resumes the
+// global sequence counter from the highest Seq any shard read at open.
+// The ".shard<i>" suffix never collides with segment naming: sealed
+// segments are "<path>.<6 digits>", and "shard0" is not six digits.
 func OpenStores(base string, n int, opts storage.Options) (*Stores, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: OpenStores with %d shards", n)
 	}
-	ss := &Stores{base: base, nextSeq: 1}
-	for i := 0; i < n; i++ {
-		st, err := storage.Open(StorePath(base, i), opts)
-		if err != nil {
-			ss.Close()
-			return nil, err
-		}
-		ss.stores = append(ss.stores, st)
-		recs, err := st.All()
-		if err != nil {
-			ss.Close()
-			return nil, err
-		}
-		for i := range recs {
-			if recs[i].Seq >= ss.nextSeq {
-				ss.nextSeq = recs[i].Seq + 1
-			}
-		}
+	stored := false
+	for i := 0; i < n && !stored; i++ {
+		fi, err := os.Stat(StorePath(base, i))
+		stored = err == nil && fi.Size() > 0
+	}
+	ss := &Stores{base: base, stores: make([]*storage.Store, n), nextSeq: 1}
+	if err := eachShard(n, stored, func(i int) (err error) {
+		ss.stores[i], err = storage.Open(StorePath(base, i), opts)
+		return err
+	}); err != nil {
+		ss.Close()
+		return nil, err
+	}
+	for _, st := range ss.stores {
+		ss.nextSeq = max(ss.nextSeq, st.MaxSeq()+1)
 	}
 	return ss, nil
+}
+
+// eachShard runs fn for shards 0..n-1 and returns the first error in
+// shard order. Shards run on goroutines of their own only when parallel
+// is set, that is when they hold records to decode: for empty shards,
+// waking goroutines costs more than the work.
+func eachShard(n int, parallel bool, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		if !parallel {
+			errs[i] = fn(i)
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Shards returns the number of shards.
@@ -108,21 +135,22 @@ func (ss *Stores) Append(recs ...storage.Record) error {
 	return nil
 }
 
-// All returns every persisted record across all shards, re-sorted into
-// global arrival order by Seq (stable, so records sharing a Seq — only
-// possible for pre-sharding data — keep shard order). This is the
-// bootstrap-replay order: feeding it to an engine registers users exactly
-// as the original submission stream did.
+// All returns every persisted record across all shards, read
+// concurrently when there are any, re-sorted into global arrival order by
+// Seq (stable, so records sharing a Seq — only possible for pre-sharding
+// data — keep shard order). This is the bootstrap-replay order: feeding
+// it to an engine registers users exactly as the original submission
+// stream did.
 func (ss *Stores) All() ([]storage.Record, error) {
-	var all []storage.Record
-	for _, st := range ss.stores {
-		recs, err := st.All()
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, recs...)
+	parts := make([][]storage.Record, len(ss.stores))
+	if err := eachShard(len(ss.stores), ss.Count() > 0, func(i int) (err error) {
+		parts[i], err = ss.stores[i].All()
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
+	all := slices.Concat(parts...)
+	slices.SortStableFunc(all, func(a, b storage.Record) int { return cmp.Compare(a.Seq, b.Seq) })
 	return all, nil
 }
 
@@ -141,19 +169,19 @@ func (ss *Stores) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// Recover salvages every shard's active file independently (WAL-style
-// truncation at the first torn write, see storage.Store.Recover) and
-// returns one report per shard, in shard order.
+// Recover salvages every shard's active file independently, concurrently
+// when the stores hold records (WAL-style truncation at the first torn
+// write, see storage.Store.Recover), and returns one report per shard, in
+// shard order.
 func (ss *Stores) Recover() ([]storage.RecoverReport, error) {
 	reports := make([]storage.RecoverReport, len(ss.stores))
-	for i, st := range ss.stores {
-		rep, err := st.Recover()
-		if err != nil {
-			return reports, fmt.Errorf("shard %d: %w", i, err)
+	err := eachShard(len(ss.stores), ss.Count() > 0, func(i int) (err error) {
+		if reports[i], err = ss.stores[i].Recover(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		reports[i] = rep
-	}
-	return reports, nil
+		return nil
+	})
+	return reports, err
 }
 
 // Count returns the total persisted record count across shards.

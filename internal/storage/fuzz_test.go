@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzStoreScan feeds arbitrary bytes as a store file: Open must never
-// panic, must count only valid records, and All must agree with Count.
+// panic, must count only valid records, All must agree with Count, and
+// Recover must agree with a full re-read of the file.
 func FuzzStoreScan(f *testing.F) {
 	valid := []byte(`{"session_id":"s","user_id":"u","vector":"DC","iteration":0,"hash":"aa","received_at":"2021-03-01T00:00:00Z"}`)
 	f.Add(valid)
@@ -50,6 +51,31 @@ func FuzzStoreScan(f *testing.F) {
 		// The store must remain appendable after ingesting garbage.
 		if err := s.Append(Record{UserID: "u", Vector: "DC", Hash: "aa"}); err != nil {
 			t.Fatalf("append after fuzz data: %v", err)
+		}
+		// Recover from the open-time walk must cut where a full re-read
+		// of a twin store cuts.
+		twin := filepath.Join(t.TempDir(), "fuzz.ndjson")
+		if err := os.WriteFile(twin, data, 0o644); err != nil {
+			t.Skip()
+		}
+		o, err := Open(twin, Options{})
+		if err != nil {
+			t.Fatalf("twin open: %v", err)
+		}
+		defer o.Close()
+		if err := o.Append(Record{UserID: "u", Vector: "DC", Hash: "aa"}); err != nil {
+			t.Fatalf("twin append: %v", err)
+		}
+		got, err := s.Recover()
+		if err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		want, err := oracleRecover(o)
+		if err != nil {
+			t.Fatalf("rescan recover: %v", err)
+		}
+		if got != want || s.Count() != o.Count() {
+			t.Fatalf("Recover = %+v (count %d), a full re-read gives %+v (count %d)", got, s.Count(), want, o.Count())
 		}
 	})
 }

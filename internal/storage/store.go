@@ -138,13 +138,28 @@ type Store struct {
 	// mu serializes encoding, buffered writes, rotation and counters.
 	// fsync happens outside it (group commit via syncMu) so concurrent
 	// appenders are not convoyed behind the disk.
-	mu       sync.Mutex
-	f        *os.File
-	w        *bufio.Writer
-	count    int
-	segBytes int64
-	sealed   []string // sealed segment paths, oldest first
-	seq      uint64   // append batches flushed so far
+	mu         sync.Mutex
+	f          *os.File
+	w          *bufio.Writer
+	count      int
+	segBytes   int64
+	sealed     []string // sealed segment paths, oldest first
+	seq        uint64   // append batches flushed so far
+	maxSeq     int64    // highest Record.Seq read at Open or appended since
+	sealedRecs int      // valid records in the sealed segments
+	activeRecs int      // valid records in the active file, as a scan counts them
+
+	// The active file's salvage point, kept from the last walk so Recover
+	// need not re-read the log: [0, salvage) holds salvaged complete valid
+	// lines. torn means the line at salvage is bad, so nothing after it can
+	// move the point; otherwise bytes past salvage are still unwalked.
+	salvage  int64
+	salvaged int
+	torn     bool
+	// tail is the active file's unterminated last line at Open (tailOK: it
+	// parses) until an Append completes it or Recover drops it.
+	tail   []byte
+	tailOK bool
 
 	syncMu    sync.Mutex
 	syncedSeq uint64 // append batches known durable (guarded by syncMu)
@@ -160,10 +175,11 @@ type Options struct {
 	MaxSegmentBytes int64
 }
 
-// Open opens (creating if needed) the store at path and counts existing
-// records across sealed segments and the active file. Trailing partial
-// lines (crash artifacts) are tolerated and ignored; call Recover to
-// physically truncate them.
+// Open opens (creating if needed) the store at path and walks every file
+// once: it counts the records across sealed segments and the active file,
+// notes the highest Seq, and finds the active file's salvage point for
+// Recover. Trailing partial lines (crash artifacts) are tolerated and
+// ignored; call Recover to physically truncate them.
 func Open(path string, opts Options) (*Store, error) {
 	sealed, err := sealedSegments(path)
 	if err != nil {
@@ -182,11 +198,82 @@ func Open(path string, opts Options) (*Store, error) {
 		path: path, maxSeg: opts.MaxSegmentBytes, durable: opts.SyncEveryAppend,
 		f: f, w: bufio.NewWriter(f), segBytes: st.Size(), sealed: sealed,
 	}
-	if err := s.scan(func(Record) error { s.count++; return nil }); err != nil {
-		f.Close()
-		return nil, err
+	for _, seg := range sealed {
+		if err := scanFile(seg, func(r Record) error {
+			s.sealedRecs++
+			s.maxSeq = max(s.maxSeq, r.Seq)
+			return nil
+		}); err != nil {
+			f.Close()
+			return nil, err
+		}
 	}
+	if err := s.walkOpen(st.Size()); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: read %s: %w", path, err)
+	}
+	s.count = s.sealedRecs + s.activeRecs
 	return s, nil
+}
+
+// walkOpen walks the active file's first size bytes through the fd Open
+// holds, decoding each line once for two readings: a scan's (every valid
+// line counts, a final unterminated one included) and Recover's (the
+// salvage prefix ends at the first bad or unterminated line).
+func (s *Store) walkOpen(size int64) error {
+	if size == 0 {
+		return nil
+	}
+	return walkLines(io.NewSectionReader(s.f, 0, size), maxLineBytes, func(line []byte, terminated bool) bool {
+		// A scan drops one '\r' before the '\n'; Recover keeps it, which
+		// breaks a CRC tag but not a legacy line's JSON.
+		payload, cr := bytes.CutSuffix(line, []byte{'\r'})
+		var rec Record
+		ok := parseLine(payload, &rec)
+		if ok {
+			s.activeRecs++
+			s.maxSeq = max(s.maxSeq, rec.Seq)
+		}
+		if !terminated {
+			s.tail, s.tailOK = bytes.Clone(line), ok
+			return false
+		}
+		if s.torn || !ok || cr && bytes.IndexByte(payload, '\t') >= 0 {
+			s.torn = true
+		} else {
+			s.salvage += int64(len(line)) + 1
+			s.salvaged++
+		}
+		return true
+	})
+}
+
+// maxLineBytes bounds one stored line for the store's readers: scans,
+// exports and Open's walk.
+const maxLineBytes = 8 * 1024 * 1024
+
+// walkLines streams r's lines through fn, each without its '\n' and with
+// whether it had one (only a final line can lack it), until fn returns
+// false. A line longer than maxLine fails the walk.
+func walkLines(r io.Reader, maxLine int, fn func(line []byte, terminated bool) bool) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, min(maxLine, 64*1024)), maxLine)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i+1], nil
+		}
+		if atEOF && len(data) > 0 {
+			return len(data), data, nil
+		}
+		return 0, nil, nil
+	})
+	for sc.Scan() {
+		line, terminated := bytes.CutSuffix(sc.Bytes(), []byte{'\n'})
+		if !fn(line, terminated) {
+			return nil
+		}
+	}
+	return sc.Err()
 }
 
 // sealedSegments lists path's sealed segment files, oldest first.
@@ -229,6 +316,15 @@ func (s *Store) Segments() []string {
 	return append([]string(nil), s.sealed...)
 }
 
+// MaxSeq returns the highest Record.Seq among the records read at Open
+// and appended since, or 0 when none carries one. Recover does not lower
+// it.
+func (s *Store) MaxSeq() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.maxSeq
+}
+
 // Count returns the number of records (excluding any corrupt lines).
 func (s *Store) Count() int {
 	s.mu.Lock()
@@ -248,6 +344,7 @@ func (s *Store) Append(recs ...Record) error {
 	}
 	s.mu.Lock()
 	var bytes int64
+	var first []byte
 	for i := range recs {
 		line, err := json.Marshal(&recs[i])
 		if err != nil {
@@ -256,17 +353,30 @@ func (s *Store) Append(recs ...Record) error {
 		}
 		line = appendCRC(line, line)
 		line = append(line, '\n')
+		if i == 0 {
+			first = line
+		}
 		if _, err := s.w.Write(line); err != nil {
 			s.mu.Unlock()
 			return fmt.Errorf("storage: write: %w", err)
 		}
 		bytes += int64(len(line))
+		s.maxSeq = max(s.maxSeq, recs[i].Seq)
 	}
 	if err := s.w.Flush(); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("storage: flush: %w", err)
 	}
 	s.count += len(recs)
+	s.activeRecs += len(recs)
+	if s.tail != nil && first != nil {
+		// The first line completed the unterminated line Open found: a
+		// scan now reads the two as one line.
+		var rec Record
+		merged := append(s.tail, first[:len(first)-1]...)
+		s.activeRecs += b2i(parseLine(merged, &rec)) - b2i(s.tailOK) - 1
+		s.tail = nil
+	}
 	s.segBytes += bytes
 	s.seq++
 	mySeq := s.seq
@@ -323,6 +433,8 @@ func (s *Store) sealLocked() error {
 		return fmt.Errorf("storage: seal rename: %w", err)
 	}
 	s.sealed = append(s.sealed, seg)
+	s.sealedRecs += s.activeRecs
+	s.activeRecs, s.salvage, s.salvaged, s.torn, s.tail = 0, 0, 0, false, nil
 	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: reopen after seal: %w", err)
@@ -352,7 +464,7 @@ func scanFile(path string, fn func(Record) error) error {
 	}
 	defer rf.Close()
 	sc := bufio.NewScanner(rf)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	for sc.Scan() {
 		var rec Record
 		if !parseLine(sc.Bytes(), &rec) {
@@ -408,7 +520,7 @@ func (s *Store) WriteTo(w io.Writer) (int64, error) {
 			return n, err
 		}
 		sc := bufio.NewScanner(rf)
-		sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+		sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 		for sc.Scan() {
 			payload, ok := splitCRC(sc.Bytes())
 			if !ok || len(payload) == 0 {
@@ -454,50 +566,59 @@ type RecoverReport struct {
 // after it is physically truncated (write-ahead-log semantics — a torn
 // write means nothing after it can be trusted), and the record count is
 // rebuilt. Safe to call on a live store between appends.
+//
+// Recover reads only the active-file bytes past the salvage point of the
+// last walk (Open's, a previous Recover's, or a seal's fresh file), and
+// none once a bad line has fixed the point. Sealed segments are immutable,
+// so their record count is the one kept since Open.
 func (s *Store) Recover() (RecoverReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.w.Flush(); err != nil {
 		return RecoverReport{}, err
 	}
-	raw, err := os.ReadFile(s.path)
+	st, err := s.f.Stat()
 	if err != nil {
-		return RecoverReport{}, fmt.Errorf("storage: recover read: %w", err)
+		return RecoverReport{}, fmt.Errorf("storage: recover stat: %w", err)
 	}
-	var good int64
-	activeRecords := 0
-	for off := int64(0); off < int64(len(raw)); {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break // torn tail: no newline
+	size := st.Size()
+	if !s.torn && size > s.salvage {
+		rest := size - s.salvage
+		// Recover bounds no line's length: any unread byte may be salvaged.
+		err := walkLines(io.NewSectionReader(s.f, s.salvage, rest), int(rest)+1, func(line []byte, terminated bool) bool {
+			var rec Record
+			if !terminated || !parseLine(line, &rec) {
+				s.torn = true
+				return false
+			}
+			s.salvage += int64(len(line)) + 1
+			s.salvaged++
+			return true
+		})
+		if err != nil {
+			return RecoverReport{}, fmt.Errorf("storage: recover read: %w", err)
 		}
-		var rec Record
-		if !parseLine(raw[off:off+int64(nl)], &rec) {
-			break
-		}
-		off += int64(nl) + 1
-		good = off
-		activeRecords++
 	}
-	dropped := int64(len(raw)) - good
+	dropped := size - s.salvage
 	if dropped > 0 {
-		if err := s.f.Truncate(good); err != nil {
+		if err := s.f.Truncate(s.salvage); err != nil {
 			return RecoverReport{}, fmt.Errorf("storage: recover truncate: %w", err)
 		}
-		s.segBytes = good
+		s.segBytes = s.salvage
 		mTruncatedBytes.Add(dropped)
 	}
-	// Rebuild the count: sealed segments (scanned leniently) + salvaged
-	// active records.
-	total := activeRecords
-	for _, seg := range s.sealed {
-		if err := scanFile(seg, func(Record) error { total++; return nil }); err != nil {
-			return RecoverReport{}, err
-		}
+	s.torn, s.tail = false, nil
+	s.activeRecs = s.salvaged
+	s.count = s.sealedRecs + s.salvaged
+	mRecoveredRecords.Add(int64(s.salvaged))
+	return RecoverReport{SalvagedRecords: s.count, DroppedBytes: dropped, TruncatedAt: s.salvage}, nil
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	s.count = total
-	mRecoveredRecords.Add(int64(activeRecords))
-	return RecoverReport{SalvagedRecords: total, DroppedBytes: dropped, TruncatedAt: good}, nil
+	return 0
 }
 
 // Close flushes and closes the backing file.

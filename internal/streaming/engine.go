@@ -244,7 +244,8 @@ func (e *Engine) Apply(recs []storage.Record) {
 // watch monitor evaluates its rules from. A nil fn uninstalls. The call
 // happens on the applying goroutine (the engine's consumer for Enqueue,
 // the caller for Apply/Bootstrap), so a deterministic replay through
-// Apply yields a deterministic evaluation sequence.
+// Apply yields a deterministic evaluation sequence. The batch counts as
+// applied for Sync only once fn returns, so fn must not call Sync.
 func (e *Engine) SetObserver(fn func(records int64)) {
 	e.observer.Store(observerBox{fn})
 }
@@ -260,9 +261,12 @@ func (e *Engine) Bootstrap(recs []storage.Record) {
 }
 
 // Sync blocks until every batch enqueued so far has been applied, so
-// readers observe them. It returns ErrClosed if the engine closed before
-// applying everything (already-queued batches are still drained on Close,
-// but a batch racing shutdown can be dropped).
+// readers observe them: after Sync returns, readers also observe each
+// such batch's observer call (the watch evaluation) and, when the batch
+// crossed the refresh interval, its AMI refresh. It returns ErrClosed if
+// the engine closed before applying everything (already-queued batches
+// are still drained on Close, but a batch racing shutdown can be
+// dropped).
 func (e *Engine) Sync() error {
 	e.qmu.Lock()
 	defer e.qmu.Unlock()
@@ -342,11 +346,6 @@ func (e *Engine) applyBatch(b batch) {
 		e.spans.ExportSpan(sp)
 	}
 
-	e.qmu.Lock()
-	e.applied++
-	e.qcond.Broadcast()
-	e.qmu.Unlock()
-
 	if ob, _ := e.observer.Load().(observerBox); ob.fn != nil {
 		ob.fn(records)
 	}
@@ -354,6 +353,13 @@ func (e *Engine) applyBatch(b batch) {
 	if e.amiEvery > 0 && records-e.loadLastAMI() >= int64(e.amiEvery) {
 		e.RefreshAMI()
 	}
+
+	// Count the batch applied only now, so a Sync that returns has seen
+	// its watch evaluation and AMI refresh too.
+	e.qmu.Lock()
+	e.applied++
+	e.qcond.Broadcast()
+	e.qmu.Unlock()
 }
 
 func (e *Engine) loadLastAMI() int64 {

@@ -1,8 +1,12 @@
 package streaming_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,14 +27,28 @@ import (
 // duplicate records (what idempotency-key replays and at-least-once
 // delivery produce); both sides must agree regardless.
 
-// testRecords renders a small seeded population and flattens it.
+var (
+	testRecsOnce sync.Once
+	testRecs     []storage.Record
+	testRecsErr  error
+)
+
+// testRecords renders a small seeded population once and returns a copy
+// of its flattened records.
 func testRecords(t *testing.T) []storage.Record {
 	t.Helper()
-	ds, err := study.Run(study.Config{Seed: 20220719, Users: 27, Iterations: 4, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
+	testRecsOnce.Do(func() {
+		ds, err := study.Run(study.Config{Seed: 20220719, Users: 27, Iterations: 4, Parallelism: 4})
+		if err != nil {
+			testRecsErr = err
+			return
+		}
+		testRecs = ds.ToRecords(time.Unix(1660000000, 0).UTC())
+	})
+	if testRecsErr != nil {
+		t.Fatal(testRecsErr)
 	}
-	return ds.ToRecords(time.Unix(1660000000, 0).UTC())
+	return slices.Clone(testRecs)
 }
 
 // perturb returns a copy of recs with ~rate duplicates inserted and, when
@@ -310,6 +328,33 @@ func TestStreamingAutoAMIRefresh(t *testing.T) {
 	for i := range snap.Matrix {
 		if snap.Matrix[i][i] != 1 {
 			t.Errorf("diagonal[%d] = %v, want 1", i, snap.Matrix[i][i])
+		}
+	}
+}
+
+// TestSyncObservesBatchHooks: once Sync returns, every applied batch's
+// observer call and due AMI refresh have happened, not merely its fold.
+func TestSyncObservesBatchHooks(t *testing.T) {
+	eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: 8})
+	defer eng.Close()
+	var observed atomic.Int64
+	eng.SetObserver(func(records int64) { observed.Store(records) })
+	var total int64
+	for b := 0; b < 12; b++ {
+		batch := make([]storage.Record, 3)
+		for i := range batch {
+			batch[i] = storage.Record{UserID: fmt.Sprintf("u%d", (b*3+i)%7), Vector: "DC", Hash: fmt.Sprintf("h%d", i)}
+		}
+		eng.Enqueue(batch)
+		total += int64(len(batch))
+		if err := eng.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := observed.Load(); got != total {
+			t.Fatalf("after Sync the observer saw %d records, want %d", got, total)
+		}
+		if snap := eng.AMI(); total >= 8 && (snap == nil || total-snap.Records >= 8) {
+			t.Fatalf("after Sync at %d records the AMI snapshot is %+v, want one within 8 records", total, snap)
 		}
 	}
 }
