@@ -21,23 +21,28 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Everything CI should gate on: build, vet/gofmt, the read-after-Sync and
-# refresh-in-flight ordering tests at high -count under the race detector,
-# the race detector over the internal packages (the telemetry registry/span
-# tree, series store and the
+# Everything CI should gate on: build, vet/gofmt, the read-after-Sync,
+# refresh-in-flight and verify read-your-writes ordering tests at high
+# -count under the race detector, the race detector over the internal
+# packages (the telemetry registry/span tree, series store and the
 # watch monitor first — spans/exporter/series ticks/alert evaluation cross
 # goroutines in every binary — then the parallel sweeps and shared caches),
-# the full suite, a short fuzz pass over the ingestion surfaces (10s per
-# target, seeded from the checked-in torn/corrupt corpora), and a
-# report-only bench-gate comparison against the committed render trajectory
-# (shared CI runners are too noisy to enforce here; nightly enforces).
+# the full suite, the cmd/fpbench harness (its own module, so ./... above
+# never compiles it) and the tracker example, a short fuzz pass over the
+# ingestion surfaces (10s per target, seeded from the checked-in torn/corrupt
+# corpora), and a report-only bench-gate comparison against the committed
+# render trajectory (shared CI runners are too noisy to enforce here;
+# nightly enforces).
 check: build vet
 	$(GO) test -race -count=200 -run 'TestStreamingAutoAMIRefresh|TestSyncObservesBatchHooks' ./internal/streaming/
-	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestStoresAllConcurrentAppends' ./internal/shard/
+	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestStoresAllConcurrentAppends|TestVerifiersEnrollReadYourWrites' ./internal/shard/
+	$(GO) test -race -count=50 -run 'TestEnrollReadYourWrites' ./internal/verify/
 	$(GO) test -race ./internal/obs/ ./internal/obs/series/ ./internal/watch/ ./internal/webaudio/ ./internal/diag/
 	$(GO) test -race ./internal/shard/
 	$(GO) test -race ./internal/...
 	$(GO) test ./...
+	(cd cmd/fpbench && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) run ./examples/tracker | grep -q 'returning visitors recognized'
 	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitHandler -fuzztime 10s ./internal/collectserver/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/obs/

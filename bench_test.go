@@ -215,20 +215,11 @@ func BenchmarkStudySimulation(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Ablation benchmarks (DESIGN.md §5).
 
-// BenchmarkCollationUnionFind: the incremental-only disjoint-set backend.
-func BenchmarkCollationUnionFind(b *testing.B) {
+// BenchmarkCollationInsert: string-keyed streaming inserts into the
+// collation graph (interning plus the disjoint-set merge).
+func BenchmarkCollationInsert(b *testing.B) {
 	b.ReportAllocs()
 	g := collate.NewGraph()
-	for i := 0; i < b.N; i++ {
-		g.AddObservation(fmt.Sprintf("u%d", i%5000), fmt.Sprintf("h%d", i%800))
-	}
-}
-
-// BenchmarkCollationDynamic: the fully-dynamic HDT backend on the same
-// insert workload — the price paid for deletion support.
-func BenchmarkCollationDynamic(b *testing.B) {
-	b.ReportAllocs()
-	g := collate.NewExpiringGraph()
 	for i := 0; i < b.N; i++ {
 		g.AddObservation(fmt.Sprintf("u%d", i%5000), fmt.Sprintf("h%d", i%800))
 	}

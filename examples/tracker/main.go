@@ -1,6 +1,5 @@
 // Tracker demo: the paper's §3.2 graph-based collation as a deployable
-// visitor-identification system, including the fully-dynamic variant that
-// retires observations under a data-retention window.
+// visitor-identification system.
 //
 //	go run ./examples/tracker
 package main
@@ -10,7 +9,6 @@ import (
 	"log"
 	"math/rand"
 
-	"repro/internal/collate"
 	"repro/internal/core"
 	"repro/internal/platform"
 	"repro/internal/population"
@@ -57,15 +55,4 @@ func main() {
 		}
 	}
 	fmt.Printf("returning visitors recognized: %d/%d\n", recognized, len(devices))
-
-	// Retention-limited tracking: the ExpiringGraph retires observations in
-	// O(log² n) via fully-dynamic connectivity (the paper's [11]).
-	eg := collate.NewExpiringGraph()
-	eg.AddObservation("alice", "fpX")
-	eg.AddObservation("alice", "fpShared")
-	eg.AddObservation("bob", "fpShared")
-	fmt.Printf("\nretention demo: alice and bob share a cluster: %t\n", eg.SameCluster("alice", "bob"))
-	split := eg.RemoveObservation("alice", "fpShared") // retention window expires
-	fmt.Printf("after retiring the shared observation (split=%t): share a cluster: %t\n",
-		split, eg.SameCluster("alice", "bob"))
 }

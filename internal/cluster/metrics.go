@@ -1,8 +1,8 @@
-// Package cluster implements clustering-comparison metrics: mutual
-// information, the Adjusted Mutual Information of Vinh, Epps & Bailey (ICML
-// 2009) — the agreement score the paper uses throughout §3.3 and Fig. 9,
-// chosen for its behaviour on imbalanced, small-cluster partitions — plus
-// normalized MI and the Adjusted Rand Index for cross-checks.
+// Package cluster implements the clustering-agreement score the paper uses
+// throughout §3.3 and Fig. 9: the Adjusted Mutual Information of Vinh, Epps
+// & Bailey (ICML 2009), chosen for its behaviour on imbalanced,
+// small-cluster partitions. AMIDense over interned labels is the production
+// path; AMI over arbitrary labels is its test oracle.
 package cluster
 
 import (
@@ -240,70 +240,4 @@ func amiOf(c *Contingency) float64 {
 		den = math.Copysign(eps, den)
 	}
 	return (mi - emi) / den
-}
-
-// NMI returns the arithmetic-mean Normalized Mutual Information.
-func NMI(x, y []int) (float64, error) {
-	c, err := NewContingency(x, y)
-	if err != nil {
-		return 0, err
-	}
-	hu, hv := c.EntropyU(), c.EntropyV()
-	if hu == 0 && hv == 0 {
-		return 1, nil
-	}
-	den := (hu + hv) / 2
-	if den == 0 {
-		return 0, nil
-	}
-	return c.MI() / den, nil
-}
-
-// ARI returns the Adjusted Rand Index of x and y.
-func ARI(x, y []int) (float64, error) {
-	c, err := NewContingency(x, y)
-	if err != nil {
-		return 0, err
-	}
-	choose2 := func(k int) float64 { return float64(k) * float64(k-1) / 2 }
-	var sumCells, sumRows, sumCols float64
-	for i, row := range c.cells {
-		for _, nij := range row {
-			sumCells += choose2(nij)
-		}
-		sumRows += choose2(c.rows[i])
-	}
-	for _, bj := range c.cols {
-		sumCols += choose2(bj)
-	}
-	total := choose2(c.n)
-	expected := sumRows * sumCols / total
-	maxIdx := (sumRows + sumCols) / 2
-	if maxIdx == expected {
-		return 1, nil // both partitions trivial in the same way
-	}
-	return (sumCells - expected) / (maxIdx - expected), nil
-}
-
-// PairwiseAMI computes the AMI between every pair in a set of label vectors
-// (all over the same items), returning a symmetric matrix with unit
-// diagonal — the structure behind the paper's Fig. 9 heatmap.
-func PairwiseAMI(labelings [][]int) ([][]float64, error) {
-	k := len(labelings)
-	out := make([][]float64, k)
-	for i := range out {
-		out[i] = make([]float64, k)
-		out[i][i] = 1
-	}
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			v, err := AMI(labelings[i], labelings[j])
-			if err != nil {
-				return nil, err
-			}
-			out[i][j] = v
-			out[j][i] = v
-		}
-	}
-	return out, nil
 }

@@ -166,57 +166,6 @@ func TestAMIRefinementScoresHigh(t *testing.T) {
 	}
 }
 
-func TestNMI(t *testing.T) {
-	x := []int{0, 0, 1, 1}
-	if v, _ := NMI(x, x); math.Abs(v-1) > 1e-12 {
-		t.Errorf("NMI(x,x) = %g", v)
-	}
-	// Independent halves: MI = 0 ⇒ NMI = 0.
-	if v, _ := NMI([]int{0, 0, 1, 1}, []int{0, 1, 0, 1}); math.Abs(v) > 1e-12 {
-		t.Errorf("NMI of independent = %g, want 0", v)
-	}
-	if v, _ := NMI([]int{3, 3, 3}, []int{3, 3, 3}); v != 1 {
-		t.Errorf("NMI of trivial identical = %g", v)
-	}
-}
-
-func TestARIKnownValues(t *testing.T) {
-	// Perfect agreement.
-	if v, _ := ARI([]int{0, 0, 1, 1}, []int{1, 1, 0, 0}); math.Abs(v-1) > 1e-12 {
-		t.Errorf("ARI perfect = %g", v)
-	}
-	// Classic anti-correlated example: ARI = -0.5.
-	if v, _ := ARI([]int{0, 0, 1, 1}, []int{0, 1, 0, 1}); math.Abs(v+0.5) > 1e-12 {
-		t.Errorf("ARI([0011],[0101]) = %g, want -0.5", v)
-	}
-}
-
-func TestPairwiseAMI(t *testing.T) {
-	a := []int{0, 0, 1, 1, 2, 2}
-	b := []int{0, 0, 1, 1, 1, 1}
-	c := []int{5, 5, 6, 6, 7, 7}
-	m, err := PairwiseAMI([][]int{a, b, c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if m[i][i] != 1 {
-			t.Errorf("diagonal [%d][%d] = %g", i, i, m[i][i])
-		}
-		for j := 0; j < 3; j++ {
-			if m[i][j] != m[j][i] {
-				t.Errorf("asymmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-	if math.Abs(m[0][2]-1) > 1e-9 {
-		t.Errorf("a and c are the same partition; AMI = %g", m[0][2])
-	}
-	if m[0][1] >= 1 {
-		t.Errorf("a vs b AMI = %g, want < 1", m[0][1])
-	}
-}
-
 func TestSymmetryProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

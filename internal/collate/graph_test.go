@@ -7,80 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestUnionFindBasics(t *testing.T) {
-	u := NewUnionFind(5)
-	if u.Sets() != 5 || u.Len() != 5 {
-		t.Fatalf("fresh forest: sets=%d len=%d", u.Sets(), u.Len())
-	}
-	if !u.Union(0, 1) {
-		t.Error("first union reported no merge")
-	}
-	if u.Union(1, 0) {
-		t.Error("repeated union reported a merge")
-	}
-	u.Union(2, 3)
-	u.Union(1, 3)
-	if u.Sets() != 2 {
-		t.Errorf("sets = %d, want 2", u.Sets())
-	}
-	if !u.SameSet(0, 2) {
-		t.Error("0 and 2 should be joined")
-	}
-	if u.SameSet(0, 4) {
-		t.Error("0 and 4 should be disjoint")
-	}
-	if u.SizeOf(0) != 4 {
-		t.Errorf("SizeOf(0) = %d, want 4", u.SizeOf(0))
-	}
-	idx := u.Add()
-	if idx != 5 || u.Sets() != 3 {
-		t.Errorf("Add: idx=%d sets=%d", idx, u.Sets())
-	}
-}
-
-// TestUnionFindAgainstNaive cross-checks random union sequences against a
-// quadratic reference implementation.
-func TestUnionFindAgainstNaive(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const n = 40
-		u := NewUnionFind(n)
-		label := make([]int, n) // naive: component label per element
-		for i := range label {
-			label[i] = i
-		}
-		for op := 0; op < 60; op++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			u.Union(a, b)
-			la, lb := label[a], label[b]
-			if la != lb {
-				for i := range label {
-					if label[i] == lb {
-						label[i] = la
-					}
-				}
-			}
-		}
-		// Compare pairwise connectivity.
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				if u.SameSet(a, b) != (label[a] == label[b]) {
-					return false
-				}
-			}
-		}
-		// Compare set counts.
-		distinct := map[int]struct{}{}
-		for _, l := range label {
-			distinct[l] = struct{}{}
-		}
-		return len(distinct) == u.Sets()
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPaperFigure4 reproduces the paper's worked example (Fig. 4): 9
 // elementary fingerprints across 4 users collate into 3 clusters — one
 // shared by U1,U2 and two unique — and a fifth user bridging eFP6/eFP9
@@ -117,12 +43,11 @@ func TestPaperFigure4(t *testing.T) {
 	}
 
 	// New user U5 bridges eFP6 and eFP9: merges U3's and U4's clusters.
-	merged := false
-	g.AddObservation("U5", "eFP6")
-	if g.AddObservation("U5", "eFP9") {
-		merged = true
+	// Joining U3's cluster is not itself a merge; the bridge is.
+	if g.AddObservation("U5", "eFP6") {
+		t.Error("a new user joining a cluster reported a merge")
 	}
-	if !merged {
+	if !g.AddObservation("U5", "eFP9") {
 		t.Error("bridging observation did not report a merge")
 	}
 	if got := g.NumClusters(); got != 2 {
@@ -144,29 +69,20 @@ func TestGraphAccessors(t *testing.T) {
 	if g.NumUsers() != 2 || g.NumFingerprints() != 3 {
 		t.Fatalf("users=%d fps=%d", g.NumUsers(), g.NumFingerprints())
 	}
-	if !g.HasUser("a") || g.HasUser("zz") {
-		t.Error("HasUser wrong")
+	if g.NumClusters() != 2 || g.UniqueClusters() != 2 {
+		t.Errorf("clusters=%d unique=%d, want 2/2", g.NumClusters(), g.UniqueClusters())
 	}
 	if _, ok := g.ClusterOf("zz"); ok {
 		t.Error("ClusterOf unknown user reported ok")
 	}
-	labels := g.Labels([]string{"a", "b", "zz"})
-	if labels[0] == labels[1] {
-		t.Error("a and b should have different labels")
+	a, _ := g.ClusterOf("a")
+	b, _ := g.ClusterOf("b")
+	if a == b {
+		t.Error("a and b should have different clusters")
 	}
-	if labels[2] != -1 {
-		t.Error("unknown user label should be -1")
-	}
-	sizes := g.ClusterSizes()
-	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 1 {
-		t.Errorf("sizes = %v", sizes)
-	}
-	cl := g.Clusters()
-	if len(cl) != 2 {
-		t.Errorf("Clusters() returned %d components", len(cl))
-	}
-	if got := g.Users(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Users() = %v", got)
+	// A repeated observation changes nothing.
+	if g.AddObservation("a", "h1") || g.NumUsers() != 2 || g.NumFingerprints() != 3 {
+		t.Error("repeated observation changed the graph")
 	}
 }
 
@@ -188,6 +104,14 @@ func TestMatchSemantics(t *testing.T) {
 	}
 	if c, res := g.Match([]string{"h1", "nope", "h2"}); res != MatchUnique || c != c1 {
 		t.Errorf("Match with partial unknowns = (%d,%v)", c, res)
+	}
+	// An empty set carries no evidence; a set of only unknown hashes is
+	// evidence that matched nothing.
+	if _, res := g.Match(nil); res != MatchNoEvidence {
+		t.Errorf("Match(empty) = %v, want no_evidence", res)
+	}
+	if _, res := g.Match([]string{"nope", "also-nope"}); res != MatchNone {
+		t.Errorf("Match(all unknown) = %v, want none", res)
 	}
 }
 
@@ -233,7 +157,19 @@ func TestClusterCountInvariant(t *testing.T) {
 				distinct[find(k)] = struct{}{}
 			}
 		}
-		return g.NumClusters() == len(distinct)
+		sizes := map[string]int{}
+		for k := range labels {
+			if k[0] == 'U' {
+				sizes[find(k)]++
+			}
+		}
+		unique := 0
+		for _, n := range sizes {
+			if n == 1 {
+				unique++
+			}
+		}
+		return g.NumClusters() == len(distinct) && g.UniqueClusters() == unique
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

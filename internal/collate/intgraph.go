@@ -1,11 +1,22 @@
+// Package collate implements the paper's graph-based fingerprint collation
+// (§3.2): an undirected bipartite graph with one node per user and one node
+// per elementary fingerprint, an edge whenever a user's browser emitted that
+// fingerprint, and connected components as the collated fingerprints. Users
+// in one component share a collated fingerprint; a component with a single
+// user is a unique fingerprint.
+//
+// IntGraph is the one connectivity implementation: an incremental-only
+// disjoint-set forest (path halving, union by user count) over dense int32
+// IDs — the fingerprinter data structure the paper's §3.2 scalability
+// argument assumes. Graph is a string interner in front of it for callers
+// that observe raw user ids and hashes.
 package collate
 
-// IntGraph is the dense, int-keyed fast path of the bipartite collation
-// graph: users and elementary fingerprints are identified by dense int32
-// IDs assigned up front (see study.Index), so AddObservation performs no
-// map probes and no string hashing — just two array reads and a union-find
-// merge. It produces exactly the same connected components as Graph over
-// the equivalent string observations; the analysis sweeps (Fig. 5,
+// IntGraph is the dense, int-keyed bipartite collation graph: users and
+// elementary fingerprints are identified by dense int32 IDs (assigned up
+// front by study.Index, or online as a stream reveals them), so
+// AddObservation performs no map probes and no string hashing — just two
+// array reads and a union-find merge. The analysis sweeps (Fig. 5,
 // Table 6, Fig. 9, §5) build thousands of these per run.
 //
 // Element layout: userElem maps a dense user ID to its union-find element;
@@ -208,24 +219,21 @@ func (g *IntGraph) Merge(other *IntGraph, userMap, fpMap []int32) {
 // only for the graph's current state.
 func (g *IntGraph) ClusterOf(user int32) int32 { return g.find(g.userElem[user]) }
 
-// ComponentUsers returns the number of users in the user's component.
-func (g *IntGraph) ComponentUsers(user int32) int32 { return g.size[g.find(g.userElem[user])] }
-
 // Labels returns each user's cluster label as a dense int32 in
 // [0, NumClusters), canonicalized by first appearance in user order — the
-// same ordering Graph.Labels induces through cluster.indexLabels, so AMI
-// computed over these labels is bit-identical to the string path.
+// same ordering cluster.NewContingency assigns to arbitrary labels, so AMI
+// computed over these labels is bit-identical to AMI over any relabeling.
 func (g *IntGraph) Labels() []int32 {
-	return g.LabelsInto(make([]int32, g.numUsers), make([]int32, len(g.parent)))
+	return g.labelsInto(make([]int32, g.numUsers), make([]int32, len(g.parent)))
 }
 
-// LabelsInto is Labels with caller-provided buffers: dst must have length
+// labelsInto is Labels with caller-provided buffers: dst must have length
 // NumUsers; canon must have length ≥ len(parent) (total elements) and is
 // used as scratch. It returns dst. The number of clusters is
 // max(dst)+1 (or 0 for an empty population).
-func (g *IntGraph) LabelsInto(dst, canon []int32) []int32 {
+func (g *IntGraph) labelsInto(dst, canon []int32) []int32 {
 	if len(dst) < g.numUsers || len(canon) < len(g.parent) {
-		panic("collate: LabelsInto buffers too short")
+		panic("collate: labelsInto buffers too short")
 	}
 	canon = canon[:len(g.parent)]
 	for i := range canon {
@@ -277,12 +285,46 @@ func (g *IntGraph) UniqueClusters() int {
 	return n
 }
 
+// MatchResult is the outcome of matching a returning visitor's fingerprints
+// against a training graph (the §3.3 "fingerprint match score" primitive).
+type MatchResult int
+
+const (
+	// MatchNone means fingerprints were submitted but none was ever seen —
+	// the visitor presented evidence and it matched nothing.
+	MatchNone MatchResult = iota
+	// MatchUnique means all recognized fingerprints point to one cluster.
+	MatchUnique
+	// MatchAmbiguous means recognized fingerprints span several clusters —
+	// which cannot persist: inserting them would merge those clusters.
+	MatchAmbiguous
+	// MatchNoEvidence means the submitted set was empty: there was nothing
+	// to match. Distinct from MatchNone, where evidence existed but was
+	// unrecognized.
+	MatchNoEvidence
+)
+
+// String renders the result for logs and decision payloads.
+func (r MatchResult) String() string {
+	switch r {
+	case MatchNone:
+		return "none"
+	case MatchUnique:
+		return "unique"
+	case MatchAmbiguous:
+		return "ambiguous"
+	case MatchNoEvidence:
+		return "no_evidence"
+	}
+	return "invalid"
+}
+
 // Match looks up a set of fingerprint IDs without inserting them and
-// reports which existing cluster they identify — the int-keyed equivalent
-// of Graph.Match. An empty fps slice returns MatchNoEvidence (nothing was
-// submitted); a non-empty slice of IDs this graph never observed returns
-// MatchNone (evidence was submitted and recognized nothing). It allocates
-// nothing for the common ≤ 16-distinct-root case.
+// reports which existing cluster they identify. An empty fps slice returns
+// MatchNoEvidence (nothing was submitted); a non-empty slice of IDs this
+// graph never observed returns MatchNone (evidence was submitted and
+// recognized nothing). It allocates nothing for the common ≤ 16-distinct-root
+// case.
 func (g *IntGraph) Match(fps []int32) (cluster int32, res MatchResult) {
 	if len(fps) == 0 {
 		return 0, MatchNoEvidence

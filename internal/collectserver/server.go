@@ -157,6 +157,11 @@ type Config struct {
 
 // Verifier is the authentication decision plane behind POST /api/v1/verify:
 // a single verify.Engine or the sharded shard.Verifiers.
+//
+// Enroll must be read-your-writes: once it returns, every Verify that
+// starts afterwards recognizes the enrolled hashes. The submit handler
+// enrolls before it answers 202, so an acknowledged submission can be
+// verified at once.
 type Verifier interface {
 	Enroll(recs []storage.Record)
 	Verify(userID string, samples []verify.Sample) (verify.Decision, error)
@@ -537,7 +542,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Verifier != nil {
 		// Enrollment keeps the verification history in lockstep with the
 		// store: every accepted audio-vector record extends the user's
-		// collated history (the engine skips auxiliary surfaces itself).
+		// stored history (the engine skips auxiliary surfaces itself).
 		// Neither consumer mutates recs, so sharing the slice is safe.
 		s.cfg.Verifier.Enroll(recs)
 	}

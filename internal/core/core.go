@@ -56,14 +56,13 @@ func NewTracker() *Tracker { return &Tracker{g: collate.NewGraph()} }
 
 // Observe records elementary fingerprints emitted by a known visitor,
 // merging identities as collisions appear. It returns how many previously
-// distinct identities this observation merged together.
+// distinct identities this observation merged together; a first-time
+// visitor joining an existing identity is not a merge.
 func (t *Tracker) Observe(visitorID string, hashes ...string) int {
 	merges := 0
 	for _, h := range hashes {
-		before := t.g.NumClusters()
-		t.g.AddObservation(visitorID, h)
-		if after := t.g.NumClusters(); after < before {
-			merges += before - after
+		if t.g.AddObservation(visitorID, h) {
+			merges++
 		}
 	}
 	return merges
@@ -104,9 +103,6 @@ func (t *Tracker) Stats() TrackerStats {
 	}
 }
 
-// Graph exposes the underlying collation graph for analysis code.
-func (t *Tracker) Graph() *collate.Graph { return t.g }
-
 // MainStudySeed and FollowUpSeed are the default seeds of the two
 // simulated campaigns; all documented numbers use them.
 const (
@@ -146,16 +142,4 @@ func WriteDataset(w io.Writer, ds *study.Dataset) error {
 		}
 	}
 	return nil
-}
-
-// Save serializes the tracker's identity state (for restart persistence).
-func (t *Tracker) Save(w io.Writer) error { return t.g.Save(w) }
-
-// LoadTracker restores a tracker saved with Save.
-func LoadTracker(r io.Reader) (*Tracker, error) {
-	g, err := collate.LoadGraph(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Tracker{g: g}, nil
 }

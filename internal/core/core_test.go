@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -53,13 +52,17 @@ func TestTrackerLifecycle(t *testing.T) {
 		t.Error("identified an unknown visitor")
 	}
 
+	// A first-time visitor joining an identity merges nothing.
+	if merges := tr.Observe("dave", "fp2"); merges != 0 {
+		t.Errorf("joining visitor merges = %d, want 0", merges)
+	}
 	// A bridging visitor merges identities (§3.2's dynamic behaviour).
 	merges := tr.Observe("carol", "fp1", "fp3")
 	if merges != 1 {
 		t.Errorf("merges = %d, want 1", merges)
 	}
 	st = tr.Stats()
-	if st.Identities != 1 || st.Visitors != 3 {
+	if st.Identities != 1 || st.Visitors != 4 {
 		t.Errorf("after merge: %+v", st)
 	}
 	// Ambiguity is impossible post-merge.
@@ -209,32 +212,6 @@ func TestWriteAnonymity(t *testing.T) {
 	// Every surface has all users in sets of ≥1 (first numeric column 1.000).
 	if !strings.Contains(out, "1.000") {
 		t.Errorf("≥1 column should be 1.000:\n%s", out)
-	}
-}
-
-func TestTrackerSaveLoad(t *testing.T) {
-	tr := NewTracker()
-	tr.Observe("alice", "fp1", "fp2")
-	tr.Observe("bob", "fp3")
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadTracker(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Stats() != tr.Stats() {
-		t.Errorf("restored stats %+v != %+v", back.Stats(), tr.Stats())
-	}
-	want, _ := tr.IdentityOf("alice")
-	got, ok := back.Identify([]string{"fp2"})
-	if !ok || got != want {
-		t.Errorf("restored tracker misidentifies alice: (%d,%t) want %d", got, ok, want)
-	}
-	// Restored tracker keeps merging.
-	if merges := back.Observe("carol", "fp1", "fp3"); merges != 1 {
-		t.Errorf("restored tracker merges = %d, want 1", merges)
 	}
 }
 

@@ -133,6 +133,25 @@ func TestEvaluateDefenseEffect(t *testing.T) {
 	}
 }
 
+// TestEvaluatePinned pins Evaluate's exact results for every mode (Hybrid,
+// 80 users, seed 99), so a change to the collation graph underneath cannot
+// move them unnoticed.
+func TestEvaluatePinned(t *testing.T) {
+	want := map[Mode]Evaluation{
+		Off:          {Users: 80, WithinSessionStable: 80, CrossSessionMatched: 80, DistinctFirstSession: 23},
+		SessionKeyed: {Users: 80, WithinSessionStable: 80, CrossSessionMatched: 0, DistinctFirstSession: 80},
+	}
+	for mode, w := range want {
+		got, err := Evaluate(mode, vectors.Hybrid, 80, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != w {
+			t.Errorf("mode %d: %+v, want %+v", mode, got, w)
+		}
+	}
+}
+
 func BenchmarkDefendedFingerprint(b *testing.B) {
 	tr := Protect(webaudio.DefaultTraits(), SessionKeyed, 9)
 	r := vectors.NewRunner(tr, 0)

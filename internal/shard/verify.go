@@ -47,7 +47,10 @@ func (v *Verifiers) Shards() int { return len(v.engines) }
 // Engine returns shard i's engine (tests and diagnostics).
 func (v *Verifiers) Engine(i int) *verify.Engine { return v.engines[i] }
 
-// Enroll routes each record to its user's owning shard.
+// Enroll routes each record to its user's owning shard. It is
+// read-your-writes like verify.Engine.Enroll: once Enroll returns, every
+// Verify that starts afterwards recognizes the enrolled hashes, so a
+// submission the server has acknowledged with 202 can be verified at once.
 func (v *Verifiers) Enroll(recs []storage.Record) {
 	if len(v.engines) == 1 {
 		v.engines[0].Enroll(recs)

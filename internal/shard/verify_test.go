@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/population"
@@ -120,4 +122,49 @@ func TestNewVerifiersValidation(t *testing.T) {
 	if _, err := NewVerifiers(0, verify.Config{}); err == nil {
 		t.Fatal("0 shards accepted")
 	}
+}
+
+// TestVerifiersEnrollReadYourWrites pins the sharded plane's visibility
+// guarantee: once Verifiers.Enroll returns, a Verify that starts afterwards
+// recognizes every enrolled hash on the owning shard, while other
+// goroutines enroll and verify their own users concurrently. `make check`
+// runs it under -race at -count=50.
+func TestVerifiersEnrollReadYourWrites(t *testing.T) {
+	vs, err := NewVerifiers(4, verify.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, users = 8, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < users; i++ {
+				user := fmt.Sprintf("w%d-u%d", w, i)
+				var recs []storage.Record
+				var samples []verify.Sample
+				for _, v := range vectors.All {
+					h := fmt.Sprintf("%s-%v", user, v)
+					recs = append(recs, storage.Record{UserID: user, Vector: v.String(), Hash: h})
+					samples = append(samples, verify.Sample{Vector: v, Hash: h})
+				}
+				vs.Enroll(recs)
+				d, err := vs.Verify(user, samples)
+				if err != nil {
+					t.Errorf("%s: verify right after enroll: %v", user, err)
+					return
+				}
+				if !d.Accept {
+					t.Errorf("%s: rejected right after enroll (score %v)", user, d.Score)
+				}
+				for _, ve := range d.Vectors {
+					if ve.Recognized != ve.Samples {
+						t.Errorf("%s: %s recognized %d of %d enrolled hashes", user, ve.Vector, ve.Recognized, ve.Samples)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/collate"
 	"repro/internal/storage"
 	"repro/internal/vectors"
 )
@@ -164,7 +163,6 @@ func FromRecordsOpts(recs []storage.Record, opt LoadOptions) (*Dataset, error) {
 		Fonts:      make([]string, len(order)),
 		MathJS:     make([]string, len(order)),
 		Platforms:  make([]string, len(order)),
-		fullGraphs: make(map[vectors.ID]*collate.Graph),
 	}
 	for _, v := range vectors.All {
 		ds.Obs[v] = make([][]string, len(order))

@@ -1,6 +1,9 @@
 package study
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestLongitudinalValidation(t *testing.T) {
 	if _, err := Longitudinal(LongitudinalConfig{Users: 0, Epochs: 5}); err == nil {
@@ -59,6 +62,26 @@ func TestLongitudinalUpgradesShiftFingerprints(t *testing.T) {
 	}
 	if res.MeanAccuracy >= 1.0 {
 		t.Error("accuracy unaffected by fingerprint shifts — simulation inert")
+	}
+}
+
+// TestLongitudinalPinned pins the exact churn result (seed 6, 80 users,
+// 6 epochs, p=0.5), so a change to the collation graph underneath cannot
+// move it unnoticed.
+func TestLongitudinalPinned(t *testing.T) {
+	res, err := Longitudinal(LongitudinalConfig{
+		Seed: 6, Users: 80, Epochs: 6, UpgradeProb: 0.5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := LongitudinalResult{
+		Users: 80, Epochs: 6, Upgrades: 193, FingerprintShifts: 9,
+		EpochAccuracy: []float64{0.975, 1, 0.9875, 0.9875, 1},
+		MeanAccuracy:  0.99,
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Errorf("Longitudinal = %+v, want %+v", res, want)
 	}
 }
 

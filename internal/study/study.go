@@ -16,7 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/collate"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/population"
@@ -106,8 +105,6 @@ type Dataset struct {
 
 	// mu guards the lazily built caches below.
 	mu sync.Mutex
-	// fullGraphs caches the all-iterations collation graph per vector.
-	fullGraphs map[vectors.ID]*collate.Graph
 	// idx interns user/fingerprint IDs (built eagerly by Run/FromRecords,
 	// lazily otherwise); denseByVec caches per-vector full-graph labelings
 	// in interned form.
@@ -169,7 +166,6 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 		Fonts:      make([]string, len(devs)),
 		MathJS:     make([]string, len(devs)),
 		Platforms:  make([]string, len(devs)),
-		fullGraphs: make(map[vectors.ID]*collate.Graph),
 	}
 	for i, d := range devs {
 		ds.Users[i] = d.ID
@@ -279,39 +275,6 @@ func runUser(ds *Dataset, cache *vectors.Cache, jitter *platform.JitterModel, id
 		}
 	}
 	return nil
-}
-
-// Graph builds the collation graph of vector v restricted to the given
-// iteration indices (nil = all iterations).
-func (ds *Dataset) Graph(v vectors.ID, iters []int) *collate.Graph {
-	g := collate.NewGraph()
-	obs := ds.Obs[v]
-	for ui, user := range ds.Users {
-		if iters == nil {
-			for _, h := range obs[ui] {
-				g.AddObservation(user, h)
-			}
-			continue
-		}
-		for _, it := range iters {
-			g.AddObservation(user, obs[ui][it])
-		}
-	}
-	return g
-}
-
-// FullGraph returns (and caches) the all-iterations collation graph of v.
-func (ds *Dataset) FullGraph(v vectors.ID) *collate.Graph {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if g, ok := ds.fullGraphs[v]; ok {
-		return g
-	}
-	sp := ds.span("collate/" + v.String())
-	defer sp.End()
-	g := ds.Graph(v, nil)
-	ds.fullGraphs[v] = g
-	return g
 }
 
 // Labels returns each user's collated-fingerprint cluster label for v,

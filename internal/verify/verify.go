@@ -4,9 +4,11 @@
 // accept/reject with a calibrated threshold — the "Guess Who?"-style
 // question of whether a returning fingerprint can vouch for an account.
 //
-// The decision deliberately depends only on the claimed user's own collated
-// history (one collation graph per user × vector, matched with the §3.3
-// Match kernel). That makes a decision invariant under sharding: the
+// The decision deliberately depends only on the claimed user's own
+// history: per vector, the sorted set of distinct hashes the user ever
+// submitted, against which a submission is matched by membership — the
+// "Guess Who?" framing of verification as matching a submission against
+// stored attributes. That makes a decision invariant under sharding: the
 // claimed user pins the owning shard, the owning shard holds the user's
 // entire history (shard.Of is user-granular), so a sharded deployment
 // answers bit-identically to a single engine. False accepts are then
@@ -20,7 +22,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/collate"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/vectors"
@@ -68,9 +69,9 @@ type VectorEvidence struct {
 	Samples int `json:"samples"`
 	// Recognized is how many of them appear in the claimed user's history.
 	Recognized int `json:"recognized"`
-	// Outcome is the collation-graph match result against the user's
-	// history: "unique", "none", or "no_history" when the user has never
-	// been observed on this vector (excluded from the score).
+	// Outcome is "unique" when at least one hash is recognized, "none"
+	// when none is, and "no_history" when the user has never been observed
+	// on this vector (excluded from the score).
 	Outcome string `json:"outcome"`
 	// Score is Recognized/Samples.
 	Score float64 `json:"score"`
@@ -113,7 +114,7 @@ type Engine struct {
 	cfg Config
 
 	mu      sync.RWMutex
-	users   map[string]*userHistory
+	users   map[string][]vectorHistory
 	records int64
 
 	accepted, rejected, unknown int64
@@ -121,10 +122,30 @@ type Engine struct {
 	metAccept, metReject, metUnknown *obs.Counter
 }
 
-// userHistory is one user's stored history: a single-user collation graph
-// per vector, so the Match kernel answers recognition queries directly.
-type userHistory struct {
-	graphs map[vectors.ID]*collate.Graph
+// vectorHistory is one user's stored history on one vector: the distinct
+// hashes ever enrolled, sorted so recognition is a binary search. The
+// exact strings are kept, not a digest: hashes come from clients, and a
+// truncated digest would let two different strings compare equal.
+type vectorHistory struct {
+	vector vectors.ID
+	hashes []string
+}
+
+// historyIndex returns the index of v's history in hist, -1 when the user
+// has none on v.
+func historyIndex(hist []vectorHistory, v vectors.ID) int {
+	for i := range hist {
+		if hist[i].vector == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// recognized reports whether hash is in the sorted set.
+func recognized(set []string, hash string) bool {
+	i := sort.SearchStrings(set, hash)
+	return i < len(set) && set[i] == hash
 }
 
 // New builds an Engine.
@@ -136,7 +157,7 @@ func New(cfg Config) *Engine {
 			cfg.Threshold = DefaultThreshold
 		}
 	}
-	e := &Engine{cfg: cfg, users: make(map[string]*userHistory)}
+	e := &Engine{cfg: cfg, users: make(map[string][]vectorHistory)}
 	if cfg.Registry != nil {
 		lbl := func(decision string) obs.Labels {
 			l := obs.Labels{"decision": decision}
@@ -158,9 +179,14 @@ func New(cfg Config) *Engine {
 func (e *Engine) Threshold() float64 { return e.cfg.Threshold }
 
 // Enroll folds stored records into the per-user history. Records whose
-// vector is not one of the seven audio vectors (auxiliary surfaces such as
-// Canvas ride along in submissions) are ignored. Safe to call concurrently
-// with Verify; a decision sees a consistent snapshot.
+// vector is not an audio vector (auxiliary surfaces such as Canvas ride
+// along in submissions) are ignored. Safe to call concurrently with
+// Verify; a decision sees a consistent snapshot.
+//
+// Enrollment is read-your-writes: once Enroll returns, every Score or
+// Verify that starts afterwards recognizes the enrolled hashes. The
+// collection server enrolls a submission before it answers 202, so an
+// acknowledged submission can be verified at once.
 func (e *Engine) Enroll(recs []storage.Record) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -169,17 +195,20 @@ func (e *Engine) Enroll(recs []storage.Record) {
 		if err != nil || rec.Hash == "" || rec.UserID == "" {
 			continue
 		}
-		h := e.users[rec.UserID]
-		if h == nil {
-			h = &userHistory{graphs: make(map[vectors.ID]*collate.Graph)}
-			e.users[rec.UserID] = h
+		hist := e.users[rec.UserID]
+		i := historyIndex(hist, v)
+		if i < 0 {
+			i = len(hist)
+			hist = append(hist, vectorHistory{vector: v})
+			e.users[rec.UserID] = hist
 		}
-		g := h.graphs[v]
-		if g == nil {
-			g = collate.NewGraph()
-			h.graphs[v] = g
+		set := hist[i].hashes
+		if j := sort.SearchStrings(set, rec.Hash); j == len(set) || set[j] != rec.Hash {
+			set = append(set, "")
+			copy(set[j+1:], set[j:])
+			set[j] = rec.Hash
+			hist[i].hashes = set
 		}
-		g.AddObservation(rec.UserID, rec.Hash)
 		e.records++
 	}
 }
@@ -206,8 +235,8 @@ func (e *Engine) Users() int {
 func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence []VectorEvidence, known bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	h := e.users[userID]
-	if h == nil {
+	hist, known := e.users[userID]
+	if !known {
 		return 0, nil, false
 	}
 
@@ -227,8 +256,8 @@ func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence
 	for _, v := range vecs {
 		hashes := byVec[v]
 		ve := VectorEvidence{Vector: v.String(), Samples: len(hashes)}
-		g := h.graphs[v]
-		if g == nil {
+		i := historyIndex(hist, v)
+		if i < 0 {
 			// The user was never observed on this vector: the submission
 			// is neither confirming nor refuting, so it stays out of the
 			// score — a verifier cannot hold absent enrollment against a
@@ -237,12 +266,14 @@ func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence
 			evidence = append(evidence, ve)
 			continue
 		}
-		_, res := g.Match(hashes)
-		ve.Outcome = res.String()
 		for _, hash := range hashes {
-			if g.HasFingerprint(hash) {
+			if recognized(hist[i].hashes, hash) {
 				ve.Recognized++
 			}
+		}
+		ve.Outcome = "none"
+		if ve.Recognized > 0 {
+			ve.Outcome = "unique"
 		}
 		ve.Score = float64(ve.Recognized) / float64(ve.Samples)
 		sum += ve.Score

@@ -2,7 +2,9 @@ package verify
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -45,7 +47,7 @@ func TestVerifyDecisions(t *testing.T) {
 		t.Errorf("evidence = %+v", d.Vectors)
 	}
 
-	// Churned genuine: older DC hash still recognized via collated history.
+	// Churned genuine: older DC hash still recognized from the history.
 	d, err = e.Verify("alice", []Sample{{Vector: vectors.DC, Hash: "aa02"}})
 	if err != nil {
 		t.Fatal(err)
@@ -184,4 +186,76 @@ func TestCalibrate(t *testing.T) {
 	if cal := Calibrate(trials, 100); cal.EER != 0.5 {
 		t.Errorf("overlapping EER = %v, want 0.5", cal.EER)
 	}
+}
+
+// TestEnrollSortedDistinct: a user's history on a vector is the sorted set
+// of distinct enrolled strings, compared exactly; every record still
+// counts toward Stats.Records.
+func TestEnrollSortedDistinct(t *testing.T) {
+	e := New(Config{})
+	for _, h := range []string{"c3", "a1", "b2", "a1", "c3", "a10"} {
+		e.EnrollHashes("alice", vectors.DC, h)
+	}
+	e.EnrollHashes("alice", vectors.FFT, "ff")
+	want := []string{"a1", "a10", "b2", "c3"}
+	hist := e.users["alice"]
+	if i := historyIndex(hist, vectors.DC); i < 0 || strings.Join(hist[i].hashes, ",") != strings.Join(want, ",") {
+		t.Errorf("DC history = %+v, want %v", hist, want)
+	}
+	if got := e.Stats().Records; got != 7 {
+		t.Errorf("Records = %d, want 7", got)
+	}
+	d, err := e.Verify("alice", []Sample{
+		{Vector: vectors.DC, Hash: "a1"},
+		{Vector: vectors.DC, Hash: "a"}, // a prefix of enrolled hashes
+		{Vector: vectors.DC, Hash: "c3"},
+		{Vector: vectors.DC, Hash: "c30"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := d.Vectors[0]; ev.Recognized != 2 || ev.Samples != 4 || ev.Outcome != "unique" {
+		t.Errorf("DC evidence = %+v, want 2 of 4 recognized", ev)
+	}
+}
+
+// TestEnrollReadYourWrites pins Enroll's visibility guarantee: once Enroll
+// returns, a Verify that starts afterwards recognizes every enrolled hash,
+// while other goroutines enroll and verify their own users concurrently.
+// `make check` runs it under -race at -count=50.
+func TestEnrollReadYourWrites(t *testing.T) {
+	e := New(Config{})
+	const workers, users = 8, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < users; i++ {
+				user := fmt.Sprintf("w%d-u%d", w, i)
+				var recs []storage.Record
+				var samples []Sample
+				for _, v := range vectors.All {
+					h := fmt.Sprintf("%s-%v", user, v)
+					recs = append(recs, storage.Record{UserID: user, Vector: v.String(), Hash: h})
+					samples = append(samples, Sample{Vector: v, Hash: h})
+				}
+				e.Enroll(recs)
+				d, err := e.Verify(user, samples)
+				if err != nil {
+					t.Errorf("%s: verify right after enroll: %v", user, err)
+					return
+				}
+				if !d.Accept {
+					t.Errorf("%s: rejected right after enroll (score %v)", user, d.Score)
+				}
+				for _, ve := range d.Vectors {
+					if ve.Recognized != ve.Samples {
+						t.Errorf("%s: %s recognized %d of %d enrolled hashes", user, ve.Vector, ve.Recognized, ve.Samples)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
