@@ -19,18 +19,19 @@ func DecibelsToLinear(db float64) float64 {
 	return math.Pow(10, db/20)
 }
 
-// Float32SliceToBytes serializes samples to little-endian IEEE-754 bytes,
-// the canonical form fingerprint hashes are computed over. The layout
-// matches what a browser script hashing a Float32Array ends up with.
-func Float32SliceToBytes(samples []float32) []byte {
-	out := make([]byte, 4*len(samples))
-	for i, s := range samples {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(s))
+// AppendFloat32Bytes appends samples to dst as little-endian IEEE-754
+// bytes, the canonical form fingerprint hashes are computed over, and
+// returns the extended slice. The layout matches what a browser script
+// hashing a Float32Array ends up with. Appending to a reused buffer with
+// room for the samples allocates nothing.
+func AppendFloat32Bytes(dst []byte, samples []float32) []byte {
+	for _, s := range samples {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(s))
 	}
-	return out
+	return dst
 }
 
-// BytesToFloat32Slice inverts Float32SliceToBytes. The byte slice length
+// BytesToFloat32Slice inverts AppendFloat32Bytes. The byte slice length
 // must be a multiple of 4.
 func BytesToFloat32Slice(b []byte) []float32 {
 	out := make([]float32, len(b)/4)

@@ -45,7 +45,7 @@ func TestDecibelRoundTripProperty(t *testing.T) {
 func TestFloat32BytesRoundTrip(t *testing.T) {
 	f := func(a, b, c float32) bool {
 		in := []float32{a, b, c}
-		out := BytesToFloat32Slice(Float32SliceToBytes(in))
+		out := BytesToFloat32Slice(AppendFloat32Bytes(nil, in))
 		for i := range in {
 			// Compare bit patterns so NaNs round-trip too.
 			if math.Float32bits(in[i]) != math.Float32bits(out[i]) {
@@ -60,9 +60,12 @@ func TestFloat32BytesRoundTrip(t *testing.T) {
 }
 
 func TestFloat32BytesLayout(t *testing.T) {
-	b := Float32SliceToBytes([]float32{1.0})
-	// 1.0f = 0x3f800000 little-endian.
-	want := []byte{0x00, 0x00, 0x80, 0x3f}
+	b := AppendFloat32Bytes([]byte{0xff}, []float32{1.0})
+	// The prefix stays, then 1.0f = 0x3f800000 little-endian.
+	want := []byte{0xff, 0x00, 0x00, 0x80, 0x3f}
+	if len(b) != len(want) {
+		t.Fatalf("len = %d, want %d", len(b), len(want))
+	}
 	for i := range want {
 		if b[i] != want[i] {
 			t.Fatalf("byte %d = %#x, want %#x", i, b[i], want[i])

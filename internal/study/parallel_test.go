@@ -2,12 +2,15 @@ package study
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/platform"
+	"repro/internal/population"
 	"repro/internal/vectors"
 	"repro/internal/webaudio"
 )
@@ -154,6 +157,58 @@ func TestParallelRenderSingleflight(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Error("expected cache hits in a 60-user study (platform classes repeat)")
+	}
+}
+
+// TestRenderPassCounts pins a study's render bill to its drawn offsets:
+// one audio context per (stack, vector) render pass, and per pass 96
+// quanta plus the largest offset drawn (DC's offline render: 64), at any
+// parallelism. The expected counts come from redrawing the offsets here,
+// independently of the study's plan.
+func TestRenderPassCounts(t *testing.T) {
+	cfg := Config{Seed: 19, Users: 40, Iterations: 8}
+	type pass struct {
+		stack string
+		v     vectors.ID
+	}
+	maxOffset := map[pass]int{}
+	jitter := platform.DefaultJitter()
+	seeds := rand.New(rand.NewSource(cfg.Seed ^ 0x6a75747465726d6c))
+	for _, d := range population.Sample(population.Config{Seed: cfg.Seed, N: cfg.Users}) {
+		rng := rand.New(rand.NewSource(seeds.Int63()))
+		for it := 0; it < cfg.Iterations; it++ {
+			for _, v := range vectors.All {
+				off := jitter.Offset(rng, d.Load, v)
+				k := pass{d.AudioStackKey(), v}
+				if m, ok := maxOffset[k]; !ok || off > m {
+					maxOffset[k] = off
+				}
+			}
+		}
+	}
+	wantContexts, wantQuanta := int64(len(maxOffset)), int64(0)
+	for k, m := range maxOffset {
+		if k.v == vectors.DC {
+			wantQuanta += 64
+		} else {
+			wantQuanta += 96 + int64(m)
+		}
+	}
+
+	for _, par := range []int{1, 8} {
+		c := cfg
+		c.Parallelism = par
+		before := webaudio.Stats()
+		if _, err := Run(c); err != nil {
+			t.Fatal(err)
+		}
+		after := webaudio.Stats()
+		if got := after.Contexts - before.Contexts; got != wantContexts {
+			t.Errorf("parallelism %d: %d contexts, want %d (one per stack × vector)", par, got, wantContexts)
+		}
+		if got := after.Quanta - before.Quanta; got != wantQuanta {
+			t.Errorf("parallelism %d: %d quanta, want %d", par, got, wantQuanta)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -222,12 +223,13 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	if cfg.ShadowAudit != nil {
 		cache.SetShadow(cfg.ShadowAudit)
 	}
+	plan := planRenders(ds, jitter, userSeeds, resumed)
 	if err := runAll(len(devs), cfg.Parallelism, func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if !resumed[i] {
-			if err := runUser(ds, cache, jitter, i, userSeeds[i]); err != nil {
+			if err := runUser(ds, cache, plan, i); err != nil {
 				return err
 			}
 			if ckpt != nil {
@@ -258,20 +260,71 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	return ds, nil
 }
 
-// runUser executes all iterations of all vectors for one participant.
-func runUser(ds *Dataset, cache *vectors.Cache, jitter *platform.JitterModel, idx int, seed int64) error {
+// renderPlan is a run's capture offsets, drawn before anything renders.
+type renderPlan struct {
+	// offsets holds each user's draws, iteration-major: user i's offset for
+	// iteration it and vector vectors.All[vi] is
+	// offsets[i][it*len(vectors.All)+vi]. Nil for resumed users.
+	offsets [][]int
+	// need maps an audio-stack key to the sorted distinct offsets its
+	// users drew, per vector index.
+	need map[string][][]int
+}
+
+// planRenders draws the capture offsets of every user still to render, in
+// the order users render them, and collects the offsets each (stack,
+// vector) needs. Rendering consumes no randomness, so drawing up front
+// leaves every draw as it was, and each user can ask the cache for its
+// stack's whole list: the first user of a stack renders each vector once,
+// in one pass, for every later user.
+func planRenders(ds *Dataset, jitter *platform.JitterModel, userSeeds []int64, resumed []bool) *renderPlan {
+	p := &renderPlan{offsets: make([][]int, len(ds.Devices)), need: map[string][][]int{}}
+	for i, d := range ds.Devices {
+		if resumed[i] {
+			continue
+		}
+		stack := d.AudioStackKey()
+		need := p.need[stack]
+		if need == nil {
+			need = make([][]int, len(vectors.All))
+			p.need[stack] = need
+		}
+		rng := rand.New(rand.NewSource(userSeeds[i]))
+		offs := make([]int, ds.Iterations*len(vectors.All))
+		for it := 0; it < ds.Iterations; it++ {
+			for vi, v := range vectors.All {
+				off := jitter.Offset(rng, d.Load, v)
+				offs[it*len(vectors.All)+vi] = off
+				need[vi] = append(need[vi], off)
+			}
+		}
+		p.offsets[i] = offs
+	}
+	for _, need := range p.need {
+		for vi, offs := range need {
+			slices.Sort(offs)
+			need[vi] = slices.Compact(offs)
+		}
+	}
+	return p
+}
+
+// runUser fills in all iterations of all vectors for one participant,
+// asking the cache for the whole offset list of the user's stack.
+func runUser(ds *Dataset, cache *vectors.Cache, plan *renderPlan, idx int) error {
 	d := ds.Devices[idx]
 	runner := vectors.NewRunner(d.AudioTraits(), d.SampleRate)
 	stack := d.AudioStackKey()
-	rng := rand.New(rand.NewSource(seed))
-	for it := 0; it < ds.Iterations; it++ {
-		for _, v := range vectors.All {
-			off := jitter.Offset(rng, d.Load, v)
-			fp, err := cache.Run(stack, runner, v, off)
-			if err != nil {
-				return fmt.Errorf("user %s vector %v: %w", d.ID, v, err)
-			}
-			ds.Obs[v][idx][it] = fp.Hash
+	need := plan.need[stack]
+	offs := plan.offsets[idx]
+	for vi, v := range vectors.All {
+		fps, err := cache.RunOffsets(stack, runner, v, need[vi])
+		if err != nil {
+			return fmt.Errorf("user %s vector %v: %w", d.ID, v, err)
+		}
+		for it := 0; it < ds.Iterations; it++ {
+			j, _ := slices.BinarySearch(need[vi], offs[it*len(vectors.All)+vi])
+			ds.Obs[v][idx][it] = fps[j].Hash
 		}
 	}
 	return nil

@@ -7,21 +7,26 @@ import (
 
 // Cache memoizes fingerprints by (audio-stack key, vector, capture offset).
 // Rendering is bit-deterministic given those three inputs (asserted by the
-// engine's tests), so memoization is exact: a study over thousands of users
-// re-renders only once per distinct platform class and capture state,
-// turning an O(users × iterations) rendering bill into O(platform classes ×
-// offsets). Safe for concurrent use.
+// engine's tests), so memoization is exact. A miss renders every offset
+// the lookup still needs in one render pass (Runner.RunOffsets), so a
+// study over thousands of users runs one pass per distinct (platform
+// class, vector) whose users ask for all their offsets at once, turning an
+// O(users × iterations) rendering bill into O(platform classes) passes and
+// O(platform classes × offsets) captures. Safe for concurrent use.
 //
-// Misses are deduplicated singleflight-style: when N goroutines miss on the
+// Misses are deduplicated singleflight-style, per offset: under one lock a
+// lookup takes what is memoized, registers as its own every offset neither
+// memoized nor in flight, renders those in one pass, and then waits for the
+// offsets other goroutines are rendering. When N goroutines miss on the
 // same key concurrently (the common case in a parallel study sweep, where
 // every worker meets the same few dozen platform classes), exactly one
-// renders and the rest wait for its result. Without this, raising
-// study.Config.Parallelism multiplies redundant renders instead of
+// renders each offset and the rest wait for its result. Without this,
+// raising study.Config.Parallelism multiplies redundant renders instead of
 // throughput.
 type Cache struct {
 	mu       sync.Mutex
 	m        map[cacheKey]Fingerprint
-	inflight map[cacheKey]*inflightCall
+	inflight map[cacheKey]inflightSlot
 	max      int // 0 = unbounded
 
 	hits      atomic.Int64
@@ -41,18 +46,28 @@ type cacheKey struct {
 	offset int
 }
 
-// inflightCall is one in-progress render other goroutines can wait on.
+// inflightCall is one in-progress render pass other goroutines can wait
+// on: offsets are the captures it renders, fps its results aligned with
+// them once done is closed.
 type inflightCall struct {
-	done chan struct{}
-	fp   Fingerprint
-	err  error
+	done    chan struct{}
+	offsets []int
+	fps     []Fingerprint
+	err     error
+}
+
+// inflightSlot locates one in-flight offset: the pass rendering it and its
+// position in that pass.
+type inflightSlot struct {
+	call *inflightCall
+	i    int
 }
 
 // NewCache returns an empty, unbounded cache.
 func NewCache() *Cache {
 	return &Cache{
 		m:        make(map[cacheKey]Fingerprint),
-		inflight: make(map[cacheKey]*inflightCall),
+		inflight: make(map[cacheKey]inflightSlot),
 	}
 }
 
@@ -88,14 +103,15 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
-// CacheStats is a snapshot of the cache's behavior counters.
+// CacheStats is a snapshot of the cache's behavior counters. Each counts
+// fingerprints, one per requested offset.
 type CacheStats struct {
-	// Hits counts lookups served from the memo map.
+	// Hits counts fingerprints served from the memo map.
 	Hits int64
-	// Misses counts lookups that ran the render themselves.
+	// Misses counts fingerprints the lookup rendered itself.
 	Misses int64
-	// Waits counts lookups that joined another goroutine's in-progress
-	// render instead of starting their own.
+	// Waits counts fingerprints taken from another goroutine's
+	// in-progress render instead of rendered again.
 	Waits int64
 	// Evictions counts entries dropped by the SetMaxEntries bound.
 	Evictions int64
@@ -137,57 +153,99 @@ func (c *Cache) SetShadow(a *ShadowAuditor) { c.shadow.Store(a) }
 func (c *Cache) Shadow() *ShadowAuditor { return c.shadow.Load() }
 
 // Run returns the fingerprint for (stackKey, id, offset), rendering through
-// r on a cache miss. stackKey must uniquely identify r's traits: two runners
-// with different traits must never share a key.
+// r on a cache miss: RunOffsets with one offset.
 func (c *Cache) Run(stackKey string, r *Runner, id ID, offset int) (Fingerprint, error) {
-	return c.Do(stackKey, id, offset, func() (Fingerprint, error) {
-		fp, err := r.Run(id, offset)
+	fps, err := c.RunOffsets(stackKey, r, id, []int{offset})
+	if err != nil {
+		return Fingerprint{}, err
+	}
+	return fps[0], nil
+}
+
+// RunOffsets returns the fingerprints for (stackKey, id, o), one per o in
+// offsets (ascending) and aligned with them. The offsets neither memoized
+// nor in flight render through r in one pass; the rest are taken from the
+// memo map or waited for. stackKey must uniquely identify r's traits: two
+// runners with different traits must never share a key.
+func (c *Cache) RunOffsets(stackKey string, r *Runner, id ID, offsets []int) ([]Fingerprint, error) {
+	return c.do(stackKey, id, offsets, func(missing []int) ([]Fingerprint, error) {
+		fps, err := r.RunOffsets(id, missing)
 		if err == nil {
 			if a := c.shadow.Load(); a != nil {
-				a.MaybeAudit(stackKey, r, id, offset)
+				for _, off := range missing {
+					a.MaybeAudit(stackKey, r, id, off)
+				}
 			}
 		}
-		return fp, err
+		return fps, err
 	})
 }
 
-// Do returns the memoized fingerprint for (stackKey, id, offset), invoking
-// render on a miss. Concurrent misses on the same key are collapsed: one
-// caller renders, the rest block until it finishes and share its result.
-// Errors are returned to every waiter but never cached — a later lookup
-// retries the render.
-func (c *Cache) Do(stackKey string, id ID, offset int, render func() (Fingerprint, error)) (Fingerprint, error) {
-	k := cacheKey{stack: stackKey, vector: id, offset: offset}
-
+// do is the one miss path. Under one lock it takes every memoized offset,
+// notes the ones in flight, and registers the rest as its own pass; it
+// then calls render once with those offsets (in request order) and
+// afterwards waits for the offsets other goroutines are rendering. render
+// must return one fingerprint per offset it is given. Errors are returned
+// to every waiter but never cached — a later lookup retries the render.
+func (c *Cache) do(stackKey string, id ID, offsets []int, render func(missing []int) ([]Fingerprint, error)) ([]Fingerprint, error) {
+	key := func(off int) cacheKey { return cacheKey{stack: stackKey, vector: id, offset: off} }
+	out := make([]Fingerprint, len(offsets))
+	slots := make([]inflightSlot, len(offsets)) // nil call: served from the memo
+	var own *inflightCall
+	var hits, waits int64
 	c.mu.Lock()
-	if fp, ok := c.m[k]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		mCacheHits.Inc()
-		return fp, nil
+	for i, off := range offsets {
+		k := key(off)
+		if fp, ok := c.m[k]; ok {
+			out[i] = fp
+			hits++
+			continue
+		}
+		slot, ok := c.inflight[k]
+		if ok {
+			waits++
+		} else {
+			if own == nil {
+				own = &inflightCall{done: make(chan struct{})}
+			}
+			slot = inflightSlot{call: own, i: len(own.offsets)}
+			c.inflight[k] = slot
+			own.offsets = append(own.offsets, off)
+		}
+		slots[i] = slot
 	}
-	if call, ok := c.inflight[k]; ok {
-		c.mu.Unlock()
-		c.waits.Add(1)
-		mCacheWaits.Inc()
-		<-call.done
-		return call.fp, call.err
-	}
-	call := &inflightCall{done: make(chan struct{})}
-	c.inflight[k] = call
 	c.mu.Unlock()
+	c.hits.Add(hits)
+	mCacheHits.Add(hits)
+	c.waits.Add(waits)
+	mCacheWaits.Add(waits)
 
-	c.misses.Add(1)
-	mCacheMisses.Inc()
-	call.fp, call.err = render()
+	if own != nil {
+		c.misses.Add(int64(len(own.offsets)))
+		mCacheMisses.Add(int64(len(own.offsets)))
+		own.fps, own.err = render(own.offsets)
 
-	c.mu.Lock()
-	delete(c.inflight, k)
-	if call.err == nil {
-		c.m[k] = call.fp
+		c.mu.Lock()
+		for j, off := range own.offsets {
+			k := key(off)
+			delete(c.inflight, k)
+			if own.err == nil {
+				c.m[k] = own.fps[j]
+			}
+		}
 		c.evictLocked()
+		c.mu.Unlock()
+		close(own.done)
 	}
-	c.mu.Unlock()
-	close(call.done)
-	return call.fp, call.err
+	for i, slot := range slots {
+		if slot.call == nil {
+			continue
+		}
+		<-slot.call.done
+		if slot.call.err != nil {
+			return nil, slot.call.err
+		}
+		out[i] = slot.call.fps[slot.i]
+	}
+	return out, nil
 }

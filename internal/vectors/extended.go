@@ -35,28 +35,13 @@ func extendedString(id ID) (string, bool) {
 	return "", false
 }
 
-// RunExtended executes an extension vector (same contract as Run).
+// RunExtended executes an extension vector at one capture offset (same
+// contract as Run).
 func (r *Runner) RunExtended(id ID, captureOffset int) (Fingerprint, error) {
-	if captureOffset < 0 {
-		return Fingerprint{}, fmt.Errorf("vectors: negative capture offset %d", captureOffset)
+	if _, ok := extendedString(id); !ok {
+		return Fingerprint{}, fmt.Errorf("vectors: %v is not an extension vector", id)
 	}
-	return timeRender(id, func() (Fingerprint, error) { return r.renderExtended(id, captureOffset) })
-}
-
-func (r *Runner) renderExtended(id ID, captureOffset int) (Fingerprint, error) {
-	rt := r.newRealtime()
-	signal, err := buildExtendedSignal(rt, id)
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	tail, err := buildHybridTail(rt, signal)
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	if err := rt.CaptureAfter(captureBaseQuanta, captureOffset); err != nil {
-		return Fingerprint{}, err
-	}
-	return tail.fingerprint(id, r.digest)
+	return r.Run(id, captureOffset)
 }
 
 // buildExtendedSignal wires the signal stage of one extension vector.

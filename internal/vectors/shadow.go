@@ -263,28 +263,8 @@ func (r *Runner) probe(id ID, offset int, e webaudio.Engine) (*webaudio.Context,
 
 	rt := webaudio.NewRealtimeSim(r.rate, r.traits)
 	rt.SetEngine(e)
-	quanta := captureBaseQuanta + offset
-	switch {
-	case id == FFT:
-		if _, err := buildFFTGraph(rt); err != nil {
-			return nil, 0, err
-		}
-	case id == Hybrid || id == CustomSignal || id == MergedSignals || id == AM || id == FM:
-		signal, err := buildHybridSignal(rt, id)
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, err := buildHybridTail(rt, signal); err != nil {
-			return nil, 0, err
-		}
-	default:
-		signal, err := buildExtendedSignal(rt, id)
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, err := buildHybridTail(rt, signal); err != nil {
-			return nil, 0, err
-		}
+	if _, err := buildLiveGraph(rt, id); err != nil {
+		return nil, 0, err
 	}
-	return rt.Context, quanta, nil
+	return rt.Context, captureBaseQuanta + offset, nil
 }

@@ -6,17 +6,17 @@ import (
 	"repro/internal/obs"
 )
 
-// Per-vector render telemetry on the shared registry: how many times each
-// vector rendered, how long a render takes end to end (graph build +
-// quanta + hash), and how the memoization cache behaves. Label cardinality
-// is bounded by the vector set (9 names).
+// Per-vector render telemetry on the shared registry: how many render
+// passes each vector ran, how long a pass takes end to end (graph build +
+// quanta + every capture's hash), and how the memoization cache behaves.
+// Label cardinality is bounded by the vector set (9 names).
 var (
 	mCacheHits = obs.Default.Counter("vectors_cache_hits_total",
 		"memoized fingerprint renders served from cache", nil)
 	mCacheMisses = obs.Default.Counter("vectors_cache_misses_total",
 		"fingerprint renders that had to run the engine", nil)
 	mCacheWaits = obs.Default.Counter("vectors_cache_singleflight_waits_total",
-		"lookups that joined an in-progress render instead of starting one", nil)
+		"fingerprints taken from an in-progress render instead of rendered again", nil)
 	mCacheEvictions = obs.Default.Counter("vectors_cache_evictions_total",
 		"memoized renders dropped by the cache entry bound", nil)
 )
@@ -46,18 +46,18 @@ func hitRatio(served, misses int64) float64 {
 func renderObserved(id ID, elapsed time.Duration) {
 	labels := obs.Labels{"vector": id.String()}
 	obs.Default.Counter("vectors_renders_total",
-		"completed vector renders", labels).Inc()
+		"completed render passes (one or more captures each)", labels).Inc()
 	obs.Default.Histogram("vectors_render_duration_seconds",
-		"wall time of one vector render", obs.LatencyBuckets(), labels).
+		"wall time of one render pass", obs.LatencyBuckets(), labels).
 		Observe(elapsed.Seconds())
 }
 
-// timeRender wraps a render function with duration telemetry.
-func timeRender(id ID, fn func() (Fingerprint, error)) (Fingerprint, error) {
+// timeRender wraps a render pass with duration telemetry.
+func timeRender(id ID, fn func() ([]Fingerprint, error)) ([]Fingerprint, error) {
 	start := time.Now()
-	fp, err := fn()
+	fps, err := fn()
 	if err == nil {
 		renderObserved(id, time.Since(start))
 	}
-	return fp, err
+	return fps, err
 }

@@ -182,35 +182,68 @@ const (
 	spBufferSize      = 4096
 )
 
-// Run executes vector id. captureOffset is the load-induced scheduling slack
-// (in render quanta) at the moment the script observes the graph; it is
-// ignored by DC, whose offline render is deterministic.
+// Run executes vector id at one capture offset: RunOffsets with a single
+// offset. captureOffset is the load-induced scheduling slack (in render
+// quanta) at the moment the script observes the graph; it is ignored by
+// DC, whose offline render is deterministic.
 func (r *Runner) Run(id ID, captureOffset int) (Fingerprint, error) {
-	if captureOffset < 0 {
-		return Fingerprint{}, fmt.Errorf("vectors: negative capture offset %d", captureOffset)
+	fps, err := r.RunOffsets(id, []int{captureOffset})
+	if err != nil {
+		return Fingerprint{}, err
 	}
-	return timeRender(id, func() (Fingerprint, error) { return r.render(id, captureOffset) })
+	return fps[0], nil
 }
 
-// render dispatches to the vector implementations (timing handled by Run).
-func (r *Runner) render(id ID, captureOffset int) (Fingerprint, error) {
-	switch id {
-	case DC:
-		return r.runDC()
-	case FFT:
-		return r.runFFT(captureOffset)
-	case Hybrid:
-		return r.runHybridFamily(Hybrid, captureOffset)
-	case CustomSignal:
-		return r.runHybridFamily(CustomSignal, captureOffset)
-	case MergedSignals:
-		return r.runHybridFamily(MergedSignals, captureOffset)
-	case AM:
-		return r.runHybridFamily(AM, captureOffset)
-	case FM:
-		return r.runHybridFamily(FM, captureOffset)
+// RunOffsets executes vector id once per capture offset, all from one
+// render pass, and returns the fingerprints aligned with offsets. The pass
+// builds the graph once, renders forward to each capture point in turn and
+// captures there exactly as a fresh Run at that offset would, so every
+// fingerprint is bit-identical to its Run. offsets must be non-negative
+// and ascending. DC renders once whatever the offsets; an empty list
+// renders nothing.
+func (r *Runner) RunOffsets(id ID, offsets []int) ([]Fingerprint, error) {
+	for i, off := range offsets {
+		if off < 0 {
+			return nil, fmt.Errorf("vectors: negative capture offset %d", off)
+		}
+		if i > 0 && off < offsets[i-1] {
+			return nil, fmt.Errorf("vectors: capture offsets not ascending (%d after %d)", off, offsets[i-1])
+		}
 	}
-	return Fingerprint{}, fmt.Errorf("vectors: unknown vector %d", int(id))
+	if len(offsets) == 0 {
+		return nil, nil
+	}
+	return timeRender(id, func() ([]Fingerprint, error) { return r.renderPass(id, offsets) })
+}
+
+// renderPass is RunOffsets' one capture loop (timing handled by the
+// caller).
+func (r *Runner) renderPass(id ID, offsets []int) ([]Fingerprint, error) {
+	fps := make([]Fingerprint, len(offsets))
+	if id == DC {
+		fp, err := r.runDC()
+		if err != nil {
+			return nil, err
+		}
+		for i := range fps {
+			fps[i] = fp
+		}
+		return fps, nil
+	}
+	rt := r.newRealtime()
+	g, err := buildLiveGraph(rt, id)
+	if err != nil {
+		return nil, err
+	}
+	for i, off := range offsets {
+		if err := rt.CaptureAfter(captureBaseQuanta, off); err != nil {
+			return nil, err
+		}
+		if fps[i], err = r.capture(g, id); err != nil {
+			return nil, err
+		}
+	}
+	return fps, nil
 }
 
 // RunAll executes every vector with the same capture offset and returns the
@@ -245,7 +278,7 @@ func (r *Runner) runDC() (Fingerprint, error) {
 	window := buf[dcWindowStart:dcWindowEnd]
 	return Fingerprint{
 		Vector: DC,
-		Hash:   r.digest(dsp.Float32SliceToBytes(window)),
+		Hash:   r.digest(dsp.AppendFloat32Bytes(nil, window)),
 		Sum:    dsp.SumAbs(window),
 	}, nil
 }
@@ -260,29 +293,70 @@ func buildDCGraph(ctx *webaudio.Context) {
 	osc.Start(0)
 }
 
-// runFFT implements the FFT vector (paper Fig. 2): live context → triangle
-// oscillator (10 kHz) → AnalyserNode → ScriptProcessor → GainNode(0) →
-// destination. The script hashes getFloatFrequencyData output from inside an
-// audioprocess callback; which callback fires when the script looks is load-
-// dependent, hence captureOffset.
-func (r *Runner) runFFT(captureOffset int) (Fingerprint, error) {
-	rt := r.newRealtime()
-	an, err := buildFFTGraph(rt)
-	if err != nil {
+// liveGraph is one live-context vector's graph and its capture taps, built
+// once per render pass. freq and data are the pass's spectrum and byte
+// buffers, reused by every capture, so a capture allocates only its
+// digest.
+type liveGraph struct {
+	analyser *webaudio.AnalyserNode
+	// lastBuf retains the script processor's latest input buffer (the
+	// compressor output) for the Fig. 6 tail; nil for FFT, which hashes
+	// the spectrum alone.
+	lastBuf []float32
+	freq    []float32
+	data    []byte
+}
+
+// buildLiveGraph wires the graph of live-context vector id on rt: the FFT
+// vector (paper Fig. 2) or, for the hybrid family and the extension
+// vectors, the vector's signal stage feeding the Fig. 6 tail.
+func buildLiveGraph(rt *webaudio.RealtimeSim, id ID) (*liveGraph, error) {
+	var g *liveGraph
+	if id == FFT {
+		an, err := buildFFTGraph(rt)
+		if err != nil {
+			return nil, err
+		}
+		g = &liveGraph{analyser: an}
+	} else {
+		var signal webaudio.Node
+		var err error
+		if _, ext := extendedString(id); ext {
+			signal, err = buildExtendedSignal(rt, id)
+		} else {
+			signal, err = buildHybridSignal(rt, id)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if g, err = buildHybridTail(rt, signal); err != nil {
+			return nil, err
+		}
+	}
+	g.freq = make([]float32, g.analyser.FrequencyBinCount())
+	g.data = make([]byte, 0, 4*(len(g.freq)+len(g.lastBuf)))
+	return g, nil
+}
+
+// capture fingerprints g at the current render point exactly as the first
+// capture of a fresh context would: the analyser's smoothing is reset
+// first, so earlier captures of the pass leave no trace. The FFT vector
+// (paper Fig. 2) hashes getFloatFrequencyData output read from inside an
+// audioprocess callback; the Fig. 6 tail hashes the spectrum and the
+// retained compressor buffer together, the FFT and DC halves of the hybrid
+// family.
+func (r *Runner) capture(g *liveGraph, id ID) (Fingerprint, error) {
+	g.analyser.ResetSmoothing()
+	if err := g.analyser.GetFloatFrequencyData(g.freq); err != nil {
 		return Fingerprint{}, err
 	}
-	if err := rt.CaptureAfter(captureBaseQuanta, captureOffset); err != nil {
-		return Fingerprint{}, err
+	g.data = dsp.AppendFloat32Bytes(g.data[:0], g.freq)
+	sum := sumFinite(g.freq)
+	if g.lastBuf != nil {
+		g.data = dsp.AppendFloat32Bytes(g.data, g.lastBuf)
+		sum += dsp.SumAbs(g.lastBuf)
 	}
-	freq := make([]float32, an.FrequencyBinCount())
-	if err := an.GetFloatFrequencyData(freq); err != nil {
-		return Fingerprint{}, err
-	}
-	return Fingerprint{
-		Vector: FFT,
-		Hash:   r.digest(dsp.Float32SliceToBytes(freq)),
-		Sum:    sumFinite(freq),
-	}, nil
+	return Fingerprint{Vector: id, Hash: r.digest(g.data), Sum: sum}, nil
 }
 
 // buildFFTGraph wires the Fig. 2 graph (triangle oscillator → Analyser →
@@ -306,16 +380,11 @@ func buildFFTGraph(rt *webaudio.RealtimeSim) (*webaudio.AnalyserNode, error) {
 	return an, nil
 }
 
-// hybridTail wires signal → Analyser → DynamicsCompressor → ScriptProcessor
-// → Gain(0) → destination (paper Fig. 6) and returns the taps needed for the
-// fingerprint: the analyser and the script processor retaining the last
-// compressor output buffer.
-type hybridTail struct {
-	analyser *webaudio.AnalyserNode
-	lastBuf  []float32
-}
-
-func buildHybridTail(rt *webaudio.RealtimeSim, signal webaudio.Node) (*hybridTail, error) {
+// buildHybridTail wires signal → Analyser → DynamicsCompressor →
+// ScriptProcessor → Gain(0) → destination (paper Fig. 6) and returns the
+// taps the fingerprint reads: the analyser, and the script processor's
+// retained copy of the last compressor output buffer.
+func buildHybridTail(rt *webaudio.RealtimeSim, signal webaudio.Node) (*liveGraph, error) {
 	an, err := rt.NewAnalyser(fftSize)
 	if err != nil {
 		return nil, err
@@ -331,28 +400,11 @@ func buildHybridTail(rt *webaudio.RealtimeSim, signal webaudio.Node) (*hybridTai
 	webaudio.Connect(comp, sp)
 	webaudio.Connect(sp, mute)
 	webaudio.Connect(mute, rt.Destination())
-	t := &hybridTail{analyser: an, lastBuf: make([]float32, spBufferSize)}
+	g := &liveGraph{analyser: an, lastBuf: make([]float32, spBufferSize)}
 	sp.OnAudioProcess = func(e webaudio.AudioProcessEvent) {
-		copy(t.lastBuf, e.InputBuffer)
+		copy(g.lastBuf, e.InputBuffer)
 	}
-	return t, nil
-}
-
-// fingerprint reads the analyser spectrum plus the retained compressor
-// buffer and hashes them together — the DC and FFT halves of the hybrid
-// family.
-func (t *hybridTail) fingerprint(id ID, digest func([]byte) string) (Fingerprint, error) {
-	freq := make([]float32, t.analyser.FrequencyBinCount())
-	if err := t.analyser.GetFloatFrequencyData(freq); err != nil {
-		return Fingerprint{}, err
-	}
-	data := dsp.Float32SliceToBytes(freq)
-	data = append(data, dsp.Float32SliceToBytes(t.lastBuf)...)
-	return Fingerprint{
-		Vector: id,
-		Hash:   digest(data),
-		Sum:    sumFinite(freq) + dsp.SumAbs(t.lastBuf),
-	}, nil
+	return g, nil
 }
 
 // customWaveCoefficients are the fixed 12-element real/imag arrays of the
@@ -373,8 +425,10 @@ func customWaveCoefficients() *webaudio.PeriodicWave {
 	return &webaudio.PeriodicWave{Real: real, Imag: imag}
 }
 
-// runHybridFamily implements Hybrid and the four derived vectors, which
-// share the Fig. 6 tail and differ only in the signal feeding it:
+// buildHybridSignal wires the signal stage feeding the Fig. 6 tail for one
+// hybrid-family vector and returns the node the tail should consume. Hybrid
+// and the four derived vectors share the tail and differ only in this
+// signal:
 //
 //   - Hybrid: single triangle oscillator at 10 kHz (Fig. 6)
 //   - CustomSignal: custom PeriodicWave oscillator (App. B)
@@ -384,24 +438,6 @@ func customWaveCoefficients() *webaudio.PeriodicWave {
 //     by a 440 Hz sine through gain-parameter connections (Fig. 8)
 //   - FM: the same arrangement with the modulator driving the carriers'
 //     frequency parameters instead (App. B)
-func (r *Runner) runHybridFamily(id ID, captureOffset int) (Fingerprint, error) {
-	rt := r.newRealtime()
-	signal, err := buildHybridSignal(rt, id)
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	tail, err := buildHybridTail(rt, signal)
-	if err != nil {
-		return Fingerprint{}, err
-	}
-	if err := rt.CaptureAfter(captureBaseQuanta, captureOffset); err != nil {
-		return Fingerprint{}, err
-	}
-	return tail.fingerprint(id, r.digest)
-}
-
-// buildHybridSignal wires the signal stage feeding the Fig. 6 tail for one
-// hybrid-family vector and returns the node the tail should consume.
 func buildHybridSignal(rt *webaudio.RealtimeSim, id ID) (webaudio.Node, error) {
 	var signal webaudio.Node
 
@@ -485,10 +521,13 @@ func buildHybridSignal(rt *webaudio.RealtimeSim, id ID) (webaudio.Node, error) {
 	return signal, nil
 }
 
-// hashBytes returns the hex SHA-256 of data.
+// hashBytes returns the hex SHA-256 of data. Encoding into a stack array
+// leaves the returned string as the only allocation.
 func hashBytes(data []byte) string {
 	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // sumFinite sums the finite entries of a spectrum (dB bins can be -Inf).

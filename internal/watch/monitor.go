@@ -78,6 +78,14 @@ type Config struct {
 	// that produced the transition — calling back into Snapshot/Alerts
 	// from the hook is safe. Heavy work should still be handed off to
 	// another goroutine to keep the ingest path fast.
+	//
+	// Delivery is read-after-Sync: once streaming.Engine.Sync returns,
+	// every transition produced by the records it covers has been
+	// delivered to the hook, exactly once and in production order (the
+	// engine counts a batch applied only after its observer call, which
+	// delivers the batch's transitions, returns). Order holds across
+	// batches applied by one goroutine at a time, as the engine's queue
+	// consumer applies them.
 	OnTransition func(alert Alert, from, to string)
 }
 
@@ -259,7 +267,10 @@ func (m *Monitor) RuleByName(name string) (Rule, bool) {
 // record count. Each rule whose Every-interval has elapsed since its last
 // evaluation is evaluated once at this record index. State transitions
 // produced by the pass are delivered to the OnTransition hook after the
-// lock is released.
+// lock is released and before Observe returns, each exactly once and in
+// the order the pass produced them. Because the engine counts a batch
+// applied only after Observe returns, every transition of the records a
+// streaming.Engine.Sync covers has been delivered once Sync returns.
 func (m *Monitor) Observe(records int64) {
 	trans := m.observeLocked(records)
 	if len(trans) == 0 {

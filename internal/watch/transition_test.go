@@ -1,6 +1,9 @@
 package watch
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -128,5 +131,81 @@ func TestConfigOnTransition(t *testing.T) {
 	eng.Apply([]storage.Record{{UserID: "u0", Vector: vectors.DC.String(), Hash: "cafe"}})
 	if fired != 1 {
 		t.Fatalf("firing transitions = %d, want 1", fired)
+	}
+}
+
+// TestHookDeliveredBeforeSync pins the hook's read-after-Sync contract:
+// records go through the engine's async queue, and once Sync returns every
+// transition they produced is in the hook's log, exactly once and in
+// production order. The log is a plain slice the hook appends to on the
+// engine's goroutine and the test reads without a lock, so under -race
+// the test also checks that Sync orders the hook's writes before the read.
+func TestHookDeliveredBeforeSync(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := streaming.New(streaming.Config{Registry: reg, AMIRefreshEvery: -1})
+	defer eng.Close()
+
+	type event struct {
+		from, to string
+		at       int64 // the applied-record count of the transition
+	}
+	var log []event
+	_, err := New(Config{
+		Engine:   eng,
+		Registry: reg,
+		Rules: []Rule{{
+			Name: "churn", Kind: KindClusterChurn, Vector: vectors.DC.String(),
+			Every: 10, For: 1, MaxChurn: 0.5,
+		}},
+		OnTransition: func(a Alert, from, to string) {
+			at := a.PendingAtRecords
+			switch to {
+			case StateFiring:
+				at = a.FiredAtRecords
+			case StateResolved:
+				at = a.ResolvedAtRecords
+			}
+			log = append(log, event{from, to, at})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	// calm(c) adds ten new users, each with a fingerprint of its own: the
+	// churn rule sees clusters track users. storm(c) has calm(c-1)'s users
+	// converge on one fingerprint: nine merges in ten records fire it.
+	calm := func(c int) {
+		for i := 0; i < 10; i++ {
+			eng.EnqueueContext(ctx, []storage.Record{rec(fmt.Sprintf("c%d-%d", c, i), fmt.Sprintf("calm-%d-%d", c, i))})
+		}
+	}
+	storm := func(c int) {
+		for i := 0; i < 10; i++ {
+			eng.EnqueueContext(ctx, []storage.Record{rec(fmt.Sprintf("c%d-%d", c-1, i), fmt.Sprintf("storm-%d", c))})
+		}
+	}
+	var want []event
+	check := func(phase string) {
+		t.Helper()
+		if err := eng.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(log, want) {
+			t.Fatalf("after %s the hook has seen %v, want %v", phase, log, want)
+		}
+	}
+
+	calm(0) // the rule's first evaluation only sets its baseline
+	check("the baseline")
+	for c := 1; c <= 20; c++ {
+		storm(c)
+		at := int64(20 * c)
+		want = append(want, event{"", StatePending, at}, event{StatePending, StateFiring, at})
+		check(fmt.Sprintf("storm %d", c))
+		calm(c)
+		want = append(want, event{StateFiring, StateResolved, at + 10})
+		check(fmt.Sprintf("calm %d", c))
 	}
 }

@@ -146,6 +146,14 @@ func (a *AnalyserNode) computeSpectrum() {
 	}
 }
 
+// ResetSmoothing returns the smoothing-over-time state to that of a new
+// node, so the next capture reads the current frames unsmoothed, exactly
+// as the first capture of a fresh context does. Rendering is unaffected.
+func (a *AnalyserNode) ResetSmoothing() {
+	a.haveData = false
+	clear(a.smoothed)
+}
+
 // GetFloatFrequencyData computes the dB spectrum of the most recent fftSize
 // frames into dst (length ≥ FrequencyBinCount). Bins with zero magnitude
 // come out as float32(-Inf), as in browsers. Each call advances the

@@ -176,13 +176,21 @@ func NewRealtimeSim(sampleRate float64, traits Traits) *RealtimeSim {
 	return &RealtimeSim{Context: NewContext(sampleRate, traits)}
 }
 
-// CaptureAfter renders baseQuanta+offsetQuanta quanta, the moment at which
-// the fingerprinting script's audioprocess handler fires.
+// CaptureAfter renders forward until baseQuanta+offsetQuanta quanta have
+// elapsed since the context started, the moment at which the
+// fingerprinting script's audioprocess handler fires. Calls with ascending
+// capture points observe one render at each point in turn; a point the
+// clock has already passed is an error.
 func (r *RealtimeSim) CaptureAfter(baseQuanta, offsetQuanta int) error {
 	if baseQuanta < 0 || offsetQuanta < 0 {
 		return fmt.Errorf("webaudio: negative capture point (%d,%d)", baseQuanta, offsetQuanta)
 	}
-	return r.RenderQuanta(baseQuanta + offsetQuanta)
+	at := int(r.frame / RenderQuantum)
+	if baseQuanta+offsetQuanta < at {
+		return fmt.Errorf("webaudio: capture point %d quanta already passed (clock at %d)",
+			baseQuanta+offsetQuanta, at)
+	}
+	return r.RenderQuanta(baseQuanta + offsetQuanta - at)
 }
 
 // FramesToSeconds converts a frame count at rate sr to seconds.

@@ -7,7 +7,7 @@ import "repro/internal/obs"
 // adds per render — invisible next to the DSP itself.
 var (
 	statContexts = obs.Default.Counter("webaudio_contexts_created_total",
-		"audio contexts constructed (one per vector render)", nil)
+		"audio contexts constructed (one per render pass)", nil)
 	statQuanta = obs.Default.Counter("webaudio_quanta_rendered_total",
 		"128-frame render quanta processed", nil)
 	statNodes = obs.Default.Counter("webaudio_node_ticks_total",

@@ -613,6 +613,22 @@ func TestRealtimeCaptureOffsetMatters(t *testing.T) {
 	if err := (&RealtimeSim{Context: defaultCtx()}).CaptureAfter(-1, 0); err == nil {
 		t.Error("negative capture accepted")
 	}
+	// Capture points count from the context's start: a later point
+	// renders only the quanta in between, a passed one is refused.
+	rt := NewRealtimeSim(testRate, DefaultTraits())
+	Connect(rt.NewOscillator(Sine, 440), rt.Destination())
+	if err := rt.CaptureAfter(4, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.CaptureAfter(4, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.CurrentFrame(); got != 7*RenderQuantum {
+		t.Errorf("clock at frame %d after capturing at 4+1 then 4+3 quanta, want %d", got, 7*RenderQuantum)
+	}
+	if err := rt.CaptureAfter(4, 2); err == nil {
+		t.Error("capture point already passed was accepted")
+	}
 }
 
 // TestOfflineContext mirrors the DC vector's OfflineAudioContext usage.
