@@ -28,8 +28,9 @@ test-short:
 # packages (the telemetry registry/span tree, series store and the
 # watch monitor first — spans/exporter/series ticks/alert evaluation cross
 # goroutines in every binary — then the parallel sweeps and shared caches),
-# the full suite, the cmd/fpbench harness (its own module, so ./... above
-# never compiles it) and the tracker example, a short fuzz pass over the
+# the full suite, the paper-scale fpstudy output against the reference
+# file byte for byte, the cmd/fpbench harness (its own module, so ./...
+# above never compiles it) and the tracker example, a short fuzz pass over the
 # ingestion surfaces (10s per target, seeded from the checked-in torn/corrupt
 # corpora), and a report-only bench-gate comparison against the committed
 # render trajectory (shared CI runners are too noisy to enforce here;
@@ -44,6 +45,7 @@ check: build vet
 	$(GO) test -race ./internal/shard/
 	$(GO) test -race ./internal/...
 	$(GO) test ./...
+	$(GO) run ./cmd/fpstudy 2>/dev/null | cmp - cmd/fpbench/testdata/study-20220325.txt
 	(cd cmd/fpbench && $(GO) vet ./... && $(GO) test ./...)
 	$(GO) run ./examples/tracker | grep -q 'returning visitors recognized'
 	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 10s ./internal/storage/

@@ -220,9 +220,9 @@ func (g *IntGraph) Merge(other *IntGraph, userMap, fpMap []int32) {
 func (g *IntGraph) ClusterOf(user int32) int32 { return g.find(g.userElem[user]) }
 
 // Labels returns each user's cluster label as a dense int32 in
-// [0, NumClusters), canonicalized by first appearance in user order — the
-// same ordering cluster.NewContingency assigns to arbitrary labels, so AMI
-// computed over these labels is bit-identical to AMI over any relabeling.
+// [0, NumClusters), canonicalized by first appearance in user order, the
+// form cluster.PairwiseAMI takes. Equal partitions therefore get equal
+// label vectors, and their AMI values are bit-identical.
 func (g *IntGraph) Labels() []int32 {
 	return g.labelsInto(make([]int32, g.numUsers), make([]int32, len(g.parent)))
 }

@@ -31,10 +31,8 @@ func BootstrapEntropyCI[T comparable](values []T, resamples int, confidence floa
 	if confidence <= 0 || confidence >= 1 {
 		confidence = 0.95
 	}
-	// The stable entropy keeps equal seeds bit-identical: Summarize's map
-	// iteration randomizes the last ulp of the sum between calls.
 	ci := BootstrapCI{
-		Point:      NormalizedEntropyStable(values),
+		Point:      NormalizedEntropy(values),
 		Confidence: confidence,
 		Resamples:  resamples,
 	}
@@ -49,7 +47,7 @@ func BootstrapEntropyCI[T comparable](values []T, resamples int, confidence floa
 		for i := range sample {
 			sample[i] = values[rng.Intn(len(values))]
 		}
-		stats[b] = NormalizedEntropyStable(sample)
+		stats[b] = NormalizedEntropy(sample)
 	}
 	sort.Float64s(stats)
 	alpha := (1 - confidence) / 2

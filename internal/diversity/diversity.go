@@ -30,30 +30,18 @@ type Summary struct {
 }
 
 // Summarize computes the Table 2-style summary of one fingerprint value per
-// user.
+// user: it tallies each value's group size and reduces the sizes with
+// SummaryFromCounts, so the entropy does not depend on map order.
 func Summarize[T comparable](values []T) Summary {
 	counts := make(map[T]int, len(values))
 	for _, v := range values {
 		counts[v]++
 	}
-	s := Summary{Users: len(values), Distinct: len(counts)}
-	n := float64(len(values))
+	cs := make([]int, 0, len(counts))
 	for _, c := range counts {
-		if c == 1 {
-			s.Unique++
-		}
-		p := float64(c) / n
-		s.EntropyBits -= p * math.Log2(p)
+		cs = append(cs, c)
 	}
-	if s.EntropyBits < 0 {
-		s.EntropyBits = 0
-	}
-	if len(values) > 1 {
-		s.Normalized = s.EntropyBits / math.Log2(n)
-	} else if len(values) == 1 {
-		s.Normalized = 0
-	}
-	return s
+	return SummaryFromCounts(cs)
 }
 
 // EntropyBits returns the Shannon entropy (bits) of the value distribution.
@@ -71,10 +59,9 @@ func NormalizedEntropy[T comparable](values []T) float64 {
 // (one entry per distinct value, holding how many users share it), with a
 // deterministic floating-point summation order: sizes are sorted ascending
 // before the entropy sum, so the same multiset always produces the same
-// float regardless of the order counts were collected in. This is the
-// shared kernel behind SummarizeStable and the streaming engine's
-// snapshot rows — both sides of the batch/streaming equivalence property
-// reduce to this function, which is what makes their entropies
+// float regardless of the order counts were collected in. It is the one
+// entropy kernel: Summarize and the streaming engine's snapshot rows both
+// reduce to it, which is what makes batch and streaming entropies
 // bit-identical rather than merely close.
 func SummaryFromCounts(counts []int) Summary {
 	cs := make([]int, len(counts))
@@ -101,30 +88,9 @@ func SummaryFromCounts(counts []int) Summary {
 	return s
 }
 
-// SummarizeStable is Summarize with the deterministic summation order of
-// SummaryFromCounts. Prefer it anywhere two independently computed
-// summaries must compare equal as floats.
-func SummarizeStable[T comparable](values []T) Summary {
-	counts := make(map[T]int, len(values))
-	for _, v := range values {
-		counts[v]++
-	}
-	cs := make([]int, 0, len(counts))
-	for _, c := range counts {
-		cs = append(cs, c)
-	}
-	return SummaryFromCounts(cs)
-}
-
-// NormalizedEntropyStable is NormalizedEntropy with a deterministic
-// floating-point summation order: group counts are sorted before the
-// entropy sum, so repeated calls — and parallel sweeps that must be
-// bit-identical to their serial counterparts — always produce the same
-// float. (Summarize iterates a map, which randomizes the last ulp of the
-// sum from run to run.)
-func NormalizedEntropyStable[T comparable](values []T) float64 {
-	return SummarizeStable(values).Normalized
-}
+// SummarizeStable is Summarize under its former name, kept for
+// cmd/fpbench, which is a module of its own.
+func SummarizeStable[T comparable](values []T) Summary { return Summarize(values) }
 
 // Combine builds the combination vector of several fingerprinting
 // techniques: element i of the result encodes the tuple of all vectors'

@@ -1,6 +1,7 @@
 package diversity
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -186,11 +187,10 @@ func BenchmarkSummarize2093(b *testing.B) {
 	}
 }
 
-// TestStableSummaryAgreement: SummarizeStable must agree with Summarize on
-// every integer field exactly and on the entropy up to map-order ULP noise,
-// and SummaryFromCounts over the tallied group sizes must be bit-identical
-// to SummarizeStable — the property the streaming engine's snapshot rows
-// rely on.
+// TestStableSummaryAgreement: Summarize must be bit-identical to
+// SummaryFromCounts over the tallied group sizes — the property the
+// streaming engine's snapshot rows rely on — and SummarizeStable and
+// NormalizedEntropy must return the same floats.
 func TestStableSummaryAgreement(t *testing.T) {
 	cases := [][]string{
 		{},
@@ -201,13 +201,6 @@ func TestStableSummaryAgreement(t *testing.T) {
 	}
 	for i, values := range cases {
 		plain := Summarize(values)
-		stable := SummarizeStable(values)
-		if stable.Users != plain.Users || stable.Distinct != plain.Distinct || stable.Unique != plain.Unique {
-			t.Errorf("case %d: stable %+v vs plain %+v", i, stable, plain)
-		}
-		if d := stable.EntropyBits - plain.EntropyBits; d > 1e-12 || d < -1e-12 {
-			t.Errorf("case %d: entropy %v vs %v", i, stable.EntropyBits, plain.EntropyBits)
-		}
 		counts := map[string]int{}
 		for _, v := range values {
 			counts[v]++
@@ -216,11 +209,31 @@ func TestStableSummaryAgreement(t *testing.T) {
 		for _, c := range counts {
 			cs = append(cs, c)
 		}
-		if got := SummaryFromCounts(cs); got != stable {
-			t.Errorf("case %d: SummaryFromCounts %+v != SummarizeStable %+v", i, got, stable)
+		if got := SummaryFromCounts(cs); got != plain {
+			t.Errorf("case %d: SummaryFromCounts %+v != Summarize %+v", i, got, plain)
 		}
-		if got := NormalizedEntropyStable(values); got != stable.Normalized {
-			t.Errorf("case %d: NormalizedEntropyStable %v != %v", i, got, stable.Normalized)
+		if got := SummarizeStable(values); got != plain {
+			t.Errorf("case %d: SummarizeStable %+v != Summarize %+v", i, got, plain)
+		}
+		if got := NormalizedEntropy(values); got != plain.Normalized {
+			t.Errorf("case %d: NormalizedEntropy %v != %v", i, got, plain.Normalized)
+		}
+	}
+}
+
+// TestSummarizeRepeatable: repeated calls on the same values must return
+// the same floats. Summing p·log p in map order made the last bits of the
+// entropy vary from call to call.
+func TestSummarizeRepeatable(t *testing.T) {
+	rng := rand.New(rand.NewSource(2093))
+	values := make([]string, 2093)
+	for i := range values {
+		values[i] = fmt.Sprintf("fp%d", int(400*rng.Float64()*rng.Float64()))
+	}
+	want := Summarize(values)
+	for call := 0; call < 200; call++ {
+		if got := Summarize(values); got != want {
+			t.Fatalf("call %d: %+v, first call %+v", call, got, want)
 		}
 	}
 }

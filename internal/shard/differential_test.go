@@ -199,7 +199,7 @@ func TestShardDifferentialGate(t *testing.T) {
 // TestShardGoldenValues pins the merged results to the batch pipeline's
 // golden quantities for the in-order stream: Table 2 diversity rows
 // (exact float equality through diversity.SummaryFromCounts) and the
-// Figure 5 pairwise-AMI matrix (cluster.AMIDense over canonical labels).
+// Figure 5 pairwise-AMI matrix (cluster.PairwiseAMI over canonical labels).
 func TestShardGoldenValues(t *testing.T) {
 	recs := paperRecords(t)
 	ds, err := study.FromRecordsOpts(recs, study.LoadOptions{KeepAllObservations: true})

@@ -76,14 +76,14 @@ func batchSummaries(ds *study.Dataset) []streaming.DiversityRow {
 			Unique: s.Unique, EntropyBits: s.EntropyBits, Normalized: s.Normalized}
 	}
 	for _, v := range vectors.All {
-		rows = append(rows, row(v.String(), diversity.SummarizeStable(ds.Labels(v))))
+		rows = append(rows, row(v.String(), diversity.Summarize(ds.Labels(v))))
 	}
-	rows = append(rows, row("Combined", diversity.SummarizeStable(ds.CombinedLabels())))
-	rows = append(rows, row("Canvas", diversity.SummarizeStable(ds.Canvas)))
-	rows = append(rows, row("Fonts", diversity.SummarizeStable(ds.Fonts)))
-	rows = append(rows, row("MathJS", diversity.SummarizeStable(ds.MathJS)))
-	rows = append(rows, row("Platform", diversity.SummarizeStable(ds.Platforms)))
-	rows = append(rows, row("User-Agent", diversity.SummarizeStable(ds.UA)))
+	rows = append(rows, row("Combined", diversity.Summarize(ds.CombinedLabels())))
+	rows = append(rows, row("Canvas", diversity.Summarize(ds.Canvas)))
+	rows = append(rows, row("Fonts", diversity.Summarize(ds.Fonts)))
+	rows = append(rows, row("MathJS", diversity.Summarize(ds.MathJS)))
+	rows = append(rows, row("Platform", diversity.Summarize(ds.Platforms)))
+	rows = append(rows, row("User-Agent", diversity.Summarize(ds.UA)))
 	return rows
 }
 

@@ -241,7 +241,7 @@ func (s *State) Diversity() EntropySnapshot {
 			diversity.SummaryFromCounts(s.Vecs[i].Graph.ClusterSizes())))
 	}
 	if combined := s.combinedLabels(); combined != nil {
-		snap.Rows = append(snap.Rows, summaryRow("Combined", diversity.SummarizeStable(combined)))
+		snap.Rows = append(snap.Rows, summaryRow("Combined", diversity.Summarize(combined)))
 	}
 	for si := 0; si < numSurfaces; si++ {
 		counts := make(map[string]int64, len(s.Surfs[si]))
@@ -316,21 +316,7 @@ func (s *State) AMI() *AMISnapshot {
 		labels[i] = s.Vecs[i].Graph.Labels()
 		ks[i] = s.Vecs[i].Graph.NumClusters()
 	}
-	snap.Matrix = make([][]float64, k)
-	for i := range snap.Matrix {
-		snap.Matrix[i] = make([]float64, k)
-		snap.Matrix[i][i] = 1
-	}
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			v, err := cluster.AMIDense(labels[i], labels[j], ks[i], ks[j])
-			if err != nil {
-				continue // unreachable for a non-empty population
-			}
-			snap.Matrix[i][j] = v
-			snap.Matrix[j][i] = v
-		}
-	}
+	snap.Matrix, _ = cluster.PairwiseAMI(labels, ks) // unreachable error for a non-empty population
 	return snap
 }
 

@@ -82,7 +82,7 @@ type StatusSnapshot struct {
 	AMIAutomatic bool  `json:"ami_automatic"`
 }
 
-// summaryRow converts a stable diversity summary into an API row.
+// summaryRow converts a diversity summary into an API row.
 func summaryRow(name string, s diversity.Summary) DiversityRow {
 	return DiversityRow{
 		Name:        name,
@@ -131,7 +131,7 @@ func (e *Engine) Diversity() EntropySnapshot {
 			diversity.SummaryFromCounts(e.vecs[i].clusterCounts())))
 	}
 	if combined := e.combinedLabelsLocked(); combined != nil {
-		snap.Rows = append(snap.Rows, summaryRow("Combined", diversity.SummarizeStable(combined)))
+		snap.Rows = append(snap.Rows, summaryRow("Combined", diversity.Summarize(combined)))
 	}
 	for s := 0; s < numSurfaces; s++ {
 		snap.Rows = append(snap.Rows, summaryRow(surfaceNames[s],
@@ -248,7 +248,7 @@ func (e *Engine) AMI() *AMISnapshot {
 
 // RefreshAMI recomputes the pairwise-vector AMI matrix from the current
 // graphs and installs it as the served snapshot. The computation matches
-// Dataset.PairwiseVectorAMI: diagonal 1, AMIDense over
+// Dataset.PairwiseVectorAMI: cluster.PairwiseAMI over
 // first-appearance-canonical labels.
 func (e *Engine) RefreshAMI() *AMISnapshot {
 	start := time.Now()
@@ -269,23 +269,9 @@ func (e *Engine) RefreshAMI() *AMISnapshot {
 		snap.Vectors[i] = v.String()
 	}
 	if users > 0 {
-		snap.Matrix = make([][]float64, k)
-		for i := range snap.Matrix {
-			snap.Matrix[i] = make([]float64, k)
-			snap.Matrix[i][i] = 1
-		}
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				v, err := cluster.AMIDense(labels[i], labels[j], ks[i], ks[j])
-				if err != nil {
-					// Unreachable for a non-empty population; serve zeros
-					// rather than failing the refresh.
-					continue
-				}
-				snap.Matrix[i][j] = v
-				snap.Matrix[j][i] = v
-			}
-		}
+		// The error is unreachable for a non-empty population; serve no
+		// matrix rather than failing the refresh.
+		snap.Matrix, _ = cluster.PairwiseAMI(labels, ks)
 	}
 	e.amiMu.Lock()
 	e.ami = snap

@@ -98,7 +98,8 @@ func (ds *Dataset) sweepItems(sValues []int) []sweepItem {
 
 // AgreementScores computes, for each vector and subset size s, the mean
 // pairwise AMI between the user clusterings produced by the ⌊k/s⌋ disjoint
-// iteration subsets (paper §3.3, Fig. 5). Cells are evaluated concurrently
+// iteration subsets (paper §3.3, Fig. 5). Each cell scores its labelings
+// with one cluster.PairwiseAMI call. Cells are evaluated concurrently
 // (bounded by Dataset.Parallelism) over the interned observation index;
 // each cell writes a pre-sized slot, so the output is bit-identical to a
 // serial run.
@@ -125,16 +126,16 @@ func (ds *Dataset) AgreementScores(sValues []int) ([]AgreementPoint, error) {
 				}
 			}
 		}
+		m, err := cluster.PairwiseAMI(labelings, ks)
+		if err != nil {
+			errs[n] = fmt.Errorf("study: AMI(%v, s=%d): %w", v, s, err)
+			return
+		}
 		var sum float64
 		pairs := 0
-		for i := 0; i < len(labelings); i++ {
-			for j := i + 1; j < len(labelings); j++ {
-				ami, err := cluster.AMIDense(labelings[i], labelings[j], ks[i], ks[j])
-				if err != nil {
-					errs[n] = fmt.Errorf("study: AMI(%v, s=%d): %w", v, s, err)
-					return
-				}
-				sum += ami
+		for i := range m {
+			for j := i + 1; j < len(m); j++ {
+				sum += m[i][j]
 				pairs++
 			}
 		}
@@ -346,45 +347,17 @@ func (ds *Dataset) AdditiveValue(name string, base []string) AdditiveResult {
 // Figure 9 — cross-vector cluster agreement heatmap.
 
 // PairwiseVectorAMI returns the AMI between the collated clusterings of all
-// seven vectors, in vectors.All order. The pairs of the symmetric matrix
-// are computed concurrently over the cached interned labelings.
+// seven vectors, in vectors.All order, over the cached interned labelings.
 func (ds *Dataset) PairwiseVectorAMI() ([][]float64, error) {
 	sp := ds.span("cluster-agreement")
 	defer sp.End()
-	k := len(vectors.All)
-	infos := make([]*denseInfo, k)
+	labels := make([][]int32, len(vectors.All))
+	ks := make([]int, len(vectors.All))
 	for i, v := range vectors.All {
-		infos[i] = ds.dense(v)
+		d := ds.dense(v)
+		labels[i], ks[i] = d.labels, d.k
 	}
-	out := make([][]float64, k)
-	for i := range out {
-		out[i] = make([]float64, k)
-		out[i][i] = 1
-	}
-	type pair struct{ i, j int }
-	var pairs []pair
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			pairs = append(pairs, pair{i, j})
-		}
-	}
-	errs := make([]error, len(pairs))
-	forEach(len(pairs), ds.parallelism(), func(n int) {
-		i, j := pairs[n].i, pairs[n].j
-		v, err := cluster.AMIDense(infos[i].labels, infos[j].labels, infos[i].k, infos[j].k)
-		if err != nil {
-			errs[n] = err
-			return
-		}
-		out[i][j] = v
-		out[j][i] = v
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return cluster.PairwiseAMI(labels, ks)
 }
 
 // ---------------------------------------------------------------------------
@@ -418,7 +391,7 @@ func (ds *Dataset) SubsetRanking(parts int) RankingResult {
 	for _, v := range vectors.All {
 		labels := ds.dense(v).labels
 		all = append(all, namedEntropy{v.String(), func(lo, hi int) float64 {
-			return diversity.NormalizedEntropyStable(labels[lo:hi])
+			return diversity.NormalizedEntropy(labels[lo:hi])
 		}})
 	}
 	for _, nv := range []struct {
@@ -427,7 +400,7 @@ func (ds *Dataset) SubsetRanking(parts int) RankingResult {
 	}{{"Canvas", ds.Canvas}, {"Fonts", ds.Fonts}, {"User-Agent", ds.UA}} {
 		values := nv.values
 		all = append(all, namedEntropy{nv.name, func(lo, hi int) float64 {
-			return diversity.NormalizedEntropyStable(values[lo:hi])
+			return diversity.NormalizedEntropy(values[lo:hi])
 		}})
 	}
 

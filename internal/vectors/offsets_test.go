@@ -2,6 +2,7 @@ package vectors_test
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/population"
@@ -88,8 +89,11 @@ func TestRunOffsetsValidation(t *testing.T) {
 
 // TestRunOffsetsCaptureAllocs pins the pass's reuse of its spectrum and
 // byte buffers: beyond the pass's fixed set-up, each extra capture
-// allocates only its hex digest (one string).
+// allocates only its hex digest (one string). The collector is off while
+// it counts: a collection empties sync.Pools such as fmt's printer cache,
+// and refilling them would add an allocation the pass did not make.
 func TestRunOffsetsCaptureAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	r := vectors.NewRunner(webaudio.DefaultTraits(), 0)
 	many := make([]int, 16)
 	for i := range many {

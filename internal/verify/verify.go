@@ -19,7 +19,9 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/obs"
@@ -240,22 +242,33 @@ func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence
 		return 0, nil, false
 	}
 
-	// Group the submitted hashes per vector.
-	byVec := make(map[vectors.ID][]string)
-	for _, s := range samples {
-		byVec[s.Vector] = append(byVec[s.Vector], s.Hash)
+	// Group the submitted hashes per vector: sort one copy of the samples
+	// stably by vector name, the evidence order, and walk its runs.
+	sorted := slices.Clone(samples)
+	slices.SortStableFunc(sorted, func(a, b Sample) int {
+		return strings.Compare(a.Vector.String(), b.Vector.String())
+	})
+	groups := 0
+	for i := range sorted {
+		if i == 0 || sorted[i].Vector != sorted[i-1].Vector {
+			groups++
+		}
 	}
-	vecs := make([]vectors.ID, 0, len(byVec))
-	for v := range byVec {
-		vecs = append(vecs, v)
+	if groups > 0 {
+		evidence = make([]VectorEvidence, 0, groups)
 	}
-	sort.Slice(vecs, func(i, j int) bool { return vecs[i].String() < vecs[j].String() })
 
 	var sum float64
 	var scored int
-	for _, v := range vecs {
-		hashes := byVec[v]
-		ve := VectorEvidence{Vector: v.String(), Samples: len(hashes)}
+	for lo := 0; lo < len(sorted); {
+		v := sorted[lo].Vector
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi].Vector == v {
+			hi++
+		}
+		group := sorted[lo:hi]
+		lo = hi
+		ve := VectorEvidence{Vector: v.String(), Samples: len(group)}
 		i := historyIndex(hist, v)
 		if i < 0 {
 			// The user was never observed on this vector: the submission
@@ -266,8 +279,8 @@ func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence
 			evidence = append(evidence, ve)
 			continue
 		}
-		for _, hash := range hashes {
-			if recognized(hist[i].hashes, hash) {
+		for _, s := range group {
+			if recognized(hist[i].hashes, s.Hash) {
 				ve.Recognized++
 			}
 		}
