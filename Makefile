@@ -22,22 +22,23 @@ test-short:
 	$(GO) test -short ./...
 
 # Everything CI should gate on: build, vet/gofmt, the read-after-Sync,
-# refresh-in-flight, verify read-your-writes, watch hook delivery and
-# render-cache singleflight tests at high -count under the race
-# detector, the race detector over the internal
-# packages (the telemetry registry/span tree, series store and the
-# watch monitor first — spans/exporter/series ticks/alert evaluation cross
-# goroutines in every binary — then the parallel sweeps and shared caches),
-# the full suite, the paper-scale fpstudy output against the reference
-# file byte for byte, the cmd/fpbench harness (its own module, so ./...
-# above never compiles it) and the tracker example, a short fuzz pass over the
-# ingestion surfaces (10s per target, seeded from the checked-in torn/corrupt
-# corpora), and a report-only bench-gate comparison against the committed
-# render trajectory (shared CI runners are too noisy to enforce here;
-# nightly enforces).
+# refresh-in-flight, concurrent engine and router reads, verify
+# read-your-writes, watch hook delivery and render-cache singleflight
+# tests at high -count under the race detector, the race detector over
+# the internal packages (the telemetry registry/span tree, series store
+# and the watch monitor first — spans/exporter/series ticks/alert
+# evaluation cross goroutines in every binary — then the parallel sweeps
+# and shared caches), the full suite, the paper-scale fpstudy output
+# against the reference file byte for byte, the cmd/fpbench harness (its
+# own module, so ./... above never compiles it) and the tracker example,
+# a short fuzz pass over the ingestion surfaces (10s per target, seeded
+# from the checked-in torn/corrupt corpora), and a report-only bench-gate
+# comparison against the committed render trajectory (shared CI runners
+# are too noisy to enforce here; nightly enforces).
 check: build vet
 	$(GO) test -race -count=200 -run 'TestStreamingAutoAMIRefresh|TestSyncObservesBatchHooks' ./internal/streaming/
-	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestStoresAllConcurrentAppends|TestVerifiersEnrollReadYourWrites' ./internal/shard/
+	$(GO) test -race -count=50 -run 'TestEngineConcurrentReads' ./internal/streaming/
+	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestRouterConcurrentReads|TestStoresAllConcurrentAppends|TestVerifiersEnrollReadYourWrites' ./internal/shard/
 	$(GO) test -race -count=50 -run 'TestEnrollReadYourWrites' ./internal/verify/
 	$(GO) test -race -count=50 -run 'TestHookDeliveredBeforeSync' ./internal/watch/
 	$(GO) test -race -count=50 -run 'TestCacheSingleflight' ./internal/vectors/

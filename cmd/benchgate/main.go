@@ -17,6 +17,11 @@
 // -override. Benchmarks whose baseline reports 0 allocs/op must stay at 0
 // — allocation counts are deterministic, so any increase is a real
 // regression regardless of timing noise.
+//
+// Names are matched without the -<GOMAXPROCS> suffix go test appends on a
+// multi-core host, so a baseline recorded on one machine gates results
+// from another. The gate fails closed: comparing no baseline entry at all
+// exits 2 rather than passing.
 package main
 
 import (
@@ -55,7 +60,8 @@ func main() {
 }
 
 // run executes the gate and returns the process exit code: 0 pass,
-// 1 regression (unless reportOnly). Usage/IO problems come back as errors.
+// 1 regression (unless reportOnly). Usage/IO problems, and a fresh
+// snapshot that matches no baseline entry, come back as errors.
 func run(args []string, outw, errw io.Writer) (int, error) {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(errw)
@@ -84,7 +90,7 @@ func run(args []string, outw, errw io.Writer) (int, error) {
 		if err != nil || f < 0 {
 			return 0, fmt.Errorf("bad -override tolerance %q", val)
 		}
-		perBench[name] = f
+		perBench[benchName(name)] = f
 	}
 
 	baseline, err := loadResults(*base)
@@ -116,7 +122,7 @@ func run(args []string, outw, errw io.Writer) (int, error) {
 	}
 	sort.Strings(names)
 
-	regressions := 0
+	regressions, compared := 0, 0
 	for _, name := range names {
 		b := baseline[name]
 		n, ok := fresh[name]
@@ -124,6 +130,7 @@ func run(args []string, outw, errw io.Writer) (int, error) {
 			fmt.Fprintf(outw, "SKIP  %-44s not present in the fresh snapshot\n", name)
 			continue
 		}
+		compared++
 		tol := *tolerance
 		if t, ok := perBench[name]; ok {
 			tol = t
@@ -150,6 +157,11 @@ func run(args []string, outw, errw io.Writer) (int, error) {
 		}
 	}
 
+	fmt.Fprintf(outw, "benchgate: compared %d, skipped %d of %d baseline benchmark(s)\n",
+		compared, len(baseline)-compared, len(baseline))
+	if compared == 0 {
+		return 0, fmt.Errorf("no fresh benchmark matches a baseline entry of %s", *base)
+	}
 	if regressions > 0 {
 		fmt.Fprintf(outw, "benchgate: %d regression(s) against %s\n", regressions, *base)
 		if *reportOnly {
@@ -158,12 +170,13 @@ func run(args []string, outw, errw io.Writer) (int, error) {
 		}
 		return 1, nil
 	}
-	fmt.Fprintf(outw, "benchgate: %d benchmark(s) within tolerance of %s\n", len(baseline), *base)
+	fmt.Fprintf(outw, "benchgate: %d benchmark(s) within tolerance of %s\n", compared, *base)
 	return 0, nil
 }
 
 // loadResults reads one benchjson array, keeping the minimum ns/op per
-// benchmark name (a -count N run emits N lines per benchmark).
+// benchmark name (a -count N run emits N lines per benchmark) with the
+// GOMAXPROCS suffix stripped.
 func loadResults(path string) (map[string]*benchResult, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -176,9 +189,25 @@ func loadResults(path string) (map[string]*benchResult, error) {
 	out := make(map[string]*benchResult, len(list))
 	for i := range list {
 		r := &list[i]
+		r.Name = benchName(r.Name)
 		if have, ok := out[r.Name]; !ok || r.NsPerOp < have.NsPerOp {
 			out[r.Name] = r
 		}
 	}
 	return out, nil
+}
+
+// benchName strips the trailing -<digits> GOMAXPROCS suffix go test adds
+// to benchmark names when GOMAXPROCS > 1.
+func benchName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }

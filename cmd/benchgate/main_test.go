@@ -182,3 +182,46 @@ func TestUsageErrors(t *testing.T) {
 		t.Fatal("empty baseline accepted")
 	}
 }
+
+// TestGOMAXPROCSSuffixStripped: on a multi-core host go test names every
+// benchmark with a -<GOMAXPROCS> suffix; a baseline recorded without it
+// must still be compared entry by entry, and a regression under a
+// suffixed name must still fail.
+func TestGOMAXPROCSSuffixStripped(t *testing.T) {
+	dir := t.TempDir()
+	basePath := writeSnapshot(t, dir, "base.json", []benchResult{
+		{Name: "BenchmarkKernelOscillator/block", NsPerOp: 800},
+		{Name: "BenchmarkRenderVectors/block", NsPerOp: 14000000},
+	})
+	newPath := writeSnapshot(t, dir, "new.json", []benchResult{
+		{Name: "BenchmarkKernelOscillator/block-2", NsPerOp: 820},
+		{Name: "BenchmarkRenderVectors/block-2", NsPerOp: 14100000},
+	})
+	code, out := gate(t, "-base", basePath, "-new", newPath)
+	if code != 0 || !strings.Contains(out, "compared 2, skipped 0") || strings.Contains(out, "SKIP") {
+		t.Fatalf("suffixed results not compared (exit %d):\n%s", code, out)
+	}
+	slow := writeSnapshot(t, dir, "slow.json", []benchResult{
+		{Name: "BenchmarkKernelOscillator/block-16", NsPerOp: 1600},
+	})
+	if code, out := gate(t, "-base", basePath, "-new", slow); code != 1 || !strings.Contains(out, "SLOW") {
+		t.Fatalf("2x regression under a suffixed name passed (exit %d):\n%s", code, out)
+	}
+}
+
+// TestNothingComparedFails: a fresh snapshot that matches no baseline
+// entry is an error (exit 2), even in report-only mode — a gate that
+// compared nothing has not passed.
+func TestNothingComparedFails(t *testing.T) {
+	dir := t.TempDir()
+	basePath := writeSnapshot(t, dir, "base.json", []benchResult{
+		{Name: "BenchmarkKernelBiquad/block", NsPerOp: 1700},
+	})
+	newPath := writeSnapshot(t, dir, "new.json", []benchResult{
+		{Name: "BenchmarkKernelWaveShaper/block-2", NsPerOp: 900},
+	})
+	var out bytes.Buffer
+	if _, err := run([]string{"-base", basePath, "-new", newPath, "-report-only"}, &out, &out); err == nil {
+		t.Fatalf("comparing nothing passed:\n%s", out.String())
+	}
+}

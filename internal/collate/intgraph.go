@@ -31,6 +31,13 @@ package collate
 // online path (start empty, AddUser/EnsureUniverse as the stream reveals
 // new users and values, Observe per record). Both yield identical
 // partitions and labels for the same observation multiset.
+//
+// Concurrency: Labels, ClusterSizes, NumClusters, UniqueClusters,
+// NumUsers, NumFingerprints and Clone write nothing, and neither does
+// Merge to the graph it reads from, so any number of goroutines may call
+// them on a graph that no one is writing. Every other method writes:
+// AddUser, EnsureUniverse, AddObservation, Observe and Merge grow the
+// forest, and ClusterOf and Match halve the paths they walk.
 type IntGraph struct {
 	numUsers int
 	numFPs   int     // distinct fingerprints observed by this graph
@@ -91,6 +98,15 @@ func (g *IntGraph) EnsureUniverse(n int) {
 func (g *IntGraph) find(x int32) int32 {
 	for g.parent[x] != x {
 		g.parent[x] = g.parent[g.parent[x]] // path halving
+		x = g.parent[x]
+	}
+	return x
+}
+
+// root is find without path halving: the walk of the read-only methods.
+// Union by user count keeps it logarithmic.
+func (g *IntGraph) root(x int32) int32 {
+	for g.parent[x] != x {
 		x = g.parent[x]
 	}
 	return x
@@ -182,8 +198,8 @@ func (g *IntGraph) Clone() *IntGraph {
 // built from the union of both observation multisets, which is what makes
 // a sharded replay bit-identical to the single-engine result. Merging an
 // empty graph is a no-op; merging g into itself under identity maps leaves
-// the partition unchanged. Merge may path-compress other's forest (no
-// observable change). O((users+fps)·α) — no per-edge replay.
+// the partition unchanged. Merge only reads other. O((users+fps)·log) —
+// no per-edge replay.
 func (g *IntGraph) Merge(other *IntGraph, userMap, fpMap []int32) {
 	if len(userMap) < other.numUsers {
 		panic("collate: Merge userMap shorter than other's population")
@@ -210,8 +226,7 @@ func (g *IntGraph) Merge(other *IntGraph, userMap, fpMap []int32) {
 		if gElem[e] < 0 {
 			continue
 		}
-		root := other.find(int32(e))
-		g.union(gElem[e], gElem[root])
+		g.union(gElem[e], gElem[other.root(int32(e))])
 	}
 }
 
@@ -241,7 +256,7 @@ func (g *IntGraph) labelsInto(dst, canon []int32) []int32 {
 	}
 	var next int32
 	for u := 0; u < g.numUsers; u++ {
-		root := g.find(g.userElem[u])
+		root := g.root(g.userElem[u])
 		if canon[root] < 0 {
 			canon[root] = next
 			next++
@@ -264,7 +279,7 @@ func (g *IntGraph) ClusterSizes() []int {
 	}
 	var sizes []int
 	for u := 0; u < g.numUsers; u++ {
-		root := g.find(g.userElem[u])
+		root := g.root(g.userElem[u])
 		if canon[root] < 0 {
 			canon[root] = int32(len(sizes))
 			sizes = append(sizes, 0)

@@ -3,6 +3,7 @@ package collate
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -209,5 +210,29 @@ func TestCloneIndependence(t *testing.T) {
 	c.AddObservation(2, 0)
 	if got := partitionSignature(g); !reflect.DeepEqual(got, []int32{0, 0, 1}) {
 		t.Fatalf("original mutated by clone: labels = %v", got)
+	}
+}
+
+// TestReadsWriteNothing: the read-only methods, and Merge's reads of its
+// argument, leave the forest as they found it even where a path is two
+// links long — the property that lets goroutines share a graph that no one
+// is writing.
+func TestReadsWriteNothing(t *testing.T) {
+	// Users 2 and 3 join on fp 1, users 0, 1 and 4 on fp 0; user 3 then
+	// links the two, hanging the smaller cluster's root under the larger:
+	// user 2 ends two links from its root.
+	g := buildFromEdges(5, 2, [][2]int32{{2, 1}, {3, 1}, {0, 0}, {1, 0}, {4, 0}, {3, 0}})
+	if u2 := g.userElem[2]; g.parent[g.parent[u2]] == g.parent[u2] {
+		t.Fatal("fixture has no two-link path")
+	}
+	before := slices.Clone(g.parent)
+	g.Labels()
+	g.ClusterSizes()
+	g.NumClusters()
+	g.UniqueClusters()
+	g.Clone()
+	NewIntGraph(5, 2).Merge(g, []int32{0, 1, 2, 3, 4}, []int32{0, 1})
+	if !slices.Equal(g.parent, before) {
+		t.Fatalf("reads rewrote the forest: parent %v, was %v", g.parent, before)
 	}
 }

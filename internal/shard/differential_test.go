@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -120,16 +121,12 @@ func analyticsBodies(t *testing.T, h http.Handler) map[string][]byte {
 // feed streams recs into an Analytics plane in uneven batches, as HTTP
 // submissions would arrive.
 func feed(plane collectserver.Analytics, recs []storage.Record, rng *rand.Rand) {
-	type enq interface {
-		Enqueue([]storage.Record)
-	}
-	e := plane.(enq)
 	for next := 0; next < len(recs); {
 		n := 1 + rng.Intn(64)
 		if next+n > len(recs) {
 			n = len(recs) - next
 		}
-		e.Enqueue(recs[next : next+n])
+		plane.EnqueueContext(context.Background(), recs[next:next+n])
 		next += n
 	}
 }
@@ -232,7 +229,7 @@ func TestShardGoldenValues(t *testing.T) {
 	if !reflect.DeepEqual(snap.Matrix, want) {
 		t.Errorf("Figure 5 AMI matrix differs:\n got %v\nwant %v", snap.Matrix, want)
 	}
-	if got := rt.Users(); !reflect.DeepEqual(got, ds.Users) {
+	if got := rt.Merged().Users; !reflect.DeepEqual(got, ds.Users) {
 		t.Errorf("merged user order differs from batch order")
 	}
 }

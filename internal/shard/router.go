@@ -3,8 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,9 +35,12 @@ type Config struct {
 //
 // Read-path consistency matches the single engine's: Diversity/Clusters/
 // Stability answer from a merge of the shards' current states (exact, as
-// of each shard's applied position), and AMI serves the last refreshed
-// snapshot. The merged state is cached keyed by the per-shard applied
-// record counts, so an idle system answers repeated reads with one merge.
+// of each shard's applied position) through the same State methods an
+// engine answers from, and AMI serves the last refreshed snapshot. The
+// merged state is cached keyed by the per-shard applied record counts, so
+// an idle system answers repeated reads with one merge. Concurrent reads
+// and the async AMI refresh share the cached state, which the State read
+// methods never write.
 type Router struct {
 	engines []*streaming.Engine
 
@@ -53,7 +56,7 @@ type Router struct {
 	refreshing atomic.Bool // an auto refresh is in flight
 
 	cacheMu  sync.Mutex
-	cacheKey string
+	cacheKey []int64 // per-shard applied record counts of cached
 	cached   *streaming.State
 
 	queueCap int
@@ -95,9 +98,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Shards returns the partition count.
-func (r *Router) Shards() int { return len(r.engines) }
-
 // route splits recs into per-shard groups preserving stream order and
 // assigns global first-seen sequence numbers to new users. It returns the
 // groups and the total routed-record count after this batch.
@@ -119,13 +119,8 @@ func (r *Router) route(recs []storage.Record) ([][]storage.Record, int64) {
 	return groups, routed
 }
 
-// Enqueue routes a batch to the owning shards' queues.
-func (r *Router) Enqueue(recs []storage.Record) {
-	r.EnqueueContext(context.Background(), recs)
-}
-
-// EnqueueContext is Enqueue carrying the caller's trace identity through
-// to each shard engine's apply span.
+// EnqueueContext routes a batch to the owning shards' queues, carrying the
+// caller's trace identity through to each shard engine's apply span.
 func (r *Router) EnqueueContext(ctx context.Context, recs []storage.Record) {
 	if len(recs) == 0 {
 		return
@@ -196,12 +191,12 @@ func (r *Router) Close() {
 // shards claim one user — impossible while Of routes every record — so it
 // panics rather than serving silently wrong analytics.
 func (r *Router) merged() *streaming.State {
-	var key strings.Builder
-	for _, e := range r.engines {
-		fmt.Fprintf(&key, "%d,", e.Status().Records)
+	key := make([]int64, len(r.engines))
+	for i, e := range r.engines {
+		key[i] = e.Status().Records
 	}
 	r.cacheMu.Lock()
-	if r.cached != nil && r.cacheKey == key.String() {
+	if r.cached != nil && slices.Equal(r.cacheKey, key) {
 		cached := r.cached
 		r.cacheMu.Unlock()
 		r.met.cacheHits.Inc()
@@ -233,7 +228,7 @@ func (r *Router) merged() *streaming.State {
 	r.met.mergeSeconds.Observe(time.Since(start).Seconds())
 
 	r.cacheMu.Lock()
-	r.cacheKey = key.String()
+	r.cacheKey = key
 	r.cached = acc
 	r.cacheMu.Unlock()
 	return acc
@@ -297,9 +292,3 @@ func (r *Router) Status() streaming.StatusSnapshot {
 		AMIAutomatic: r.amiEvery > 0,
 	}
 }
-
-// Users returns the merged population in original submission order.
-func (r *Router) Users() []string { return r.merged().Users }
-
-// Engine returns shard i's engine (tests, direct inspection).
-func (r *Router) Engine(i int) *streaming.Engine { return r.engines[i] }

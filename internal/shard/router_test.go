@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +37,7 @@ func TestRouterAutoRefreshOneInFlight(t *testing.T) {
 					batch[i] = storage.Record{UserID: fmt.Sprintf("w%d-u%d", w, (b*size+i)%97),
 						Vector: "DC", Hash: fmt.Sprintf("h%d", i%5)}
 				}
-				r.Enqueue(batch)
+				r.EnqueueContext(context.Background(), batch)
 			}
 		}(w)
 	}
@@ -54,5 +56,49 @@ func TestRouterAutoRefreshOneInFlight(t *testing.T) {
 	refreshes := r.met.merges.Value() + r.met.cacheHits.Value()
 	if limit := int64((records + every - 1) / every); refreshes > limit || refreshes == 0 {
 		t.Errorf("%d auto refreshes over %d records, want 1..%d", refreshes, records, limit)
+	}
+}
+
+// TestRouterConcurrentReads: concurrent reads share the router's cached
+// merged state, so reading it must write nothing — under -race, a write
+// two readers share is a data race. Every read must also serve the lone
+// read's payload from the one cached merge.
+func TestRouterConcurrentReads(t *testing.T) {
+	r, err := NewRouter(Config{
+		Shards: 3,
+		Engine: streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var recs []storage.Record
+	for u := 0; u < 120; u++ {
+		for _, v := range []string{"DC", "FFT", "Hybrid"} {
+			recs = append(recs, storage.Record{UserID: fmt.Sprintf("u%d", u),
+				Vector: v, Hash: fmt.Sprintf("%s-h%d", v, (u*7)%17)})
+		}
+	}
+	r.Apply(recs)
+	div, ami := r.Diversity(), r.RefreshAMI()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if got := r.Diversity(); !reflect.DeepEqual(got, div) {
+					t.Errorf("concurrent Diversity = %+v, want %+v", got, div)
+				}
+				if got := r.RefreshAMI(); !reflect.DeepEqual(got, ami) {
+					t.Errorf("concurrent RefreshAMI = %+v, want %+v", got, ami)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if merges := r.met.merges.Value(); merges != 1 {
+		t.Errorf("%d merges, want 1: every read after the first must hit the cache", merges)
 	}
 }

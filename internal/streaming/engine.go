@@ -3,15 +3,19 @@
 // answer "what is the entropy / cluster structure of the population right
 // now" without re-running the batch pipeline.
 //
-// Per audio vector the engine keeps (a) an online union-find collation
-// graph (collate.IntGraph grown via AddUser/EnsureUniverse/Observe), (b)
-// an exact cluster-size histogram updated from Observe's merge reports,
-// from which the Table 2 diversity row is derived at snapshot time, and
-// (c) per-user distinct-fingerprint sets for the Table 1 stability row.
-// Non-audio surfaces (canvas, fonts, Math-JS, platform, User-Agent) keep
-// exact value→count distributions for the Table 3 rows. Pairwise-vector
-// AMI (Figure 5) is the one snapshot-refreshed quantity: it is recomputed
-// every Config.AMIRefreshEvery applied records rather than per record.
+// The engine's live representation is a State — the same type a shard
+// router merges — grown record by record: per audio vector an online
+// union-find collation graph (collate.IntGraph grown via
+// AddUser/EnsureUniverse/AddObservation) and each user's distinct-
+// fingerprint count for the Table 1 stability row, and per non-audio
+// surface (canvas, fonts, Math-JS, platform, User-Agent) each user's
+// current value for the Table 3 rows. Every read is a State method under
+// the engine's read lock, so an engine and a router answer from one
+// implementation: the Table 2 diversity rows, cluster statistics and
+// stability rows are computed per read in O(users·vectors). Pairwise-
+// vector AMI (Figure 5) is the one snapshot-refreshed quantity: it is
+// recomputed every Config.AMIRefreshEvery applied records rather than per
+// read.
 //
 // All maintained state is *exact*, not approximate: on any record prefix
 // the engine's labels, cluster counts, distinct counts, and entropy rows
@@ -25,11 +29,11 @@ package streaming
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/collate"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/study"
@@ -44,9 +48,9 @@ type Config struct {
 	// Registry receives the engine's metrics; nil uses obs.Default.
 	Registry *obs.Registry
 	// QueueDepth bounds the update queue in batches (default 256). When
-	// the queue is full Enqueue blocks — backpressure on the ingestion
-	// path rather than unbounded memory growth; the wait is counted on
-	// streaming_queue_full_waits_total.
+	// the queue is full EnqueueContext blocks — backpressure on the
+	// ingestion path rather than unbounded memory growth; the wait is
+	// counted on streaming_queue_full_waits_total.
 	QueueDepth int
 	// AMIRefreshEvery refreshes the pairwise-AMI snapshot every N applied
 	// records (default 4096). Negative disables automatic refresh
@@ -63,20 +67,17 @@ type Config struct {
 	MetricLabels obs.Labels
 }
 
-// vecState is one audio vector's incremental analysis state.
-type vecState struct {
-	g        *collate.IntGraph
+// vecIndex is what folding a record into one audio vector needs beside
+// the State: the hash interning and each user's distinct fingerprints.
+type vecIndex struct {
 	intern   map[string]int32 // hash → dense fingerprint ID
-	hist     map[int32]int64  // cluster user-count → number of clusters
-	clusters int              // Σ hist values, maintained incrementally
 	distinct [][]int32        // per-user sorted distinct fingerprint IDs
-	obsCount int64            // observations applied (duplicates included)
 }
 
 // Engine is the incremental analysis engine. Create with New; feed it
-// accepted submissions with Enqueue (or Bootstrap for recovery replay);
-// read consistent snapshots with the methods in snapshot.go. All methods
-// are safe for concurrent use.
+// accepted submissions with EnqueueContext (or Bootstrap for recovery
+// replay); read consistent snapshots with the methods in snapshot.go. All
+// methods are safe for concurrent use.
 type Engine struct {
 	queueDepth int
 	amiEvery   int
@@ -87,14 +88,13 @@ type Engine struct {
 	// each applied batch, off the state lock. See SetObserver.
 	observer atomic.Value
 
-	mu      sync.RWMutex // guards all analysis state below
-	users   map[string]int32
-	userIDs []string   // dense ID → user ID, first-record order
-	surfs   [][]string // surface index → per-user current value
-	counts  []map[string]int64
-	vecs    []*vecState // indexed in vectors.All order
-	vecIdx  map[vectors.ID]int
-	records int64 // audio + auxiliary records applied
+	mu sync.RWMutex // guards st and the fold indexes below
+	// st is the live analysis state every read answers from. Its Seq and
+	// Hashes fields stay empty: only the merge needs them, and State fills
+	// them in its copy.
+	st    *State
+	users map[string]int32 // user ID → dense ID
+	vecs  []vecIndex       // indexed in vectors.All order
 
 	amiMu   sync.Mutex
 	ami     *AMISnapshot
@@ -121,9 +121,8 @@ type batch struct {
 	tc   obs.TraceContext
 }
 
-// Surface distribution order inside Engine.surfs / Engine.counts. The
-// User-Agent follows FromRecords' first-non-empty-wins rule; the others
-// follow its last-record-wins rule.
+// Surface order inside State.Surfs. The User-Agent follows FromRecords'
+// first-non-empty-wins rule; the others follow its last-record-wins rule.
 const (
 	surfCanvas = iota
 	surfFonts
@@ -143,7 +142,6 @@ func New(cfg Config) *Engine {
 		queueDepth: cfg.QueueDepth,
 		amiEvery:   cfg.AMIRefreshEvery,
 		users:      map[string]int32{},
-		vecIdx:     make(map[vectors.ID]int, len(vectors.All)),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -157,19 +155,10 @@ func New(cfg Config) *Engine {
 	e.metLabels = cfg.MetricLabels
 	e.queue = make(chan batch, e.queueDepth)
 	e.qcond = sync.NewCond(&e.qmu)
-	e.surfs = make([][]string, numSurfaces)
-	e.counts = make([]map[string]int64, numSurfaces)
-	for i := range e.counts {
-		e.counts[i] = map[string]int64{}
-	}
-	e.vecs = make([]*vecState, len(vectors.All))
-	for i, v := range vectors.All {
-		e.vecIdx[v] = i
-		e.vecs[i] = &vecState{
-			g:      collate.NewIntGraph(0, 0),
-			intern: map[string]int32{},
-			hist:   map[int32]int64{},
-		}
+	e.st = NewState()
+	e.vecs = make([]vecIndex, len(vectors.All))
+	for i := range e.vecs {
+		e.vecs[i].intern = map[string]int32{}
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -180,16 +169,12 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Enqueue hands a batch of accepted records to the engine off the caller's
-// critical path. It returns immediately while the queue has room and
-// blocks (counted) when it is full; after Close the batch is dropped.
-func (e *Engine) Enqueue(recs []storage.Record) {
-	e.enqueue(batch{recs: recs})
-}
-
-// EnqueueContext is Enqueue carrying the caller's trace identity: the
-// ingest request's active span rides the queue, and the eventual
-// "streaming.apply" span joins its distributed trace (Config.Spans).
+// EnqueueContext hands a batch of accepted records to the engine off the
+// caller's critical path. It returns immediately while the queue has room
+// and blocks (counted) when it is full; after Close the batch is dropped.
+// The caller's trace identity rides the queue: the ingest request's active
+// span becomes the parent of the eventual "streaming.apply" span
+// (Config.Spans).
 func (e *Engine) EnqueueContext(ctx context.Context, recs []storage.Record) {
 	b := batch{recs: recs}
 	if e.spans != nil {
@@ -242,10 +227,11 @@ func (e *Engine) Apply(recs []storage.Record) {
 // SetObserver installs fn to run after every applied batch with the total
 // applied record count, outside the engine's state lock — the hook the
 // watch monitor evaluates its rules from. A nil fn uninstalls. The call
-// happens on the applying goroutine (the engine's consumer for Enqueue,
-// the caller for Apply/Bootstrap), so a deterministic replay through
-// Apply yields a deterministic evaluation sequence. The batch counts as
-// applied for Sync only once fn returns, so fn must not call Sync.
+// happens on the applying goroutine (the engine's consumer for
+// EnqueueContext, the caller for Apply/Bootstrap), so a deterministic
+// replay through Apply yields a deterministic evaluation sequence. The
+// batch counts as applied for Sync only once fn returns, so fn must not
+// call Sync.
 func (e *Engine) SetObserver(fn func(records int64)) {
 	e.observer.Store(observerBox{fn})
 }
@@ -281,7 +267,7 @@ func (e *Engine) Sync() error {
 }
 
 // Close stops the consumer after draining already-queued batches. It is
-// idempotent and safe to call concurrently with Enqueue.
+// idempotent and safe to call concurrently with EnqueueContext.
 func (e *Engine) Close() {
 	e.qmu.Lock()
 	if e.closed {
@@ -333,7 +319,7 @@ func (e *Engine) applyBatch(b batch) {
 	for i := range b.recs {
 		e.applyLocked(&b.recs[i])
 	}
-	records := e.records
+	records := e.st.Records
 	e.mu.Unlock()
 
 	e.met.applySeconds.Observe(time.Since(start).Seconds())
@@ -377,74 +363,55 @@ func (e *Engine) loadLastAMI() int64 {
 // a user's distinct fingerprints for one vector — single digits in
 // practice, Table 1).
 func (e *Engine) applyLocked(r *storage.Record) {
+	s := e.st
 	uid, ok := e.users[r.UserID]
 	if !ok {
-		uid = int32(len(e.userIDs))
+		uid = int32(len(s.Users))
 		e.users[r.UserID] = uid
-		e.userIDs = append(e.userIDs, r.UserID)
-		for s := 0; s < numSurfaces; s++ {
-			e.surfs[s] = append(e.surfs[s], "")
-			e.counts[s][""]++
+		s.Users = append(s.Users, r.UserID)
+		for i := range s.Surfs {
+			s.Surfs[i] = append(s.Surfs[i], "")
 		}
-		for _, vs := range e.vecs {
-			vs.g.AddUser()
-			vs.hist[1]++
-			vs.clusters++
-			vs.distinct = append(vs.distinct, nil)
+		for i := range s.Vecs {
+			s.Vecs[i].Graph.AddUser()
+			s.Vecs[i].Distinct = append(s.Vecs[i].Distinct, 0)
+			e.vecs[i].distinct = append(e.vecs[i].distinct, nil)
 		}
 	}
-	if e.surfs[surfUA][uid] == "" && r.UserAgent != "" {
-		e.setSurface(surfUA, uid, r.UserAgent)
+	if s.Surfs[surfUA][uid] == "" {
+		s.Surfs[surfUA][uid] = r.UserAgent
 	}
-	for s := 0; s < numSurfaces; s++ {
-		if surfaceKeys[s] == "" {
-			continue
-		}
-		if v, ok := r.Surfaces[surfaceKeys[s]]; ok && v != e.surfs[s][uid] {
-			e.setSurface(s, uid, v)
+	for i, key := range surfaceKeys {
+		if v, ok := r.Surfaces[key]; ok && key != "" {
+			s.Surfs[i][uid] = v
 		}
 	}
-	e.records++
+	s.Records++
 
+	// Auxiliary rows ride in Surfaces, and the analyses cover vectors.All
+	// only, as in FromRecords: an extended vector parses but is not folded.
 	v, err := vectors.ParseID(r.Vector)
-	if err != nil {
-		return // auxiliary rows ride in Surfaces, as in FromRecords
+	i := slices.Index(vectors.All, v)
+	if err != nil || i < 0 {
+		return
 	}
-	vs := e.vecs[e.vecIdx[v]]
-	fp, ok := vs.intern[r.Hash]
+	vi, vs := &e.vecs[i], &s.Vecs[i]
+	fp, ok := vi.intern[r.Hash]
 	if !ok {
-		fp = int32(len(vs.intern))
-		vs.intern[r.Hash] = fp
-		vs.g.EnsureUniverse(int(fp) + 1)
+		fp = int32(len(vi.intern))
+		vi.intern[r.Hash] = fp
+		vs.Graph.EnsureUniverse(int(fp) + 1)
 	}
-	if a, b, merged := vs.g.Observe(uid, fp); merged && b > 0 {
-		vs.hist[a]--
-		if vs.hist[a] == 0 {
-			delete(vs.hist, a)
-		}
-		vs.hist[b]--
-		if vs.hist[b] == 0 {
-			delete(vs.hist, b)
-		}
-		vs.hist[a+b]++
-		vs.clusters--
+	vs.Graph.AddObservation(uid, fp)
+	if insertSorted(&vi.distinct[uid], fp) {
+		vs.Distinct[uid]++
 	}
-	insertSorted(&vs.distinct[uid], fp)
-	vs.obsCount++
+	vs.Obs++
 }
 
-func (e *Engine) setSurface(s int, uid int32, v string) {
-	old := e.surfs[s][uid]
-	e.counts[s][old]--
-	if e.counts[s][old] == 0 {
-		delete(e.counts[s], old)
-	}
-	e.counts[s][v]++
-	e.surfs[s][uid] = v
-}
-
-// insertSorted inserts v into the sorted slice *s if absent.
-func insertSorted(s *[]int32, v int32) {
+// insertSorted inserts v into the sorted slice *s if absent and reports
+// whether it did.
+func insertSorted(s *[]int32, v int32) bool {
 	d := *s
 	lo, hi := 0, len(d)
 	for lo < hi {
@@ -456,10 +423,11 @@ func insertSorted(s *[]int32, v int32) {
 		}
 	}
 	if lo < len(d) && d[lo] == v {
-		return
+		return false
 	}
 	d = append(d, 0)
 	copy(d[lo+1:], d[lo:])
 	d[lo] = v
 	*s = d
+	return true
 }

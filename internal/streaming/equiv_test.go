@@ -1,6 +1,7 @@
 package streaming_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -95,14 +96,15 @@ func comparePrefix(t *testing.T, eng *streaming.Engine, prefix []storage.Record)
 	if err != nil {
 		t.Fatalf("batch load of %d records: %v", len(prefix), err)
 	}
-	if got := eng.Users(); !reflect.DeepEqual(got, ds.Users) {
+	st := eng.State()
+	if got := st.Users; !reflect.DeepEqual(got, ds.Users) {
 		t.Fatalf("prefix %d: user order differs: %v vs %v", len(prefix), got, ds.Users)
 	}
 	for _, v := range vectors.All {
-		if got, want := eng.Labels(v), ds.Labels(v); !reflect.DeepEqual(got, want) {
+		if got, want := st.Labels(v), ds.Labels(v); !reflect.DeepEqual(got, want) {
 			t.Fatalf("prefix %d: %v labels differ:\n got %v\nwant %v", len(prefix), v, got, want)
 		}
-		if got, want := eng.DistinctPerUser(v), ds.DistinctPerUser(v); !reflect.DeepEqual(got, want) {
+		if got, want := st.DistinctPerUser(v), ds.DistinctPerUser(v); !reflect.DeepEqual(got, want) {
 			t.Fatalf("prefix %d: %v distinct-per-user differ:\n got %v\nwant %v", len(prefix), v, got, want)
 		}
 	}
@@ -200,7 +202,7 @@ func replayAndCompare(t *testing.T, stream []storage.Record, rng *rand.Rand, cut
 			if next+n > p {
 				n = p - next
 			}
-			eng.Enqueue(stream[next : next+n])
+			eng.EnqueueContext(context.Background(), stream[next:next+n])
 			next += n
 		}
 		if err := eng.Sync(); err != nil {
@@ -229,13 +231,13 @@ func TestStreamingIdempotentReplay(t *testing.T) {
 	recs := testRecords(t)
 	eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
 	defer eng.Close()
-	eng.Enqueue(recs)
+	eng.EnqueueContext(context.Background(), recs)
 	if err := eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	before := eng.Diversity()
-	labelsBefore := eng.Labels(vectors.Hybrid)
-	eng.Enqueue(recs[:len(recs)/3]) // replay a whole prefix again
+	labelsBefore := eng.State().Labels(vectors.Hybrid)
+	eng.EnqueueContext(context.Background(), recs[:len(recs)/3]) // replay a whole prefix again
 	if err := eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +245,7 @@ func TestStreamingIdempotentReplay(t *testing.T) {
 	if !reflect.DeepEqual(before.Rows, after.Rows) {
 		t.Errorf("diversity rows changed after replay:\n before %+v\n after %+v", before.Rows, after.Rows)
 	}
-	if !reflect.DeepEqual(labelsBefore, eng.Labels(vectors.Hybrid)) {
+	if !reflect.DeepEqual(labelsBefore, eng.State().Labels(vectors.Hybrid)) {
 		t.Error("labels changed after replay")
 	}
 }
@@ -259,7 +261,7 @@ func TestStreamingBootstrapMatchesEnqueue(t *testing.T) {
 		if end > len(recs) {
 			end = len(recs)
 		}
-		live.Enqueue(recs[i:end])
+		live.EnqueueContext(context.Background(), recs[i:end])
 	}
 	if err := live.Sync(); err != nil {
 		t.Fatal(err)
@@ -275,7 +277,7 @@ func TestStreamingBootstrapMatchesEnqueue(t *testing.T) {
 		t.Error("bootstrap AMI differs from live AMI")
 	}
 	for _, v := range vectors.All {
-		if !reflect.DeepEqual(live.Labels(v), reborn.Labels(v)) {
+		if !reflect.DeepEqual(live.State().Labels(v), reborn.State().Labels(v)) {
 			t.Fatalf("bootstrap %v labels differ", v)
 		}
 	}
@@ -314,7 +316,7 @@ func TestStreamingAutoAMIRefresh(t *testing.T) {
 	recs := testRecords(t)
 	eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: 100})
 	defer eng.Close()
-	eng.Enqueue(recs)
+	eng.EnqueueContext(context.Background(), recs)
 	if err := eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +347,7 @@ func TestSyncObservesBatchHooks(t *testing.T) {
 		for i := range batch {
 			batch[i] = storage.Record{UserID: fmt.Sprintf("u%d", (b*3+i)%7), Vector: "DC", Hash: fmt.Sprintf("h%d", i)}
 		}
-		eng.Enqueue(batch)
+		eng.EnqueueContext(context.Background(), batch)
 		total += int64(len(batch))
 		if err := eng.Sync(); err != nil {
 			t.Fatal(err)
@@ -371,7 +373,7 @@ func TestStreamingSurfaceRules(t *testing.T) {
 			Surfaces: map[string]string{study.SurfaceCanvas: "c2"}},
 		{UserID: "u2", Vector: "DC", Hash: "b"},
 	}
-	eng.Enqueue(recs)
+	eng.EnqueueContext(context.Background(), recs)
 	if err := eng.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -392,14 +394,14 @@ func TestStreamingSurfaceRules(t *testing.T) {
 // drained returns nil; lost batches surface ErrClosed.
 func TestStreamingSyncAfterClose(t *testing.T) {
 	eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
-	eng.Enqueue([]storage.Record{{UserID: "u", Vector: "DC", Hash: "h"}})
+	eng.EnqueueContext(context.Background(), []storage.Record{{UserID: "u", Vector: "DC", Hash: "h"}})
 	eng.Close()
 	if err := eng.Sync(); err != nil {
 		t.Fatalf("Sync after clean close: %v", err)
 	}
 	// Enqueue after close is a no-op.
-	eng.Enqueue([]storage.Record{{UserID: "x", Vector: "DC", Hash: "h2"}})
-	if got := eng.Users(); len(got) != 1 || got[0] != "u" {
+	eng.EnqueueContext(context.Background(), []storage.Record{{UserID: "x", Vector: "DC", Hash: "h2"}})
+	if got := eng.State().Users; len(got) != 1 || got[0] != "u" {
 		t.Errorf("users after close = %v, want [u]", got)
 	}
 }

@@ -50,8 +50,9 @@ func payloadsOf(s *streaming.State) statePayloads {
 }
 
 func enginePayloads(e *streaming.Engine) statePayloads {
+	st := e.State()
 	p := statePayloads{
-		Users:     e.Users(),
+		Users:     st.Users,
 		Diversity: e.Diversity(),
 		Clusters:  e.Clusters(),
 		Stability: e.Stability(),
@@ -60,8 +61,8 @@ func enginePayloads(e *streaming.Engine) statePayloads {
 		Distinct:  map[vectors.ID][]int{},
 	}
 	for _, v := range vectors.All {
-		p.Labels[v] = e.Labels(v)
-		p.Distinct[v] = e.DistinctPerUser(v)
+		p.Labels[v] = st.Labels(v)
+		p.Distinct[v] = st.DistinctPerUser(v)
 	}
 	return p
 }

@@ -2,21 +2,22 @@ package streaming
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/collate"
-	"repro/internal/diversity"
 	"repro/internal/vectors"
 )
 
-// State is a frozen, self-contained copy of an engine's analysis state that
-// can be combined with the states of other engines — the merge algebra the
-// sharded ingest plane is built on (DESIGN.md §14). Each shard's engine
-// owns a disjoint slice of the user population; State captures that slice
-// together with the per-user global arrival sequence, and Merge folds two
-// slices into one whose analytics payloads are bit-identical to an engine
-// that ingested the union directly.
+// State is a population's analysis state, and its methods in snapshot.go
+// are the one implementation of every analytics payload. An engine grows
+// one live State record by record; Engine.State hands out self-contained
+// copies that can be combined with the states of other engines — the
+// merge algebra the sharded ingest plane is built on (DESIGN.md §14). Each
+// shard's engine owns a disjoint slice of the user population; a copy
+// captures that slice together with the per-user global arrival sequence,
+// and Merge folds two slices into one whose analytics payloads are
+// bit-identical to an engine that ingested the union directly.
 //
 // Merge is associative and commutative, with NewState() as the identity —
 // the property that lets a router fold shard snapshots in any order (or a
@@ -27,18 +28,18 @@ import (
 // shard-local dense ID assignment that differs between merge orders.
 type State struct {
 	// Users holds the user IDs in this state's dense order; Seq holds each
-	// user's global first-seen sequence number. Within one engine the dense
-	// order is arrival order, so Engine.State stamps Seq 0..n-1; a router
-	// overwrites Seq with its global ledger before merging so the merged
-	// dense order reproduces the single-engine arrival order exactly
-	// (labels and AMI depend on it).
+	// user's global first-seen sequence number, which only Merge reads.
+	// Within one engine the dense order is arrival order, so Engine.State
+	// stamps Seq 0..n-1; a router overwrites Seq with its global ledger
+	// before merging so the merged dense order reproduces the single-engine
+	// arrival order exactly (labels and AMI depend on it).
 	Users []string
 	Seq   []int64
 	// Records counts applied records (audio + auxiliary).
 	Records int64
 	// Surfs holds per-surface, per-user current values in surface index
-	// order (surfCanvas..surfUA) — value counts are rebuilt at snapshot
-	// time, so they merge by concatenation.
+	// order (surfCanvas..surfUA) — value counts are built per read, so
+	// they merge by concatenation.
 	Surfs [][]string
 	// Vecs holds one VecState per vectors.All entry.
 	Vecs []VecState
@@ -48,7 +49,8 @@ type State struct {
 type VecState struct {
 	// Hashes maps this state's dense fingerprint ID to the fingerprint
 	// hash — the intern table exported in ID order, which is what lets
-	// Merge translate two shard-local universes into one.
+	// Merge translate two shard-local universes into one. Only Merge
+	// reads it, so an engine fills it in Engine.State's copy.
 	Hashes []string
 	// Graph is the collation graph over this state's users and Hashes.
 	Graph *collate.IntGraph
@@ -59,42 +61,40 @@ type VecState struct {
 	Obs int64
 }
 
-// State returns a deep snapshot of the engine's analysis state, stamped
-// with local sequence numbers 0..n-1 (dense order == arrival order within
-// one engine). The copy shares nothing with the live engine.
+// State returns a deep copy of the engine's live state, stamped with local
+// sequence numbers 0..n-1 (dense order == arrival order within one
+// engine) and with each vector's Hashes exported from the intern table.
+// The copy shares nothing with the live engine.
 func (e *Engine) State() *State {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	s := &State{
-		Users:   append([]string(nil), e.userIDs...),
-		Seq:     make([]int64, len(e.userIDs)),
-		Records: e.records,
-		Surfs:   make([][]string, numSurfaces),
-		Vecs:    make([]VecState, len(e.vecs)),
+	s := e.st
+	c := &State{
+		Users:   slices.Clone(s.Users),
+		Seq:     make([]int64, len(s.Users)),
+		Records: s.Records,
+		Surfs:   make([][]string, len(s.Surfs)),
+		Vecs:    make([]VecState, len(s.Vecs)),
 	}
-	for i := range s.Seq {
-		s.Seq[i] = int64(i)
+	for i := range c.Seq {
+		c.Seq[i] = int64(i)
 	}
-	for i := 0; i < numSurfaces; i++ {
-		s.Surfs[i] = append([]string(nil), e.surfs[i]...)
+	for i, values := range s.Surfs {
+		c.Surfs[i] = slices.Clone(values)
 	}
-	for i, vs := range e.vecs {
-		hashes := make([]string, len(vs.intern))
-		for h, id := range vs.intern {
+	for i, vs := range s.Vecs {
+		hashes := make([]string, len(e.vecs[i].intern))
+		for h, id := range e.vecs[i].intern {
 			hashes[id] = h
 		}
-		distinct := make([]int, len(vs.distinct))
-		for u, d := range vs.distinct {
-			distinct[u] = len(d)
-		}
-		s.Vecs[i] = VecState{
+		c.Vecs[i] = VecState{
 			Hashes:   hashes,
-			Graph:    vs.g.Clone(),
-			Distinct: distinct,
-			Obs:      vs.obsCount,
+			Graph:    vs.Graph.Clone(),
+			Distinct: slices.Clone(vs.Distinct),
+			Obs:      vs.Obs,
 		}
 	}
-	return s
+	return c
 }
 
 // NewState returns the merge identity: an empty state over zero users.
@@ -109,9 +109,8 @@ func NewState() *State {
 	return s
 }
 
-// Merge combines two states over disjoint user sets into a new state; both
-// inputs are left logically unchanged (the union pass may path-compress
-// their graphs, which is unobservable). The merged dense user order is by
+// Merge combines two states over disjoint user sets into a new state and
+// leaves both inputs untouched. The merged dense user order is by
 // ascending Seq (user ID as a tie-break, which never fires when Seq comes
 // from one global ledger), so a router stamping global sequences gets back
 // the single-engine arrival order. Sharing a user between the two states
@@ -226,140 +225,4 @@ func findOverlap(users []string) string {
 		}
 	}
 	return ""
-}
-
-// Diversity returns the entropy table of the merged population — the same
-// rows, bit for bit, as Engine.Diversity over the union of the merged
-// record streams. Audio rows reduce ClusterSizes through
-// diversity.SummaryFromCounts (which sorts, so histogram-vs-sweep and
-// merge-order differences vanish); the Combined row re-labels the graphs
-// over the Seq-reconstructed user order.
-func (s *State) Diversity() EntropySnapshot {
-	snap := EntropySnapshot{Records: s.Records, Users: len(s.Users)}
-	for i, v := range vectors.All {
-		snap.Rows = append(snap.Rows, summaryRow(v.String(),
-			diversity.SummaryFromCounts(s.Vecs[i].Graph.ClusterSizes())))
-	}
-	if combined := s.combinedLabels(); combined != nil {
-		snap.Rows = append(snap.Rows, summaryRow("Combined", diversity.Summarize(combined)))
-	}
-	for si := 0; si < numSurfaces; si++ {
-		counts := make(map[string]int64, len(s.Surfs[si]))
-		for _, v := range s.Surfs[si] {
-			counts[v]++
-		}
-		snap.Rows = append(snap.Rows, summaryRow(surfaceNames[si],
-			diversity.SummaryFromCounts(surfaceCounts(counts))))
-	}
-	return snap
-}
-
-// Clusters returns the per-vector collation statistics of the merged
-// population, matching Engine.Clusters bit for bit.
-func (s *State) Clusters() ClusterSnapshot {
-	snap := ClusterSnapshot{Records: s.Records, Users: len(s.Users)}
-	for i, v := range vectors.All {
-		vs := &s.Vecs[i]
-		snap.Rows = append(snap.Rows, ClusterRow{
-			Vector:       v.String(),
-			Users:        vs.Graph.NumUsers(),
-			Clusters:     vs.Graph.NumClusters(),
-			Unique:       vs.Graph.UniqueClusters(),
-			Fingerprints: vs.Graph.NumFingerprints(),
-			Observations: vs.Obs,
-		})
-	}
-	return snap
-}
-
-// Stability returns the Table 1 rows of the merged population.
-func (s *State) Stability() StabilitySnapshot {
-	snap := StabilitySnapshot{Records: s.Records, Users: len(s.Users)}
-	for i, v := range vectors.All {
-		vs := &s.Vecs[i]
-		row := StabilityRow{Vector: v.String()}
-		if len(vs.Distinct) > 0 {
-			row.Min = vs.Distinct[0]
-			sum := 0
-			for _, c := range vs.Distinct {
-				if c < row.Min {
-					row.Min = c
-				}
-				if c > row.Max {
-					row.Max = c
-				}
-				sum += c
-			}
-			row.Mean = float64(sum) / float64(len(vs.Distinct))
-		}
-		snap.Rows = append(snap.Rows, row)
-	}
-	return snap
-}
-
-// AMI computes the pairwise-vector AMI matrix of the merged population —
-// the merged counterpart of Engine.RefreshAMI, matching
-// Dataset.PairwiseVectorAMI bit for bit over the Seq-reconstructed user
-// order.
-func (s *State) AMI() *AMISnapshot {
-	k := len(vectors.All)
-	snap := &AMISnapshot{Records: s.Records, Vectors: make([]string, k)}
-	for i, v := range vectors.All {
-		snap.Vectors[i] = v.String()
-	}
-	if len(s.Users) == 0 {
-		return snap
-	}
-	labels := make([][]int32, k)
-	ks := make([]int, k)
-	for i := range s.Vecs {
-		labels[i] = s.Vecs[i].Graph.Labels()
-		ks[i] = s.Vecs[i].Graph.NumClusters()
-	}
-	snap.Matrix, _ = cluster.PairwiseAMI(labels, ks) // unreachable error for a non-empty population
-	return snap
-}
-
-// Labels returns v's first-appearance-canonical cluster labels over the
-// merged user order — the State counterpart of Engine.Labels.
-func (s *State) Labels(v vectors.ID) []int {
-	for i, vv := range vectors.All {
-		if vv == v {
-			labels := s.Vecs[i].Graph.Labels()
-			out := make([]int, len(labels))
-			for j, l := range labels {
-				out[j] = int(l)
-			}
-			return out
-		}
-	}
-	return nil
-}
-
-// DistinctPerUser returns each user's distinct-fingerprint count for v in
-// merged dense order.
-func (s *State) DistinctPerUser(v vectors.ID) []int {
-	for i, vv := range vectors.All {
-		if vv == v {
-			return append([]int(nil), s.Vecs[i].Distinct...)
-		}
-	}
-	return nil
-}
-
-// combinedLabels builds the combination tuple per user — nil when the
-// population is empty.
-func (s *State) combinedLabels() []string {
-	if len(s.Users) == 0 {
-		return nil
-	}
-	parts := make([][]int32, len(vectors.All))
-	for i := range s.Vecs {
-		parts[i] = s.Vecs[i].Graph.Labels()
-	}
-	combined, err := diversity.Combine(parts...)
-	if err != nil {
-		panic(err) // impossible: all parts share the population length
-	}
-	return combined
 }

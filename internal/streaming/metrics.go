@@ -58,17 +58,17 @@ func (e *Engine) registerMetrics(reg *obs.Registry) {
 		func() float64 {
 			e.mu.RLock()
 			defer e.mu.RUnlock()
-			return float64(len(e.userIDs))
+			return float64(len(e.st.Users))
 		})
 	for i, v := range vectors.All {
-		vs := e.vecs[i]
+		g := e.st.Vecs[i].Graph
 		reg.GaugeFunc("streaming_clusters",
 			"Collated fingerprint clusters per vector.",
 			e.lbl(obs.Labels{"vector": v.String()}),
 			func() float64 {
 				e.mu.RLock()
 				defer e.mu.RUnlock()
-				return float64(vs.clusters)
+				return float64(g.NumClusters())
 			})
 	}
 }

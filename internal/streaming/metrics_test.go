@@ -1,6 +1,7 @@
 package streaming
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -100,7 +101,7 @@ func TestQueueBackpressureCounted(t *testing.T) {
 	// Flood faster than the applier can drain; with a single-batch queue
 	// at least one of these enqueues must block and be counted.
 	for i := 0; i < 200; i++ {
-		eng.Enqueue([]storage.Record{{
+		eng.EnqueueContext(context.Background(), []storage.Record{{
 			UserID: fmt.Sprintf("u%03d", i),
 			Vector: vectors.DC.String(),
 			Hash:   fmt.Sprintf("%06x", i),

@@ -1,6 +1,7 @@
 package streaming
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -82,8 +83,10 @@ type StatusSnapshot struct {
 	AMIAutomatic bool  `json:"ami_automatic"`
 }
 
-// summaryRow converts a diversity summary into an API row.
-func summaryRow(name string, s diversity.Summary) DiversityRow {
+// summaryRow reduces a group-size multiset through
+// diversity.SummaryFromCounts into an API row.
+func summaryRow(name string, counts []int) DiversityRow {
+	s := diversity.SummaryFromCounts(counts)
 	return DiversityRow{
 		Name:        name,
 		Users:       s.Users,
@@ -94,84 +97,109 @@ func summaryRow(name string, s diversity.Summary) DiversityRow {
 	}
 }
 
-// clusterCounts expands a vector's cluster-size histogram into the
-// group-size multiset diversity.SummaryFromCounts consumes. Caller holds
-// at least a read lock.
-func (vs *vecState) clusterCounts() []int {
-	cs := make([]int, 0, vs.clusters)
-	for size, n := range vs.hist {
-		for i := int64(0); i < n; i++ {
-			cs = append(cs, int(size))
-		}
-	}
-	return cs
-}
+// The State methods below are the one implementation of every read
+// payload: Engine reads call them on its live state under its read lock,
+// and the shard router calls them on its merged state. They write
+// nothing, so any number of goroutines may read a State that no one is
+// writing.
 
-// surfaceCounts converts a surface's value→count map into a group-size
-// multiset.
-func surfaceCounts(m map[string]int64) []int {
-	cs := make([]int, 0, len(m))
-	for _, n := range m {
-		cs = append(cs, int(n))
-	}
-	return cs
-}
-
-// Diversity returns the live entropy table. Audio rows are derived from
-// the exact cluster-size histograms; the Combined row re-labels the seven
-// graphs (O(users·vectors)); surface rows from the exact value counts.
-// Every float goes through diversity.SummaryFromCounts, which is what
-// makes the rows bit-identical to the batch analyses.
-func (e *Engine) Diversity() EntropySnapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	snap := EntropySnapshot{Records: e.records, Users: len(e.userIDs)}
+// Diversity returns the entropy table: one row per audio vector, the
+// Combined row (omitted for an empty population) and one row per surface.
+// Every row reduces a group-size multiset through
+// diversity.SummaryFromCounts, which sorts it, so the rows are
+// bit-identical to the batch analyses whatever the dense ID order.
+func (s *State) Diversity() EntropySnapshot {
+	snap := EntropySnapshot{Records: s.Records, Users: len(s.Users)}
+	labels, ks := s.labels()
 	for i, v := range vectors.All {
-		snap.Rows = append(snap.Rows, summaryRow(v.String(),
-			diversity.SummaryFromCounts(e.vecs[i].clusterCounts())))
+		snap.Rows = append(snap.Rows, summaryRow(v.String(), groupSizes(labels[i], ks[i])))
 	}
-	if combined := e.combinedLabelsLocked(); combined != nil {
-		snap.Rows = append(snap.Rows, summaryRow("Combined", diversity.Summarize(combined)))
+	if len(s.Users) > 0 {
+		combined, k := combine(labels, ks[0])
+		snap.Rows = append(snap.Rows, summaryRow("Combined", groupSizes(combined, k)))
 	}
-	for s := 0; s < numSurfaces; s++ {
-		snap.Rows = append(snap.Rows, summaryRow(surfaceNames[s],
-			diversity.SummaryFromCounts(surfaceCounts(e.counts[s]))))
+	for i, values := range s.Surfs {
+		counts := map[string]int{}
+		for _, v := range values {
+			counts[v]++
+		}
+		sizes := make([]int, 0, len(counts))
+		for _, n := range counts {
+			sizes = append(sizes, n)
+		}
+		snap.Rows = append(snap.Rows, summaryRow(surfaceNames[i], sizes))
 	}
 	return snap
 }
 
-// Clusters returns the live per-vector collation statistics.
-func (e *Engine) Clusters() ClusterSnapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	snap := ClusterSnapshot{Records: e.records, Users: len(e.userIDs)}
+// groupSizes counts the users per label of a dense labeling in [0, k).
+func groupSizes(labels []int32, k int) []int {
+	sizes := make([]int, k)
+	for _, l := range labels {
+		sizes[l]++
+	}
+	return sizes
+}
+
+// combine folds the per-vector labelings, k0 clusters in the first, into
+// one dense label per distinct tuple of them: the grouping of the Combined
+// row, with the same group-size multiset as diversity.Combine's tuple
+// strings (the batch oracle) but no strings. It returns the labels and
+// their count.
+func combine(labels [][]int32, k0 int) ([]int32, int) {
+	ids := slices.Clone(labels[0])
+	k := k0
+	for _, next := range labels[1:] {
+		tuples := make(map[[2]int32]int32, k)
+		for u, l := range next {
+			key := [2]int32{ids[u], l}
+			id, ok := tuples[key]
+			if !ok {
+				id = int32(len(tuples))
+				tuples[key] = id
+			}
+			ids[u] = id
+		}
+		k = len(tuples)
+	}
+	return ids, k
+}
+
+// Clusters returns the per-vector collation statistics.
+func (s *State) Clusters() ClusterSnapshot {
+	snap := ClusterSnapshot{Records: s.Records, Users: len(s.Users)}
 	for i, v := range vectors.All {
-		vs := e.vecs[i]
+		vs := &s.Vecs[i]
+		sizes := vs.Graph.ClusterSizes()
+		unique := 0
+		for _, n := range sizes {
+			if n == 1 {
+				unique++
+			}
+		}
 		snap.Rows = append(snap.Rows, ClusterRow{
 			Vector:       v.String(),
-			Users:        vs.g.NumUsers(),
-			Clusters:     vs.clusters,
-			Unique:       int(vs.hist[1]),
-			Fingerprints: vs.g.NumFingerprints(),
-			Observations: vs.obsCount,
+			Users:        vs.Graph.NumUsers(),
+			Clusters:     len(sizes),
+			Unique:       unique,
+			Fingerprints: vs.Graph.NumFingerprints(),
+			Observations: vs.Obs,
 		})
 	}
 	return snap
 }
 
-// Stability returns the live Table 1 rows.
-func (e *Engine) Stability() StabilitySnapshot {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	snap := StabilitySnapshot{Records: e.records, Users: len(e.userIDs)}
+// Stability returns the Table 1 rows: distinct elementary fingerprints
+// per user.
+func (s *State) Stability() StabilitySnapshot {
+	snap := StabilitySnapshot{Records: s.Records, Users: len(s.Users)}
 	for i, v := range vectors.All {
-		vs := e.vecs[i]
+		vs := &s.Vecs[i]
 		row := StabilityRow{Vector: v.String()}
-		if len(vs.distinct) > 0 {
-			row.Min = len(vs.distinct[0])
+		if len(vs.Distinct) > 0 {
+			row.Min = vs.Distinct[0]
 			sum := 0
-			for _, d := range vs.distinct {
-				c := len(d)
+			for _, c := range vs.Distinct {
 				if c < row.Min {
 					row.Min = c
 				}
@@ -180,62 +208,69 @@ func (e *Engine) Stability() StabilitySnapshot {
 				}
 				sum += c
 			}
-			row.Mean = float64(sum) / float64(len(vs.distinct))
+			row.Mean = float64(sum) / float64(len(vs.Distinct))
 		}
 		snap.Rows = append(snap.Rows, row)
 	}
 	return snap
 }
 
-// DistinctPerUser returns how many distinct elementary fingerprints each
-// user has emitted for v, in dense user order — the live counterpart of
-// Dataset.DistinctPerUser.
-func (e *Engine) DistinctPerUser(v vectors.ID) []int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	vs := e.vecs[e.vecIdx[v]]
-	out := make([]int, len(vs.distinct))
-	for i, d := range vs.distinct {
-		out[i] = len(d)
-	}
-	return out
+// AMI computes the pairwise-vector AMI matrix, matching
+// Dataset.PairwiseVectorAMI bit for bit over s's dense user order.
+func (s *State) AMI() *AMISnapshot {
+	labels, ks := s.labels()
+	return amiSnapshot(s.Records, labels, ks)
 }
 
-// Labels returns the live first-appearance-canonical cluster labels of v,
-// the counterpart of Dataset.Labels.
-func (e *Engine) Labels(v vectors.ID) []int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	labels := e.vecs[e.vecIdx[v]].g.Labels()
-	out := make([]int, len(labels))
-	for i, l := range labels {
-		out[i] = int(l)
+// labels returns every vector's first-appearance-canonical cluster labels
+// over s's dense user order, and each vector's cluster count.
+func (s *State) labels() ([][]int32, []int) {
+	labels := make([][]int32, len(s.Vecs))
+	ks := make([]int, len(s.Vecs))
+	for i := range s.Vecs {
+		labels[i] = s.Vecs[i].Graph.Labels()
+		for _, l := range labels[i] {
+			ks[i] = max(ks[i], int(l)+1)
+		}
 	}
-	return out
+	return labels, ks
 }
 
-// Users returns the user IDs in dense (first-record) order.
-func (e *Engine) Users() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return append([]string(nil), e.userIDs...)
+// amiSnapshot runs cluster.PairwiseAMI over labels and ks as returned by
+// State.labels, which the engine reads under its lock and this computes
+// outside it.
+func amiSnapshot(records int64, labels [][]int32, ks []int) *AMISnapshot {
+	snap := &AMISnapshot{Records: records, Vectors: make([]string, len(vectors.All))}
+	for i, v := range vectors.All {
+		snap.Vectors[i] = v.String()
+	}
+	if len(labels[0]) > 0 {
+		// The error is unreachable for a non-empty population; serve no
+		// matrix rather than failing the read.
+		snap.Matrix, _ = cluster.PairwiseAMI(labels, ks)
+	}
+	return snap
 }
 
-// combinedLabelsLocked builds the combination tuple per user — nil when
-// the population is empty.
-func (e *Engine) combinedLabelsLocked() []string {
-	if len(e.userIDs) == 0 {
-		return nil
-	}
-	parts := make([][]int32, len(vectors.All))
-	for i := range e.vecs {
-		parts[i] = e.vecs[i].g.Labels()
-	}
-	combined, err := diversity.Combine(parts...)
-	if err != nil {
-		panic(err) // impossible: all parts share the population length
-	}
-	return combined
+// Diversity returns the live entropy table.
+func (e *Engine) Diversity() EntropySnapshot {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.st.Diversity()
+}
+
+// Clusters returns the live per-vector collation statistics.
+func (e *Engine) Clusters() ClusterSnapshot {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.st.Clusters()
+}
+
+// Stability returns the live Table 1 rows.
+func (e *Engine) Stability() StabilitySnapshot {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.st.Stability()
 }
 
 // AMI returns the most recent pairwise-AMI snapshot, or nil when none has
@@ -246,33 +281,17 @@ func (e *Engine) AMI() *AMISnapshot {
 	return e.ami
 }
 
-// RefreshAMI recomputes the pairwise-vector AMI matrix from the current
-// graphs and installs it as the served snapshot. The computation matches
-// Dataset.PairwiseVectorAMI: cluster.PairwiseAMI over
-// first-appearance-canonical labels.
+// RefreshAMI recomputes the pairwise-vector AMI matrix from the live state
+// and installs it as the served snapshot. It reads the labels under the
+// read lock and runs the AMI kernel outside it.
 func (e *Engine) RefreshAMI() *AMISnapshot {
 	start := time.Now()
 	e.mu.RLock()
-	records := e.records
-	users := len(e.userIDs)
-	k := len(vectors.All)
-	labels := make([][]int32, k)
-	ks := make([]int, k)
-	for i := range e.vecs {
-		labels[i] = e.vecs[i].g.Labels()
-		ks[i] = e.vecs[i].clusters
-	}
+	records := e.st.Records
+	labels, ks := e.st.labels()
 	e.mu.RUnlock()
 
-	snap := &AMISnapshot{Records: records, Vectors: make([]string, k)}
-	for i, v := range vectors.All {
-		snap.Vectors[i] = v.String()
-	}
-	if users > 0 {
-		// The error is unreachable for a non-empty population; serve no
-		// matrix rather than failing the refresh.
-		snap.Matrix, _ = cluster.PairwiseAMI(labels, ks)
-	}
+	snap := amiSnapshot(records, labels, ks)
 	e.amiMu.Lock()
 	e.ami = snap
 	e.lastAMI = records
@@ -285,8 +304,8 @@ func (e *Engine) RefreshAMI() *AMISnapshot {
 // Status reports the engine's ingestion position and queue occupancy.
 func (e *Engine) Status() StatusSnapshot {
 	e.mu.RLock()
-	records := e.records
-	users := len(e.userIDs)
+	records := e.st.Records
+	users := len(e.st.Users)
 	e.mu.RUnlock()
 	e.amiMu.Lock()
 	amiRecords := e.lastAMI

@@ -1,9 +1,8 @@
 package webaudio
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/mathx"
@@ -21,22 +20,34 @@ import (
 
 var wavetables sync.Map // string → []float32
 
-// wavetableKey canonically identifies every input of buildWavetable.
+// wavetableKey canonically identifies every input of buildWavetable:
+// "name|type|f0|rate|phase" with the floats as hex bit patterns, then for
+// a custom wave "|normalization" and ",re"… ";" ",im"…. It appends with
+// strconv rather than fmt, whose buffer pool makes the allocation count
+// vary under the race detector.
 func wavetableKey(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, sampleRate, phaseOff float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%d|%x|%x|%x", k.Name(), typ,
-		math.Float64bits(f0), math.Float64bits(sampleRate), math.Float64bits(phaseOff))
+	b := make([]byte, 0, 64)
+	b = append(b, k.Name()...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(typ), 10)
+	for _, v := range [...]float64{f0, sampleRate, phaseOff} {
+		b = append(b, '|')
+		b = strconv.AppendUint(b, math.Float64bits(v), 16)
+	}
 	if typ == Custom && wave != nil {
-		fmt.Fprintf(&b, "|%t", wave.DisableNormalization)
+		b = append(b, '|')
+		b = strconv.AppendBool(b, wave.DisableNormalization)
 		for _, v := range wave.Real {
-			fmt.Fprintf(&b, ",%x", math.Float64bits(v))
+			b = append(b, ',')
+			b = strconv.AppendUint(b, math.Float64bits(v), 16)
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 		for _, v := range wave.Imag {
-			fmt.Fprintf(&b, ",%x", math.Float64bits(v))
+			b = append(b, ',')
+			b = strconv.AppendUint(b, math.Float64bits(v), 16)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // buildWavetable synthesizes the band-limited wavetable by Fourier
