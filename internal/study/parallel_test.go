@@ -162,9 +162,13 @@ func TestParallelRenderSingleflight(t *testing.T) {
 
 // TestRenderPassCounts pins a study's render bill to its drawn offsets:
 // one audio context per (stack, vector) render pass, and per pass 96
-// quanta plus the largest offset drawn (DC's offline render: 64), at any
-// parallelism. The expected counts come from redrawing the offsets here,
-// independently of the study's plan.
+// quanta plus the largest offset drawn (DC's offline render: 40), at any
+// parallelism. It also pins which quanta render under the unobserved hint:
+// DC's 35 before its window; for the Fig. 6 tail every quantum but the one
+// 32-quantum ScriptProcessor buffer its captures read (offsets below 32
+// all read quanta 64–95); none for FFT, which has no compressor. The
+// expected counts come from redrawing the offsets here, independently of
+// the study's plan.
 func TestRenderPassCounts(t *testing.T) {
 	cfg := Config{Seed: 19, Users: 40, Iterations: 8}
 	type pass struct {
@@ -179,6 +183,9 @@ func TestRenderPassCounts(t *testing.T) {
 		for it := 0; it < cfg.Iterations; it++ {
 			for _, v := range vectors.All {
 				off := jitter.Offset(rng, d.Load, v)
+				if off >= 32 {
+					t.Fatalf("jitter drew offset %d; the expected bill assumes offsets below 32", off)
+				}
 				k := pass{d.AudioStackKey(), v}
 				if m, ok := maxOffset[k]; !ok || off > m {
 					maxOffset[k] = off
@@ -186,12 +193,17 @@ func TestRenderPassCounts(t *testing.T) {
 			}
 		}
 	}
-	wantContexts, wantQuanta := int64(len(maxOffset)), int64(0)
+	wantContexts, wantQuanta, wantHinted := int64(len(maxOffset)), int64(0), int64(0)
 	for k, m := range maxOffset {
-		if k.v == vectors.DC {
-			wantQuanta += 64
-		} else {
+		switch k.v {
+		case vectors.DC:
+			wantQuanta += 40
+			wantHinted += 35
+		case vectors.FFT:
 			wantQuanta += 96 + int64(m)
+		default:
+			wantQuanta += 96 + int64(m)
+			wantHinted += 96 + int64(m) - 32
 		}
 	}
 
@@ -208,6 +220,9 @@ func TestRenderPassCounts(t *testing.T) {
 		}
 		if got := after.Quanta - before.Quanta; got != wantQuanta {
 			t.Errorf("parallelism %d: %d quanta, want %d", par, got, wantQuanta)
+		}
+		if got := after.UnobservedQuanta - before.UnobservedQuanta; got != wantHinted {
+			t.Errorf("parallelism %d: %d hinted quanta, want %d", par, got, wantHinted)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package vectors_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/dsp"
 	"repro/internal/population"
 	"repro/internal/vectors"
 	"repro/internal/webaudio"
@@ -15,11 +18,42 @@ import (
 // compressor buffers) and includes the modal offset 0.
 var passOffsets = []int{0, 1, 5, 31, 32, 33}
 
+// sameFingerprint reports whether two fingerprints are bit-identical.
+func sameFingerprint(a, b vectors.Fingerprint) bool {
+	return a.Vector == b.Vector && a.Hash == b.Hash &&
+		math.Float64bits(a.Sum) == math.Float64bits(b.Sum)
+}
+
+// scriptDC is the DC fingerprint as the published script defines it,
+// built here with the public webaudio API and no render hint: hash the
+// samples [4500, 5000) of the one-second 44.1 kHz offline render of a
+// 10 kHz triangle through a DynamicsCompressor.
+func scriptDC(t *testing.T, traits webaudio.Traits) vectors.Fingerprint {
+	t.Helper()
+	oc := webaudio.NewOfflineContext(44100, 44100, traits)
+	oc.SetEngine(webaudio.EngineReference)
+	osc := oc.NewOscillator(webaudio.Triangle, 10000)
+	comp := oc.NewDynamicsCompressor()
+	webaudio.Connect(osc, comp)
+	webaudio.Connect(comp, oc.Destination())
+	osc.Start(0)
+	buf, err := oc.StartRendering()
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := buf[4500:5000]
+	sum := sha256.Sum256(dsp.AppendFloat32Bytes(nil, window))
+	return vectors.Fingerprint{Vector: vectors.DC, Hash: hex.EncodeToString(sum[:]), Sum: dsp.SumAbs(window)}
+}
+
 // TestRunOffsetsMatchesFreshRuns is the differential gate on the one
 // capture loop: every fingerprint of a multi-offset pass must equal, bit
 // for bit, a fresh Run at that offset, for all seven vectors and the
 // extension vectors, under both engines, on 2016- and 2021-era stacks and
-// with farbling on.
+// with farbling on. It is also the oracle for the render hint: the block
+// engine renders the quanta no capture reads under RenderUnobserved, the
+// reference engine ignores the hint, so every block pass must equal the
+// reference pass, and DC must equal the published script's full render.
 func TestRunOffsetsMatchesFreshRuns(t *testing.T) {
 	type stack struct {
 		name   string
@@ -38,7 +72,9 @@ func TestRunOffsetsMatchesFreshRuns(t *testing.T) {
 
 	ids := append(append([]vectors.ID(nil), vectors.All...), vectors.Extended...)
 	for _, st := range stacks {
+		passes := map[webaudio.Engine]map[vectors.ID][]vectors.Fingerprint{}
 		for _, engine := range []webaudio.Engine{webaudio.EngineBlock, webaudio.EngineReference} {
+			passes[engine] = map[vectors.ID][]vectors.Fingerprint{}
 			r := vectors.NewRunner(st.traits, st.rate)
 			r.SetEngine(engine)
 			for _, id := range ids {
@@ -49,18 +85,31 @@ func TestRunOffsetsMatchesFreshRuns(t *testing.T) {
 				if len(pass) != len(passOffsets) {
 					t.Fatalf("%s %v %v: %d fingerprints for %d offsets", st.name, engine, id, len(pass), len(passOffsets))
 				}
+				passes[engine][id] = pass
 				for i, off := range passOffsets {
 					fresh, err := r.Run(id, off)
 					if err != nil {
 						t.Fatalf("%s %v %v offset %d: %v", st.name, engine, id, off, err)
 					}
-					if pass[i].Vector != fresh.Vector || pass[i].Hash != fresh.Hash ||
-						math.Float64bits(pass[i].Sum) != math.Float64bits(fresh.Sum) {
+					if !sameFingerprint(pass[i], fresh) {
 						t.Errorf("%s %v %v offset %d: pass (%s, %v) != fresh Run (%s, %v)",
 							st.name, engine, id, off, pass[i].Hash, pass[i].Sum, fresh.Hash, fresh.Sum)
 					}
 				}
 			}
+		}
+		for _, id := range ids {
+			blk, ref := passes[webaudio.EngineBlock][id], passes[webaudio.EngineReference][id]
+			for i, off := range passOffsets {
+				if !sameFingerprint(blk[i], ref[i]) {
+					t.Errorf("%s %v offset %d: hinted block pass (%s, %v) != full reference pass (%s, %v)",
+						st.name, id, off, blk[i].Hash, blk[i].Sum, ref[i].Hash, ref[i].Sum)
+				}
+			}
+		}
+		if want, got := scriptDC(t, st.traits), passes[webaudio.EngineBlock][vectors.DC][0]; !sameFingerprint(got, want) {
+			t.Errorf("%s DC: (%s, %v) != published script's one-second render (%s, %v)",
+				st.name, got.Hash, got.Sum, want.Hash, want.Sum)
 		}
 	}
 }

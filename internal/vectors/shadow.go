@@ -55,7 +55,7 @@ type ShadowConfig struct {
 	// Registry receives the audit metrics; nil uses obs.Default.
 	Registry *obs.Registry
 	// MaxQuanta caps the lockstep window per audit (default: the sampled
-	// render's own length, which DC bounds at 64 and the FFT family at
+	// render's own length, which DC bounds at 40 and the FFT family at
 	// captureBaseQuanta+offset).
 	MaxQuanta int
 }
@@ -258,7 +258,7 @@ func (r *Runner) probe(id ID, offset int, e webaudio.Engine) (*webaudio.Context,
 		oc := webaudio.NewOfflineContext(dcRenderFrames, 44100, r.traits)
 		oc.SetEngine(e)
 		buildDCGraph(oc.Context)
-		return oc.Context, dcRenderFrames / webaudio.RenderQuantum, nil
+		return oc.Context, dcRenderQuanta, nil
 	}
 
 	rt := webaudio.NewRealtimeSim(r.rate, r.traits)

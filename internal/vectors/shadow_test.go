@@ -160,3 +160,30 @@ func TestShadowHandlerServesSummary(t *testing.T) {
 		t.Fatalf("record = %+v", rec)
 	}
 }
+
+// TestShadowProbeCoversRender pins the lockstep window to the production
+// render: the probe audits exactly the quanta Run renders, so the audit
+// reaches the last frames the fingerprint reads (DC's window ends at frame
+// 4,999, inside the 40th quantum).
+func TestShadowProbeCoversRender(t *testing.T) {
+	r := NewRunner(webaudio.DefaultTraits(), 44100)
+	for _, id := range []ID{DC, FFT, Hybrid} {
+		for _, off := range []int{0, 5} {
+			before := webaudio.Stats().Quanta
+			if _, err := r.Run(id, off); err != nil {
+				t.Fatal(err)
+			}
+			rendered := webaudio.Stats().Quanta - before
+			_, window, err := r.probe(id, off, webaudio.EngineBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(window) != rendered {
+				t.Errorf("%v offset %d: probe audits %d quanta, Run renders %d", id, off, window, rendered)
+			}
+		}
+	}
+	if _, window, _ := r.probe(DC, 0, webaudio.EngineBlock); window*webaudio.RenderQuantum < dcWindowEnd {
+		t.Errorf("DC probe window of %d quanta ends before frame %d", window, dcWindowEnd)
+	}
+}

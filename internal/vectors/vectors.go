@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dsp"
 	"repro/internal/hashx"
@@ -170,16 +171,24 @@ func (r *Runner) digest(data []byte) string {
 const (
 	toneHz = 10000 // triangle tone both classic vectors use
 	// dcRenderFrames is the offline render length. The FingerprintJS DC
-	// script renders one second; samples [4500, 5000) form the fingerprint
-	// window, so rendering past that point is sufficient and equivalent.
-	dcRenderFrames = 8192
+	// script renders one second, but its fingerprint reads only samples
+	// [dcWindowStart, dcWindowEnd), so the render stops at the window's
+	// end: dcRenderQuanta quanta, the whole quanta before the window under
+	// the unobserved hint. The recording still starts at frame 0, because
+	// farbling keys its noise on a sample's index in the rendered buffer.
+	dcRenderFrames = dcWindowEnd
 	dcWindowStart  = 4500
 	dcWindowEnd    = 5000
+	// dcRenderQuanta is dcRenderFrames rounded up to whole quanta: what
+	// runDC renders and the shadow probe audits.
+	dcRenderQuanta = (dcRenderFrames + webaudio.RenderQuantum - 1) / webaudio.RenderQuantum
 	// captureBaseQuanta is the nominal observation point of the live-context
 	// vectors: the third ScriptProcessor event (3 × 4096 frames / 128).
 	captureBaseQuanta = 96
 	fftSize           = 2048
 	spBufferSize      = 4096
+	// spQuanta is the ScriptProcessor buffer length in render quanta.
+	spQuanta = spBufferSize / webaudio.RenderQuantum
 )
 
 // Run executes vector id at one capture offset: RunOffsets with a single
@@ -198,7 +207,8 @@ func (r *Runner) Run(id ID, captureOffset int) (Fingerprint, error) {
 // render pass, and returns the fingerprints aligned with offsets. The pass
 // builds the graph once, renders forward to each capture point in turn and
 // captures there exactly as a fresh Run at that offset would, so every
-// fingerprint is bit-identical to its Run. offsets must be non-negative
+// fingerprint is bit-identical to its Run. Quanta no capture of the pass
+// reads render under the unobserved hint. offsets must be non-negative
 // and ascending. DC renders once whatever the offsets; an empty list
 // renders nothing.
 func (r *Runner) RunOffsets(id ID, offsets []int) ([]Fingerprint, error) {
@@ -236,6 +246,11 @@ func (r *Runner) renderPass(id ID, offsets []int) ([]Fingerprint, error) {
 		return nil, err
 	}
 	for i, off := range offsets {
+		if g.lastBuf != nil {
+			if err := advanceTail(rt, captureBaseQuanta+off, offsets); err != nil {
+				return nil, err
+			}
+		}
 		if err := rt.CaptureAfter(captureBaseQuanta, off); err != nil {
 			return nil, err
 		}
@@ -244,6 +259,33 @@ func (r *Runner) renderPass(id ID, offsets []int) ([]Fingerprint, error) {
 		}
 	}
 	return fps, nil
+}
+
+// readBuffer is the ScriptProcessor buffer the Fig. 6 tail's capture at
+// offset off reads: the last one complete at capture point
+// c = captureBaseQuanta + off, buffer c/spQuanta − 1, which spans quanta
+// [spQuanta·b, spQuanta·(b+1)).
+func readBuffer(off int) int { return (captureBaseQuanta+off)/spQuanta - 1 }
+
+// advanceTail renders a Fig. 6 tail pass that captures at offsets forward
+// to capture point c. The compressor's output reaches a fingerprint only
+// through the ScriptProcessor buffers the pass's captures read, so quanta
+// in those buffers render in full and every other quantum renders under
+// the unobserved hint.
+func advanceTail(rt *webaudio.RealtimeSim, c int, offsets []int) error {
+	for at := int(rt.CurrentFrame() / webaudio.RenderQuantum); at < c; {
+		b := at / spQuanta
+		end := min(c, (b+1)*spQuanta)
+		render := rt.RenderUnobserved
+		if slices.ContainsFunc(offsets, func(off int) bool { return readBuffer(off) == b }) {
+			render = rt.RenderQuanta
+		}
+		if err := render(end - at); err != nil {
+			return err
+		}
+		at = end
+	}
+	return nil
 }
 
 // RunAll executes every vector with the same capture offset and returns the
@@ -263,6 +305,7 @@ func (r *Runner) RunAll(captureOffset int) ([]Fingerprint, error) {
 // runDC implements the Dynamics Compressor vector (paper Fig. 1):
 // OfflineAudioContext → triangle oscillator (10 kHz) → DynamicsCompressor →
 // destination; the fingerprint hashes the rendered samples in [4500, 5000).
+// The quanta before the window render under the unobserved hint.
 //
 // Note the script *forces* the offline context to 44100 Hz
 // (OfflineAudioContext(1, 44100, 44100)), so unlike the live-context vectors
@@ -271,6 +314,9 @@ func (r *Runner) RunAll(captureOffset int) ([]Fingerprint, error) {
 func (r *Runner) runDC() (Fingerprint, error) {
 	oc := r.newOffline(dcRenderFrames, 44100)
 	buildDCGraph(oc.Context)
+	if err := oc.RenderUnobserved(dcWindowStart / webaudio.RenderQuantum); err != nil {
+		return Fingerprint{}, err
+	}
 	buf, err := oc.StartRendering()
 	if err != nil {
 		return Fingerprint{}, err

@@ -51,4 +51,15 @@ func TestBlockRenderZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state block render allocates %.1f times per quantum, want 0", allocs)
 	}
+
+	// A hinted quantum runs the compressor's detector-only kernel; it must
+	// not allocate either.
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := ctx.RenderUnobserved(1); err != nil {
+			t.Fatalf("RenderUnobserved: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state hinted block render allocates %.1f times per quantum, want 0", allocs)
+	}
 }

@@ -48,7 +48,9 @@ func (c *Context) NewDynamicsCompressor() *DynamicsCompressorNode {
 }
 
 // Reduction returns the current gain reduction in dB (≤ 0), mirroring the
-// read-only attribute of the real node.
+// read-only attribute of the real node. Quanta rendered under
+// Context.RenderUnobserved on the block engine do not update it: it keeps
+// the value of the last quantum rendered in full.
 func (d *DynamicsCompressorNode) Reduction() float64 { return d.reduction }
 
 func (d *DynamicsCompressorNode) params() []*AudioParam {
@@ -137,26 +139,25 @@ func (d *DynamicsCompressorNode) process(frameTime int64) {
 	}
 }
 
-// processBlock is the compressor block kernel: same per-quantum coefficient
-// preamble and per-sample envelope/gain recurrence as process, but over the
-// pre-mixed block with the detector state held in locals. The kernel Log/Pow
-// calls per sample are the fingerprint surface and stay untouched.
-func (d *DynamicsCompressorNode) processBlock(frameTime int64, xs *[RenderQuantum]float64) {
-	tr := d.ctx.traits
-	k := tr.Kernel
+// blockPreamble is the per-quantum set-up of both block kernels, the same
+// operations as process's: it samples the parameters at the quantum's first
+// frame, derives the detector's attack and release coefficients through the
+// kernel's Exp and, on the first quantum rendered, fixes the makeup gain.
+func (d *DynamicsCompressorNode) blockPreamble(frameTime int64) (threshold, knee, ratio, aAtt, aRel float64) {
+	k := d.ctx.traits.Kernel
 	sr := d.ctx.sampleRate
 
-	threshold := d.Threshold.sampleAt(frameTime, 0)
-	knee := d.Knee.sampleAt(frameTime, 0)
-	ratio := d.Ratio.sampleAt(frameTime, 0)
+	threshold = d.Threshold.sampleAt(frameTime, 0)
+	knee = d.Knee.sampleAt(frameTime, 0)
+	ratio = d.Ratio.sampleAt(frameTime, 0)
 	attack := d.Attack.sampleAt(frameTime, 0)
 	release := d.Release.sampleAt(frameTime, 0)
 
-	aAtt := 1.0
+	aAtt = 1.0
 	if attack > 0 {
 		aAtt = 1 - k.Exp(-1/(sr*attack))
 	}
-	aRel := 1.0
+	aRel = 1.0
 	if release > 0 {
 		aRel = 1 - k.Exp(-1/(sr*release))
 	}
@@ -171,6 +172,17 @@ func (d *DynamicsCompressorNode) processBlock(frameTime int64, xs *[RenderQuantu
 		}
 		d.haveMakeup = true
 	}
+	return threshold, knee, ratio, aAtt, aRel
+}
+
+// processBlock is the compressor block kernel: same per-quantum coefficient
+// preamble and per-sample envelope/gain recurrence as process, but over the
+// pre-mixed block with the detector state held in locals. The kernel Log/Pow
+// calls per sample are the fingerprint surface and stay untouched.
+func (d *DynamicsCompressorNode) processBlock(frameTime int64, xs *[RenderQuantum]float64) {
+	tr := d.ctx.traits
+	k := tr.Kernel
+	threshold, knee, ratio, aAtt, aRel := d.blockPreamble(frameTime)
 
 	// Hoisted gain-computer constants: each expression below reproduces
 	// the corresponding curveDB subterm with the identical operation
@@ -230,4 +242,38 @@ func (d *DynamicsCompressorNode) processBlock(frameTime int64, xs *[RenderQuantu
 	d.env = env
 	d.delayPos = delayPos
 	d.reduction = gainDB
+}
+
+// processUnobserved is the compressor's kernel for quanta rendered under
+// Context.RenderUnobserved. The envelope detector and the look-ahead delay
+// line are feed-forward from the input and never read the gain, so it
+// advances them with processBlock's exact operations and skips the gain
+// computer and its kernel Log/Pow calls. Every later quantum therefore
+// renders bit-identically to a full render. The output is silence, and
+// Reduction keeps its last value.
+func (d *DynamicsCompressorNode) processUnobserved(frameTime int64, xs *[RenderQuantum]float64) {
+	_, _, _, aAtt, aRel := d.blockPreamble(frameTime)
+	env := d.env
+	delay := d.delay
+	delayPos := d.delayPos
+	delayLen := len(delay)
+	for i := 0; i < RenderQuantum; i++ {
+		in := xs[i]
+
+		a := math.Abs(in)
+		coeff := aRel
+		if a > env {
+			coeff = aAtt
+		}
+		env += (a - env) * coeff
+
+		delay[delayPos] = float32(in)
+		delayPos++
+		if delayPos == delayLen {
+			delayPos = 0
+		}
+	}
+	d.env = env
+	d.delayPos = delayPos
+	d.output = [RenderQuantum]float32{}
 }

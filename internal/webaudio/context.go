@@ -57,7 +57,24 @@ func (c *Context) register(n Node) {
 // RenderQuanta advances the graph clock by n render quanta. When the graph
 // changed it recompiles the topo order and (for the block engine) the render
 // program first; the steady-state path after compilation allocates nothing.
-func (c *Context) RenderQuanta(n int) error {
+func (c *Context) RenderQuanta(n int) error { return c.render(n, false) }
+
+// RenderUnobserved advances the graph clock by n render quanta, on the
+// caller's promise that nothing reads those quanta's outputs or anything
+// built from them: a buffer that records them, a downstream node's memory
+// of them, the compressor's Reduction. Every other piece of node state
+// advances exactly as under RenderQuanta, so every later output that does
+// not depend on a hinted output renders as it would have. The block engine
+// uses the promise to skip work only hinted outputs depend on: the
+// compressor runs only its envelope detector and look-ahead delay line,
+// neither of which reads its gain, and writes silence. The reference
+// engine ignores the hint and renders in full, so it stays the oracle the
+// hinted render is checked against.
+func (c *Context) RenderUnobserved(n int) error { return c.render(n, true) }
+
+// render is RenderQuanta and RenderUnobserved: unobserved selects the
+// block engine's hinted kernels.
+func (c *Context) render(n int, unobserved bool) error {
 	if c.dirty {
 		order, err := c.topoOrder()
 		if err != nil {
@@ -77,10 +94,13 @@ func (c *Context) RenderQuanta(n int) error {
 		statReferenceQuanta.Add(int64(n))
 	} else {
 		for q := 0; q < n; q++ {
-			c.prog.run(c)
+			c.prog.run(c, unobserved)
 			c.frame += RenderQuantum
 		}
 		statBlockQuanta.Add(int64(n))
+		if unobserved {
+			statUnobservedQuanta.Add(int64(n))
+		}
 	}
 	statQuanta.Add(int64(n))
 	statNodes.Add(int64(n) * int64(len(c.order)))
@@ -95,19 +115,14 @@ func (c *Context) RenderFrames(totalFrames int) ([]float32, error) {
 		return nil, fmt.Errorf("webaudio: RenderFrames(%d): length must be positive", totalFrames)
 	}
 	c.dest.record = true
-	quanta := (totalFrames + RenderQuantum - 1) / RenderQuantum
-	if err := c.RenderQuanta(quanta); err != nil {
+	if err := c.RenderQuanta(quantaFor(totalFrames)); err != nil {
 		return nil, err
 	}
-	out := c.dest.recorded
-	if len(out) > totalFrames {
-		out = out[:totalFrames]
-	}
-	// Farbling perturbs the script-readable copy (getChannelData), not the
-	// graph state.
-	c.traits.Farble.farbleInPlace(out)
-	return out, nil
+	return c.dest.readRecorded(totalFrames), nil
 }
+
+// quantaFor rounds a frame count up to whole render quanta.
+func quantaFor(frames int) int { return (frames + RenderQuantum - 1) / RenderQuantum }
 
 // DestinationNode is the graph sink. When recording, it appends each mixed
 // quantum to an internal buffer (the OfflineAudioContext "rendered buffer").
@@ -138,6 +153,19 @@ func (d *DestinationNode) processBlock(_ int64, in *[RenderQuantum]float64) {
 	}
 }
 
+// readRecorded returns the first frames recorded samples as a script reads
+// them. Farbling perturbs the script-readable copy (getChannelData), not
+// the graph state, and keys its noise on each sample's index in the
+// buffer.
+func (d *DestinationNode) readRecorded(frames int) []float32 {
+	out := d.recorded
+	if len(out) > frames {
+		out = out[:frames]
+	}
+	d.ctx.traits.Farble.farbleInPlace(out)
+	return out
+}
+
 // OfflineContext mirrors OfflineAudioContext(1, length, sampleRate): a
 // deterministic render of a fixed number of frames. The DC fingerprinting
 // vector uses this — and its determinism is why DC fingerprints never vary
@@ -148,16 +176,33 @@ type OfflineContext struct {
 }
 
 // NewOfflineContext creates an offline context that renders length frames.
+// Its destination records from frame 0, as the rendered buffer of an
+// OfflineAudioContext does, whichever render call advances the clock.
 func NewOfflineContext(length int, sampleRate float64, traits Traits) *OfflineContext {
-	return &OfflineContext{Context: NewContext(sampleRate, traits), length: length}
+	o := &OfflineContext{Context: NewContext(sampleRate, traits), length: length}
+	o.dest.record = true
+	if length > 0 {
+		o.dest.recorded = make([]float32, 0, quantaFor(length)*RenderQuantum)
+	}
+	return o
 }
 
 // Length returns the configured render length in frames.
 func (o *OfflineContext) Length() int { return o.length }
 
-// StartRendering renders the full buffer and returns it.
+// StartRendering renders the quanta of the buffer that RenderQuanta or
+// RenderUnobserved have not already advanced, and returns the whole
+// buffer from frame 0.
 func (o *OfflineContext) StartRendering() ([]float32, error) {
-	return o.RenderFrames(o.length)
+	if o.length <= 0 {
+		return nil, fmt.Errorf("webaudio: StartRendering: length %d must be positive", o.length)
+	}
+	if n := quantaFor(o.length) - int(o.frame/RenderQuantum); n > 0 {
+		if err := o.RenderQuanta(n); err != nil {
+			return nil, err
+		}
+	}
+	return o.dest.readRecorded(o.length), nil
 }
 
 // RealtimeSim approximates a live AudioContext for fingerprinting purposes:

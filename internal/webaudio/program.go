@@ -26,6 +26,10 @@ type blockNode interface {
 type renderOp struct {
 	node  Node
 	block blockNode // nil → per-sample fallback via node.process
+	// comp is set when the op is a compressor, the one node with a
+	// cheaper kernel for quanta rendered under Context.RenderUnobserved;
+	// every other op renders hinted quanta in full.
+	comp *DynamicsCompressorNode
 	// srcs are the op's input buffers, resolved at compile time.
 	srcs []*[RenderQuantum]float32
 	// noMix marks source nodes whose kernel ignores the input block, so the
@@ -60,6 +64,7 @@ func (c *Context) compileProgram() {
 		op := renderOp{node: n}
 		if bn, ok := n.(blockNode); ok {
 			op.block = bn
+			op.comp, _ = n.(*DynamicsCompressorNode)
 			op.hist = kernelHist(opClass(n.base().label))
 		}
 		for _, in := range n.base().inputs {
@@ -74,8 +79,9 @@ func (c *Context) compileProgram() {
 	c.prog.ops = ops
 }
 
-// run renders one quantum through the compiled program.
-func (p *renderProgram) run(c *Context) {
+// run renders one quantum through the compiled program; unobserved runs
+// the compressors' hinted kernel (Context.RenderUnobserved).
+func (p *renderProgram) run(c *Context, unobserved bool) {
 	frame := c.frame
 	mix32 := c.traits.MixPrecision == Mix32
 	timed := kernelTimingOn.Load()
@@ -91,9 +97,12 @@ func (p *renderProgram) run(c *Context) {
 		if !op.noMix {
 			mixInto(&c.scratch.mix, op.srcs, mix32)
 		}
-		if timed {
+		switch {
+		case unobserved && op.comp != nil:
+			op.comp.processUnobserved(frame, &c.scratch.mix)
+		case timed:
 			timeBlock(op, frame, &c.scratch.mix)
-		} else {
+		default:
 			op.block.processBlock(frame, &c.scratch.mix)
 		}
 		if fault != nil {

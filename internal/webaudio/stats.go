@@ -3,8 +3,8 @@ package webaudio
 import "repro/internal/obs"
 
 // Engine-wide render counters on the shared registry. They are bumped once
-// per RenderQuanta call (not per frame), so the hot loop pays two atomic
-// adds per render — invisible next to the DSP itself.
+// per RenderQuanta or RenderUnobserved call (not per frame), so the hot loop
+// pays a few atomic adds per render — invisible next to the DSP itself.
 var (
 	statContexts = obs.Default.Counter("webaudio_contexts_created_total",
 		"audio contexts constructed (one per render pass)", nil)
@@ -16,6 +16,8 @@ var (
 		"render quanta processed by the compiled block engine", nil)
 	statReferenceQuanta = obs.Default.Counter("webaudio_reference_quanta_total",
 		"render quanta processed by the per-sample reference engine", nil)
+	statUnobservedQuanta = obs.Default.Counter("webaudio_unobserved_quanta_total",
+		"render quanta the block engine advanced under the unobserved-output hint", nil)
 )
 
 // RenderStats is a snapshot of the engine-wide render counters.
@@ -31,15 +33,20 @@ type RenderStats struct {
 	// ReferenceQuanta counts quanta rendered by the per-sample reference
 	// engine.
 	ReferenceQuanta int64
+	// UnobservedQuanta counts the BlockQuanta advanced under the
+	// Context.RenderUnobserved hint. The reference engine renders hinted
+	// quanta in full and does not count them here.
+	UnobservedQuanta int64
 }
 
 // Stats returns the engine-wide render counters (process lifetime).
 func Stats() RenderStats {
 	return RenderStats{
-		Contexts:        statContexts.Value(),
-		Quanta:          statQuanta.Value(),
-		NodeTicks:       statNodes.Value(),
-		BlockQuanta:     statBlockQuanta.Value(),
-		ReferenceQuanta: statReferenceQuanta.Value(),
+		Contexts:         statContexts.Value(),
+		Quanta:           statQuanta.Value(),
+		NodeTicks:        statNodes.Value(),
+		BlockQuanta:      statBlockQuanta.Value(),
+		ReferenceQuanta:  statReferenceQuanta.Value(),
+		UnobservedQuanta: statUnobservedQuanta.Value(),
 	}
 }
