@@ -197,8 +197,8 @@ func run(runCtx context.Context, args []string, outw, errw io.Writer) error {
 	}
 	fmt.Fprintln(outw)
 	if *evolution > 0 {
-		_, sp := obs.Start(ctx, "analyze/evolution")
-		err := core.WriteEvolution(outw, *seed, *evolution, min(*iterations, 10))
+		evCtx, sp := obs.Start(ctx, "analyze/evolution")
+		err := core.WriteEvolutionContext(evCtx, outw, *seed, *evolution, min(*iterations, 10))
 		sp.End()
 		if err != nil {
 			return fmt.Errorf("render evolution: %w", err)

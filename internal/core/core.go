@@ -6,18 +6,12 @@
 //   - Tracker — the fingerprinter-side identity system built on the §3.2
 //     graph-based collation: feed it elementary fingerprints, ask it which
 //     returning visitor they identify.
-//   - RunMainStudy / RunFollowUpStudy — the paper's two measurement
-//     campaigns, simulated end to end.
 //   - WriteAllExperiments — renders every table and figure of the paper's
 //     evaluation from a dataset pair.
 package core
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/collate"
-	"repro/internal/population"
 	"repro/internal/study"
 	"repro/internal/vectors"
 	"repro/internal/webaudio"
@@ -110,36 +104,6 @@ const (
 	FollowUpSeed  = 20210601
 )
 
-// RunMainStudy simulates the paper's primary campaign: 2093 users × 30
-// iterations × 7 vectors.
-func RunMainStudy(seed int64) (*study.Dataset, error) {
-	return study.Run(study.Config{Seed: seed, Users: 2093, Iterations: 30})
-}
-
-// RunFollowUpStudy simulates the §5 follow-up campaign: 528 users with the
-// Table 5 platform mix.
-func RunFollowUpStudy(seed int64) (*study.Dataset, error) {
-	return study.Run(study.Config{
-		Seed: seed, Users: 528, Iterations: 30,
-		Mix: population.FollowUpMix(), IDPrefix: "f",
-	})
-}
-
 // RunStudy exposes arbitrary study configurations (smaller populations for
 // examples and benchmarks).
 func RunStudy(cfg study.Config) (*study.Dataset, error) { return study.Run(cfg) }
-
-// WriteDataset exports a dataset's observations as "user vector iteration
-// hash" lines (diagnostics; the storage package handles the durable form).
-func WriteDataset(w io.Writer, ds *study.Dataset) error {
-	for _, v := range vectors.All {
-		for ui, user := range ds.Users {
-			for it, h := range ds.Obs[v][ui] {
-				if _, err := fmt.Fprintf(w, "%s\t%s\t%d\t%s\n", user, v, it, h); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}

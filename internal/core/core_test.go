@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/study"
 	"repro/internal/vectors"
@@ -136,21 +138,6 @@ func TestWriteAllExperiments(t *testing.T) {
 	}
 }
 
-func TestWriteDataset(t *testing.T) {
-	ds, err := RunStudy(study.Config{Seed: 7, Users: 3, Iterations: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := WriteDataset(&sb, ds); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(sb.String(), "\n")
-	if lines != 3*2*7 {
-		t.Errorf("dataset export has %d lines, want %d", lines, 3*2*7)
-	}
-}
-
 func TestWriteAblation(t *testing.T) {
 	var sb strings.Builder
 	if err := WriteAblation(&sb, smallDataset(t), 3); err != nil {
@@ -195,6 +182,41 @@ func TestWriteEvolution(t *testing.T) {
 	}
 	if get(vintage, "DC") < get(modern, "DC") {
 		t.Errorf("2016-era DC e_norm %.3f < 2021-era %.3f", get(vintage, "DC"), get(modern, "DC"))
+	}
+}
+
+// TestWriteEvolutionContextSpans: a traced era comparison records one
+// "study.run" span per era under the caller's span, each split into its
+// population and render stages, and prints what the untraced call prints.
+func TestWriteEvolutionContextSpans(t *testing.T) {
+	root := obs.NewTrace("test")
+	ctx, parent := obs.Start(obs.ContextWithSpan(context.Background(), root), "analyze/evolution")
+	var traced, plain strings.Builder
+	if err := WriteEvolutionContext(ctx, &traced, 53, 60, 4); err != nil {
+		t.Fatal(err)
+	}
+	parent.End()
+	root.End()
+
+	runs := parent.Children()
+	if len(runs) != 2 {
+		t.Fatalf("analyze/evolution has %d children, want 2 study.run spans", len(runs))
+	}
+	for i, run := range runs {
+		if run.Name() != "study.run" {
+			t.Errorf("child %d is %q, want study.run", i, run.Name())
+		}
+		for _, stage := range []string{"population", "render", "intern-index"} {
+			if run.Find(stage) == nil {
+				t.Errorf("era %d's study.run has no %q span", i, stage)
+			}
+		}
+	}
+	if err := WriteEvolution(&plain, 53, 60, 4); err != nil {
+		t.Fatal(err)
+	}
+	if traced.String() != plain.String() {
+		t.Errorf("traced output differs from untraced:\n%s\nvs\n%s", traced.String(), plain.String())
 	}
 }
 

@@ -318,10 +318,17 @@ func writeAblation(w io.Writer, ds *study.Dataset, s int) error {
 // 2016 study [9] and 0.244 (Hybrid) / 0.175 (DC) for 2021, attributing the
 // decline to engines standardizing their math paths.
 func WriteEvolution(w io.Writer, seed int64, users, iterations int) error {
-	run := func(era string) (*study.Dataset, error) {
-		return study.Run(study.Config{
+	return WriteEvolutionContext(context.Background(), w, seed, users, iterations)
+}
+
+// WriteEvolutionContext is WriteEvolution with stage tracing: each era's run
+// records its "study.run" span under the context's span. Each era renders
+// only the two vectors the comparison prints, DC and Hybrid.
+func WriteEvolutionContext(ctx context.Context, w io.Writer, seed int64, users, iterations int) error {
+	run := func(era string) ([]study.DiversityRow, error) {
+		return study.Diversity(ctx, study.Config{
 			Seed: seed, Users: users, Iterations: iterations, Era: era,
-		})
+		}, vectors.DC, vectors.Hybrid)
 	}
 	modern, err := run("")
 	if err != nil {
@@ -334,19 +341,10 @@ func WriteEvolution(w io.Writer, seed int64, users, iterations int) error {
 	tb := report.NewTable(
 		fmt.Sprintf("§6 evolution — normalized entropy by era (%d users)", users),
 		"Vector", "2016-era", "2021-era", "paper (2016→2021)")
-	rows := map[string][2]float64{}
-	for _, r := range vintage.Table2() {
-		v := rows[r.Name]
-		v[0] = r.Normalized
-		rows[r.Name] = v
+	paper := []string{"0.24 → 0.175", "0.38 → 0.244"}
+	for i, r := range vintage {
+		tb.AddRow(r.Name, fmt.Sprintf("%.3f", r.Normalized), fmt.Sprintf("%.3f", modern[i].Normalized), paper[i])
 	}
-	for _, r := range modern.Table2() {
-		v := rows[r.Name]
-		v[1] = r.Normalized
-		rows[r.Name] = v
-	}
-	tb.AddRow("DC", fmt.Sprintf("%.3f", rows["DC"][0]), fmt.Sprintf("%.3f", rows["DC"][1]), "0.24 → 0.175")
-	tb.AddRow("Hybrid", fmt.Sprintf("%.3f", rows["Hybrid"][0]), fmt.Sprintf("%.3f", rows["Hybrid"][1]), "0.38 → 0.244")
 	if _, err := tb.WriteTo(w); err != nil {
 		return err
 	}

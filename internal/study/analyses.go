@@ -235,15 +235,20 @@ func (ds *Dataset) Table2() []DiversityRow {
 	defer sp.End()
 	rows := make([]DiversityRow, 0, len(vectors.All)+1)
 	for _, v := range vectors.All {
-		d := ds.dense(v)
-		sum := diversity.Summarize(d.labels)
-		// Distinct/Unique per the paper are cluster counts in the graph.
-		sum.Distinct = d.k
-		sum.Unique = d.unique
-		rows = append(rows, DiversityRow{Name: v.String(), Summary: sum})
+		rows = append(rows, ds.diversityRow(v))
 	}
 	rows = append(rows, DiversityRow{Name: "Combined", Summary: diversity.Summarize(ds.CombinedLabels())})
 	return rows
+}
+
+// diversityRow is collated vector v's row of Tables 2 and 4.
+func (ds *Dataset) diversityRow(v vectors.ID) DiversityRow {
+	d := ds.dense(v)
+	sum := diversity.Summarize(d.labels)
+	// Distinct/Unique per the paper are cluster counts in the graph.
+	sum.Distinct = d.k
+	sum.Unique = d.unique
+	return DiversityRow{Name: v.String(), Summary: sum}
 }
 
 // Table3 computes the diversity of the Canvas, Fonts and User-Agent vectors
@@ -450,11 +455,7 @@ func (ds *Dataset) SubsetRanking(parts int) RankingResult {
 func (ds *Dataset) Table4() []DiversityRow {
 	rows := make([]DiversityRow, 0, 4)
 	for _, v := range []vectors.ID{vectors.DC, vectors.FFT, vectors.Hybrid} {
-		d := ds.dense(v)
-		sum := diversity.Summarize(d.labels)
-		sum.Distinct = d.k
-		sum.Unique = d.unique
-		rows = append(rows, DiversityRow{Name: v.String(), Summary: sum})
+		rows = append(rows, ds.diversityRow(v))
 	}
 	rows = append(rows, DiversityRow{
 		Name:    "Math JS",

@@ -11,6 +11,7 @@ package study
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -128,6 +129,38 @@ func Run(cfg Config) (*Dataset, error) {
 // "study.run" child records the population/render/intern stages. Tracing
 // never affects the dataset — results stay bit-identical to Run.
 func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
+	return run(ctx, cfg, vectors.All)
+}
+
+// Diversity runs the study for the vectors vs only and returns their Table 2
+// rows, in the order of vs. Each row equals the one Run(cfg).Table2() reports
+// for that vector: every user draws the same capture offsets, and only the
+// vectors not asked for go unrendered. Checkpointing is not supported (a
+// checkpoint entry holds all seven vectors), so cfg.CheckpointPath must be
+// empty.
+func Diversity(ctx context.Context, cfg Config, vs ...vectors.ID) ([]DiversityRow, error) {
+	if cfg.CheckpointPath != "" {
+		return nil, errors.New("study: Diversity cannot checkpoint a run of selected vectors")
+	}
+	for _, v := range vs {
+		if !slices.Contains(vectors.All, v) {
+			return nil, fmt.Errorf("study: vector %v is not one of the seven a study renders", v)
+		}
+	}
+	ds, err := run(ctx, cfg, vs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]DiversityRow, len(vs))
+	for i, v := range vs {
+		rows[i] = ds.diversityRow(v)
+	}
+	return rows, nil
+}
+
+// run simulates the study, rendering and recording the vectors vs only;
+// Dataset.Obs holds exactly those vectors.
+func run(ctx context.Context, cfg Config, vs []vectors.ID) (*Dataset, error) {
 	if cfg.Users <= 0 || cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("study: Users and Iterations must be positive (got %d, %d)",
 			cfg.Users, cfg.Iterations)
@@ -139,6 +172,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 	}
 	runSpan.SetAttr("users", cfg.Users)
 	runSpan.SetAttr("iterations", cfg.Iterations)
+	runSpan.SetAttr("vectors", len(vs))
 	defer func() {
 		runSpan.End()
 		if cfg.SpanSink != nil && runSpan != nil {
@@ -161,7 +195,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 		Devices:    devs,
 		Users:      make([]string, len(devs)),
 		Iterations: cfg.Iterations,
-		Obs:        make(map[vectors.ID][][]string, len(vectors.All)),
+		Obs:        make(map[vectors.ID][][]string, len(vs)),
 		UA:         make([]string, len(devs)),
 		Canvas:     make([]string, len(devs)),
 		Fonts:      make([]string, len(devs)),
@@ -176,7 +210,7 @@ func RunContext(ctx context.Context, cfg Config) (*Dataset, error) {
 		ds.MathJS[i] = d.MathJSFingerprint()
 		ds.Platforms[i] = d.Platform()
 	}
-	for _, v := range vectors.All {
+	for _, v := range vs {
 		obs := make([][]string, len(devs))
 		for i := range obs {
 			obs[i] = make([]string, cfg.Iterations)
@@ -276,7 +310,9 @@ type renderPlan struct {
 // vector) needs. Rendering consumes no randomness, so drawing up front
 // leaves every draw as it was, and each user can ask the cache for its
 // stack's whole list: the first user of a stack renders each vector once,
-// in one pass, for every later user.
+// in one pass, for every later user. It draws every vector's offsets even
+// when the run renders only some: each user's draws interleave all seven
+// vectors, so skipping one would shift the offsets of the vectors after it.
 func planRenders(ds *Dataset, jitter *platform.JitterModel, userSeeds []int64, resumed []bool) *renderPlan {
 	p := &renderPlan{offsets: make([][]int, len(ds.Devices)), need: map[string][][]int{}}
 	for i, d := range ds.Devices {
@@ -309,8 +345,9 @@ func planRenders(ds *Dataset, jitter *platform.JitterModel, userSeeds []int64, r
 	return p
 }
 
-// runUser fills in all iterations of all vectors for one participant,
-// asking the cache for the whole offset list of the user's stack.
+// runUser fills in all iterations of the dataset's vectors for one
+// participant, asking the cache for the whole offset list of the user's
+// stack. Vectors the dataset does not record are not rendered.
 func runUser(ds *Dataset, cache *vectors.Cache, plan *renderPlan, idx int) error {
 	d := ds.Devices[idx]
 	runner := vectors.NewRunner(d.AudioTraits(), d.SampleRate)
@@ -318,13 +355,17 @@ func runUser(ds *Dataset, cache *vectors.Cache, plan *renderPlan, idx int) error
 	need := plan.need[stack]
 	offs := plan.offsets[idx]
 	for vi, v := range vectors.All {
+		obs := ds.Obs[v]
+		if obs == nil {
+			continue
+		}
 		fps, err := cache.RunOffsets(stack, runner, v, need[vi])
 		if err != nil {
 			return fmt.Errorf("user %s vector %v: %w", d.ID, v, err)
 		}
 		for it := 0; it < ds.Iterations; it++ {
 			j, _ := slices.BinarySearch(need[vi], offs[it*len(vectors.All)+vi])
-			ds.Obs[v][idx][it] = fps[j].Hash
+			obs[idx][it] = fps[j].Hash
 		}
 	}
 	return nil
