@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short check bench bench-json bench-stream bench-render bench-shard bench-verify bench-gate fuzz study trace examples clean
+.PHONY: all build vet test test-short stress check bench bench-json bench-stream bench-render bench-shard bench-verify bench-gate fuzz study trace examples clean
 
 all: build vet test
 
@@ -21,14 +21,23 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Everything CI should gate on: build, vet/gofmt, the read-after-Sync,
-# refresh-in-flight, concurrent engine and router reads, verify
-# read-your-writes, watch hook delivery and render-cache singleflight
-# tests at high -count under the race detector, the race detector over
-# the internal packages (the telemetry registry/span tree, series store
-# and the watch monitor first — spans/exporter/series ticks/alert
-# evaluation cross goroutines in every binary — then the parallel sweeps
-# and shared caches), the full suite, the paper-scale fpstudy output
+# The concurrency contracts at high -count under the race detector:
+# read-after-Sync, refresh-in-flight, concurrent engine and router reads,
+# verify read-your-writes, watch hook delivery and render-cache
+# singleflight (~30 s wall on 2 vCPU).
+stress:
+	$(GO) test -race -count=200 -run 'TestStreamingAutoAMIRefresh|TestSyncObservesBatchHooks' ./internal/streaming/
+	$(GO) test -race -count=50 -run 'TestEngineConcurrentReads' ./internal/streaming/
+	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestRouterConcurrentReads|TestStoresAllConcurrentAppends|TestVerifiersEnrollReadYourWrites' ./internal/shard/
+	$(GO) test -race -count=50 -run 'TestEnrollReadYourWrites' ./internal/verify/
+	$(GO) test -race -count=50 -run 'TestHookDeliveredBeforeSync' ./internal/watch/
+	$(GO) test -race -count=50 -run 'TestCacheSingleflight' ./internal/vectors/
+
+# Everything CI should gate on: build, vet/gofmt, the stress target, the
+# race detector over the internal packages (the telemetry registry/span
+# tree, series store and the watch monitor first — spans/exporter/series
+# ticks/alert evaluation cross goroutines in every binary — then the
+# parallel sweeps and shared caches), the full suite, the paper-scale fpstudy output
 # against the reference file byte for byte under the block engine and
 # under the reference engine (which renders in full what the block engine
 # renders under the unobserved hint, so it is the study-scale oracle for
@@ -38,13 +47,7 @@ test-short:
 # torn/corrupt corpora), and a report-only bench-gate comparison against
 # the committed render trajectory (shared CI runners are too noisy to
 # enforce here; nightly enforces).
-check: build vet
-	$(GO) test -race -count=200 -run 'TestStreamingAutoAMIRefresh|TestSyncObservesBatchHooks' ./internal/streaming/
-	$(GO) test -race -count=50 -run 'TestEngineConcurrentReads' ./internal/streaming/
-	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestRouterConcurrentReads|TestStoresAllConcurrentAppends|TestVerifiersEnrollReadYourWrites' ./internal/shard/
-	$(GO) test -race -count=50 -run 'TestEnrollReadYourWrites' ./internal/verify/
-	$(GO) test -race -count=50 -run 'TestHookDeliveredBeforeSync' ./internal/watch/
-	$(GO) test -race -count=50 -run 'TestCacheSingleflight' ./internal/vectors/
+check: build vet stress
 	$(GO) test -race ./internal/obs/ ./internal/obs/series/ ./internal/watch/ ./internal/webaudio/ ./internal/diag/
 	$(GO) test -race ./internal/shard/
 	$(GO) test -race ./internal/...

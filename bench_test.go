@@ -7,6 +7,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -194,7 +195,7 @@ func BenchmarkFullEvaluation(b *testing.B) {
 	ds, fu := datasets(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := core.WriteAllExperiments(io.Discard, ds, fu); err != nil {
+		if err := core.WriteAllExperimentsContext(context.Background(), io.Discard, ds, fu); err != nil {
 			b.Fatal(err)
 		}
 	}

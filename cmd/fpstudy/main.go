@@ -222,7 +222,7 @@ func run(runCtx context.Context, args []string, outw, errw io.Writer) error {
 			logger.Printf("shadow audit summary written to %s", *shadowOut)
 		}
 	}
-	writeTrace(logger, root, *traceJSON, *traceText)
+	writeTrace(errw, logger, root, *traceJSON, *traceText)
 	fmt.Fprintf(errw, "total runtime: %s\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
@@ -244,9 +244,7 @@ func runVerifySweep(outw io.Writer, logger *log.Logger, cache *vectors.Cache, o 
 		o.users, o.epochs, o.samples, len(vectors.All), o.enroll)
 	res, err := verify.Sweep(verify.SweepConfig{
 		Evolved: study.EvolvedConfig{
-			LongitudinalConfig: study.LongitudinalConfig{
-				Seed: o.seed, Users: o.users, Epochs: o.epochs, SamplesPerEpoch: o.samples,
-			},
+			Seed: o.seed, Users: o.users, Epochs: o.epochs, SamplesPerEpoch: o.samples,
 			Vectors:     vectors.All,
 			Churn:       population.DefaultChurn(),
 			RenderCache: cache,
@@ -312,8 +310,9 @@ func progressFunc(enabled bool, logger *log.Logger, stage string, cache *vectors
 	}
 }
 
-// writeTrace exports the finished span tree as requested by the flags.
-func writeTrace(logger *log.Logger, root *obs.Span, jsonPath string, text bool) {
+// writeTrace exports the finished span tree as requested by the flags: the
+// text tree goes to errw, with the logs.
+func writeTrace(errw io.Writer, logger *log.Logger, root *obs.Span, jsonPath string, text bool) {
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
 		if err != nil {
@@ -327,7 +326,7 @@ func writeTrace(logger *log.Logger, root *obs.Span, jsonPath string, text bool) 
 		}
 	}
 	if text {
-		if err := root.WriteText(os.Stderr); err != nil {
+		if err := root.WriteText(errw); err != nil {
 			logger.Printf("trace: %v", err)
 		}
 	}

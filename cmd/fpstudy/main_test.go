@@ -45,6 +45,26 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// TestRunTraceToErrw: -trace prints the stage tree to the logs writer,
+// the one run was given, not to the process's stderr.
+func TestRunTraceToErrw(t *testing.T) {
+	var stdout, logs bytes.Buffer
+	err := run(context.Background(), []string{
+		"-users", "8",
+		"-iterations", "2",
+		"-followup-users", "0",
+		"-evolution-users", "0",
+		"-ablation=false",
+		"-trace",
+	}, &stdout, &logs)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, logs.String())
+	}
+	if !strings.Contains(logs.String(), "study.run") {
+		t.Errorf("trace tree missing from the logs writer:\n%s", logs.String())
+	}
+}
+
 // TestRunFlagError: an unknown flag is a clean error, not an os.Exit.
 func TestRunFlagError(t *testing.T) {
 	var stdout, logs bytes.Buffer

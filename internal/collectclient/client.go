@@ -385,35 +385,3 @@ func (c *Client) Verify(ctx context.Context, userID string, samples []collectser
 	}
 	return &d, nil
 }
-
-// Stats fetches the server's aggregate counters (/api/v1/stats).
-func (c *Client) Stats(ctx context.Context) (records, users int, perVector map[string]int, err error) {
-	var out struct {
-		Records   int            `json:"records"`
-		Users     int            `json:"users"`
-		PerVector map[string]int `json:"per_vector"`
-	}
-	if err := c.do(ctx, http.MethodGet, "/api/v1/stats", nil, &out); err != nil {
-		return 0, 0, nil, err
-	}
-	return out.Records, out.Users, out.PerVector, nil
-}
-
-// Export streams the server's NDJSON dataset to w using the admin token.
-func (c *Client) Export(ctx context.Context, adminToken string, w io.Writer) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/api/v1/export", nil)
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Authorization", "Bearer "+adminToken)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, &httpStatusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-	}
-	return io.Copy(w, resp.Body)
-}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -187,52 +186,6 @@ func TestSubmitAcceptanceMismatch(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("partial acceptance went unnoticed")
-	}
-}
-
-func TestStatsAndExport(t *testing.T) {
-	st, err := storage.Open(filepath.Join(t.TempDir(), "fp.ndjson"), storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := collectserver.New(collectserver.Config{Store: st, AdminToken: "adm"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); st.Close() }()
-
-	c := New(ts.URL)
-	ctx := context.Background()
-	sess, err := c.StartSession(ctx, "p1", "UA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Submit(ctx, []collectserver.FPRecord{
-		{Vector: "DC", Iteration: 0, Hash: "aa"},
-		{Vector: "FFT", Iteration: 0, Hash: "bb"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	records, users, perVector, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if records != 2 || users != 1 || perVector["DC"] != 1 {
-		t.Errorf("stats = %d/%d/%v", records, users, perVector)
-	}
-
-	var buf strings.Builder
-	n, err := c.Export(ctx, "adm", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 || strings.Count(buf.String(), "\n") != 2 {
-		t.Errorf("export = %d bytes, %q", n, buf.String())
-	}
-	if _, err := c.Export(ctx, "wrong", io.Discard); err == nil {
-		t.Error("export with wrong token succeeded")
 	}
 }
 

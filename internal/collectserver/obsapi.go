@@ -82,16 +82,3 @@ func (s *Server) handleObsSeries(w http.ResponseWriter, r *http.Request) {
 		Metrics:         s.cfg.Series.Catalog(),
 	})
 }
-
-// handleRenderDivergence serves the shadow auditor's flight-record dump.
-// Plain JSON (not the v1 envelope): /debug/* is the operator surface, like
-// /debug/health and /debug/pprof.
-func (s *Server) handleRenderDivergence(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.RenderAudit == nil {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "shadow audit disabled; attach a vectors.ShadowAuditor via Config.RenderAudit")
-		return
-	}
-	s.cfg.RenderAudit.Handler().ServeHTTP(w, r)
-}

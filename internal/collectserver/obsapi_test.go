@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/series"
-	"repro/internal/vectors"
-	"repro/internal/webaudio"
 )
 
 func obsGet(t *testing.T, f *fixture, path string) (*http.Response, []byte) {
@@ -49,10 +47,6 @@ func TestObsRoutesDisabledWithoutStore(t *testing.T) {
 	resp, body = obsGet(t, f, "/api/v1/obs/series")
 	if resp.StatusCode != http.StatusServiceUnavailable || errCode(t, body) != CodeSeriesDisabled {
 		t.Fatalf("catalog without store: %d %s", resp.StatusCode, body)
-	}
-	resp, _ = obsGet(t, f, "/debug/render/divergence")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("divergence without auditor: %d", resp.StatusCode)
 	}
 }
 
@@ -136,32 +130,5 @@ func TestObsQueryAndCatalog(t *testing.T) {
 	resp, body = obsGet(t, f, "/api/v1/obs/query?metric=never_seen")
 	if resp.StatusCode != http.StatusNotFound || errCode(t, body) != CodeUnknownMetric {
 		t.Fatalf("unknown metric: %d %s", resp.StatusCode, body)
-	}
-}
-
-func TestRenderDivergenceRoute(t *testing.T) {
-	webaudio.SetBlockFault("compressor", 7, 1<<17)
-	defer webaudio.SetBlockFault("", 0, 0)
-
-	aud := vectors.NewShadowAuditor(vectors.ShadowConfig{
-		Every: 1, Registry: obs.NewRegistry(),
-	})
-	r := vectors.NewRunner(webaudio.DefaultTraits(), 44100)
-	aud.Audit("stack-1", r, vectors.DC, 0)
-
-	f := newFixture(t, func(cfg *Config) { cfg.RenderAudit = aud })
-	resp, body := obsGet(t, f, "/debug/render/divergence")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("divergence dump: %d %s", resp.StatusCode, body)
-	}
-	var sum vectors.ShadowSummary
-	if err := json.Unmarshal(body, &sum); err != nil {
-		t.Fatalf("not a summary: %v (%s)", err, body)
-	}
-	if sum.Divergences != 1 || len(sum.Records) != 1 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if op := sum.Records[0].Divergence.Op; op != "compressor" {
-		t.Fatalf("offending op over HTTP = %q", op)
 	}
 }

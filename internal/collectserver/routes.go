@@ -95,8 +95,6 @@ func routeTable() []Route {
 		{Method: "GET", Path: "/api/v1/obs/bundles/{id}", Feature: "diag", Envelope: true,
 			ErrorCodes: []string{CodeDiagDisabled, CodeUnknownBundle, CodeBadRequest},
 			handler:    (*Server).handleDiagBundle},
-		{Method: "GET", Path: "/debug/render/divergence", Feature: "render-audit",
-			handler: (*Server).handleRenderDivergence},
 		{Method: "GET", Path: "/debug/health",
 			handler: (*Server).handleDebugHealth},
 		{Method: "GET", Path: "/metrics",

@@ -108,9 +108,6 @@ type Config struct {
 	// the overflow is shed with 429 + Retry-After (default 50/s, burst 2×;
 	// use a huge value to effectively disable).
 	SubmitRatePerSec float64
-	// RequestTimeout caps how long one request's handler may run; the
-	// deadline rides on the request context (default 15s).
-	RequestTimeout time.Duration
 	// IdempotencyWindow caps how many submission responses one session
 	// replays for retried idempotency keys (default 512 most recent keys).
 	IdempotencyWindow int
@@ -131,9 +128,6 @@ type Config struct {
 	// GET /api/v1/obs/query and GET /api/v1/obs/series. The caller owns the
 	// store's lifecycle (Start/Close).
 	Series *series.Store
-	// RenderAudit, when set, backs GET /debug/render/divergence with the
-	// shadow auditor's flight-record dump.
-	RenderAudit *vectors.ShadowAuditor
 	// Diag, when set, backs the diagnostic-bundle routes
 	// GET/POST /api/v1/obs/bundles[/{id}]. Nil keeps the routes registered
 	// answering the stable diag_disabled code.
@@ -210,6 +204,10 @@ func (s *session) remember(key string, resp SubmitResponse, window int) {
 	s.seen[key] = resp
 }
 
+// requestTimeout caps how long one request's handler may run; the
+// deadline rides on the request context.
+const requestTimeout = 15 * time.Second
+
 // New validates cfg and builds a Server.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
@@ -241,9 +239,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SubmitRatePerSec <= 0 {
 		cfg.SubmitRatePerSec = 50
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 15 * time.Second
 	}
 	if cfg.IdempotencyWindow <= 0 {
 		cfg.IdempotencyWindow = 512
@@ -299,7 +294,7 @@ func (s *Server) withMiddleware(next http.Handler) http.Handler {
 				return
 			}
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 		defer cancel()
 		var span *obs.Span
 		if s.cfg.Trace != nil {

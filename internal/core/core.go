@@ -6,8 +6,8 @@
 //   - Tracker — the fingerprinter-side identity system built on the §3.2
 //     graph-based collation: feed it elementary fingerprints, ask it which
 //     returning visitor they identify.
-//   - WriteAllExperiments — renders every table and figure of the paper's
-//     evaluation from a dataset pair.
+//   - WriteAllExperimentsContext — renders every table and figure of the
+//     paper's evaluation from a dataset pair.
 package core
 
 import (
@@ -26,11 +26,6 @@ type Fingerprinter struct {
 // device sample rate (0 means 44100 Hz).
 func NewFingerprinter(traits webaudio.Traits, sampleRate float64) *Fingerprinter {
 	return &Fingerprinter{runner: vectors.NewRunner(traits, sampleRate)}
-}
-
-// Fingerprint runs one vector at the given capture offset.
-func (f *Fingerprinter) Fingerprint(v vectors.ID, captureOffset int) (vectors.Fingerprint, error) {
-	return f.runner.Run(v, captureOffset)
 }
 
 // FingerprintAll runs all seven vectors at the given capture offset.

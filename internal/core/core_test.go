@@ -8,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/study"
-	"repro/internal/vectors"
 	"repro/internal/webaudio"
 )
 
@@ -21,12 +20,14 @@ func TestFingerprinterRunsAllVectors(t *testing.T) {
 	if len(fps) != 7 {
 		t.Fatalf("got %d fingerprints", len(fps))
 	}
-	one, err := f.Fingerprint(vectors.DC, 0)
+	again, err := f.FingerprintAll(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if one.Hash != fps[0].Hash {
-		t.Error("Fingerprint and FingerprintAll disagree on DC")
+	for i := range fps {
+		if again[i] != fps[i] {
+			t.Errorf("%v: fingerprint changed between runs", fps[i].Vector)
+		}
 	}
 }
 
@@ -123,7 +124,7 @@ func TestWriteExperimentAllIDs(t *testing.T) {
 
 func TestWriteAllExperiments(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteAllExperiments(&sb, smallDataset(t), smallFollowUp(t)); err != nil {
+	if err := WriteAllExperimentsContext(context.Background(), &sb, smallDataset(t), smallFollowUp(t)); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -140,7 +141,7 @@ func TestWriteAllExperiments(t *testing.T) {
 
 func TestWriteAblation(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteAblation(&sb, smallDataset(t), 3); err != nil {
+	if err := WriteAblationContext(context.Background(), &sb, smallDataset(t), 3); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Naive") || !strings.Contains(sb.String(), "Graph") {
@@ -222,7 +223,7 @@ func TestWriteEvolutionContextSpans(t *testing.T) {
 
 func TestWriteAnonymity(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteAnonymity(&sb, smallDataset(t)); err != nil {
+	if err := WriteAnonymityContext(context.Background(), &sb, smallDataset(t)); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -239,7 +240,7 @@ func TestWriteAnonymity(t *testing.T) {
 
 func TestWriteDemographics(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteDemographics(&sb, smallDataset(t)); err != nil {
+	if err := WriteDemographicsContext(context.Background(), &sb, smallDataset(t)); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

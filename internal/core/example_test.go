@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/vectors"
 	"repro/internal/webaudio"
 )
 
@@ -12,10 +11,10 @@ import (
 // Compressor vector against a reference audio stack.
 func ExampleFingerprinter() {
 	fp := core.NewFingerprinter(webaudio.DefaultTraits(), 44100)
-	print1, _ := fp.Fingerprint(vectors.DC, 0)
-	print2, _ := fp.Fingerprint(vectors.DC, 0)
-	fmt.Println("vector:", print1.Vector)
-	fmt.Println("stable:", print1.Hash == print2.Hash)
+	print1, _ := fp.FingerprintAll(0)
+	print2, _ := fp.FingerprintAll(0)
+	fmt.Println("vector:", print1[0].Vector)
+	fmt.Println("stable:", print1[0].Hash == print2[0].Hash)
 	// Output:
 	// vector: DC
 	// stable: true

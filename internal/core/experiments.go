@@ -250,15 +250,10 @@ max audio clusters under one UA: %d
 	return fmt.Errorf("core: unknown experiment %q", id)
 }
 
-// WriteAllExperiments renders the full evaluation: the ten main-study
-// artifacts from main, then the two follow-up artifacts from followUp (if
-// non-nil).
-func WriteAllExperiments(w io.Writer, main, followUp *study.Dataset) error {
-	return WriteAllExperimentsContext(context.Background(), w, main, followUp)
-}
-
-// WriteAllExperimentsContext is WriteAllExperiments with per-experiment
-// stage tracing under the context's span.
+// WriteAllExperimentsContext renders the full evaluation: the ten
+// main-study artifacts from main, then the two follow-up artifacts from
+// followUp (if non-nil), with per-experiment stage tracing under the
+// context's span.
 func WriteAllExperimentsContext(ctx context.Context, w io.Writer, main, followUp *study.Dataset) error {
 	for _, id := range MainExperiments {
 		if err := WriteExperimentContext(ctx, w, main, id); err != nil {
@@ -277,13 +272,9 @@ func WriteAllExperimentsContext(ctx context.Context, w io.Writer, main, followUp
 	return nil
 }
 
-// WriteAblation renders the §3.2 ablation: match scores with graph
-// collation versus the naive exact-hash identity baseline, at subset size s.
-func WriteAblation(w io.Writer, ds *study.Dataset, s int) error {
-	return WriteAblationContext(context.Background(), w, ds, s)
-}
-
-// WriteAblationContext is WriteAblation with stage tracing.
+// WriteAblationContext renders the §3.2 ablation: match scores with graph
+// collation versus the naive exact-hash identity baseline, at subset size
+// s, with stage tracing.
 func WriteAblationContext(ctx context.Context, w io.Writer, ds *study.Dataset, s int) error {
 	return withExperimentSpan(ctx, ds, "ablation", func() error {
 		return writeAblation(w, ds, s)
@@ -354,15 +345,11 @@ func WriteEvolutionContext(ctx context.Context, w io.Writer, seed int64, users, 
 	return err
 }
 
-// WriteAnonymity renders the anonymity-set analysis: for each fingerprint
-// surface, what fraction of users hide in crowds of at least k identical
-// fingerprints. This is the privacy-side reading of the diversity tables:
-// audio's low diversity is large anonymity sets; Canvas/Fonts shred them.
-func WriteAnonymity(w io.Writer, ds *study.Dataset) error {
-	return WriteAnonymityContext(context.Background(), w, ds)
-}
-
-// WriteAnonymityContext is WriteAnonymity with stage tracing.
+// WriteAnonymityContext renders the anonymity-set analysis, with stage
+// tracing: for each fingerprint surface, what fraction of users hide in
+// crowds of at least k identical fingerprints. This is the privacy-side
+// reading of the diversity tables: audio's low diversity is large
+// anonymity sets; Canvas/Fonts shred them.
 func WriteAnonymityContext(ctx context.Context, w io.Writer, ds *study.Dataset) error {
 	return withExperimentSpan(ctx, ds, "anonymity", func() error {
 		return writeAnonymity(w, ds)
@@ -409,14 +396,9 @@ func writeAnonymity(w io.Writer, ds *study.Dataset) error {
 	return err
 }
 
-// WriteDemographics renders the §2.3 participant-pool breakdown: OS and
-// browser shares and the top countries, the sanity panel for any simulated
-// or collected population.
-func WriteDemographics(w io.Writer, ds *study.Dataset) error {
-	return WriteDemographicsContext(context.Background(), w, ds)
-}
-
-// WriteDemographicsContext is WriteDemographics with pipeline tracing.
+// WriteDemographicsContext renders the §2.3 participant-pool breakdown,
+// with pipeline tracing: OS and browser shares and the top countries, the
+// sanity panel for any simulated or collected population.
 func WriteDemographicsContext(ctx context.Context, w io.Writer, ds *study.Dataset) error {
 	return withExperimentSpan(ctx, ds, "demographics", func() error {
 		return writeDemographics(w, ds)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/collate"
-	"repro/internal/platform"
 	"repro/internal/population"
 	"repro/internal/vectors"
 	"repro/internal/webaudio"
@@ -122,10 +121,4 @@ func Evaluate(mode Mode, v vectors.ID, n int, seed int64) (Evaluation, error) {
 	}
 	eval.DistinctFirstSession = len(distinct)
 	return eval, nil
-}
-
-// ProtectDevice is a convenience wrapper deriving the defended traits of a
-// sampled device.
-func ProtectDevice(d *platform.Device, mode Mode, sessionSeed uint64) webaudio.Traits {
-	return Protect(d.AudioTraits(), mode, sessionSeed)
 }

@@ -31,7 +31,6 @@ const (
 	FileCPU        = "cpu.pb.gz"
 	FileSeries     = "series.json"
 	FileAlerts     = "alerts.json"
-	FileDivergence = "divergence.json"
 	FileMetrics    = "metrics.prom"
 )
 
@@ -57,9 +56,6 @@ type CaptureConfig struct {
 	// CPUSeconds, when positive, adds a CPU profile of this many seconds
 	// to each bundle. Captures then take that long to complete.
 	CPUSeconds int
-	// Window is how far back the bundled series query reaches
-	// (default 15m).
-	Window time.Duration
 	// Registry supplies the metrics snapshot bundled as metrics.prom and
 	// the capturer's own diag_* metrics; nil uses obs.Default.
 	Registry *obs.Registry
@@ -77,10 +73,6 @@ type CaptureConfig struct {
 	// capture knows which metric series to bundle (typically
 	// watch.Monitor.RuleByName).
 	RuleLookup func(name string) (watch.Rule, bool)
-	// Divergence, when set, supplies the flight-recorder divergence state
-	// bundled as divergence.json (typically vectors.ShadowAuditor.Summary
-	// wrapped to any).
-	Divergence func() any
 	// Now is the clock (default time.Now). Injectable so cooldown tests
 	// are deterministic.
 	Now func() time.Time
@@ -120,6 +112,9 @@ type Manifest struct {
 	Files      []BundleFile  `json:"files"`
 	TotalBytes int64         `json:"total_bytes"`
 }
+
+// seriesSpan is how far back the bundled series query reaches.
+const seriesSpan = 15 * time.Minute
 
 // seriesWindow is the series.json payload: the bundled metric windows
 // keyed by metric name.
@@ -162,9 +157,6 @@ func NewCapturer(cfg CaptureConfig) (*Capturer, error) {
 	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 10 * time.Minute
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 15 * time.Minute
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.Default
@@ -349,7 +341,7 @@ func (c *Capturer) writeFiles(dir string, man *Manifest, alert *watch.Alert) err
 	if c.cfg.Series != nil {
 		// Tick first so the breach-moment values are in the window.
 		c.cfg.Series.Tick()
-		since := c.cfg.Now().Add(-c.cfg.Window)
+		since := c.cfg.Now().Add(-seriesSpan)
 		win := seriesWindow{Since: since.UnixMilli(),
 			Metrics: make(map[string]series.QueryResult)}
 		for _, metric := range c.bundleMetrics(alert) {
@@ -364,13 +356,6 @@ func (c *Capturer) writeFiles(dir string, man *Manifest, alert *watch.Alert) err
 	if c.cfg.Alerts != nil {
 		if err := writeJSON(FileAlerts, c.cfg.Alerts()); err != nil {
 			return err
-		}
-	}
-	if c.cfg.Divergence != nil {
-		if v := c.cfg.Divergence(); v != nil {
-			if err := writeJSON(FileDivergence, v); err != nil {
-				return err
-			}
 		}
 	}
 	if err := writeTo(FileMetrics, func(f *os.File) error {

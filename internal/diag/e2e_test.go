@@ -70,7 +70,6 @@ func TestFaultInjectedCaptureE2E(t *testing.T) {
 		Sampler:    sampler,
 		Alerts:     mon.Snapshot,
 		RuleLookup: mon.RuleByName,
-		Divergence: func() any { return auditor.Summary() },
 		Cooldown:   10 * time.Minute,
 		Now:        now,
 	})
@@ -173,17 +172,9 @@ func TestFaultInjectedCaptureE2E(t *testing.T) {
 		t.Error("series window never shows the divergence counter at >= 1")
 	}
 
-	// The divergence dump names the faulted kernel.
-	draw, err := os.ReadFile(filepath.Join(bundleDir, man.ID, diag.FileDivergence))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum vectors.ShadowSummary
-	if err := json.Unmarshal(draw, &sum); err != nil {
-		t.Fatal(err)
-	}
-	if len(sum.Records) != 1 || sum.Records[0].Divergence.Op != "compressor" {
-		t.Errorf("divergence dump = %+v, want one record naming compressor", sum.Records)
+	// The auditor's flight record names the faulted kernel.
+	if recs := auditor.Records(); len(recs) != 1 || recs[0].Divergence.Op != "compressor" {
+		t.Errorf("flight records = %+v, want one record naming compressor", recs)
 	}
 
 	// Second immediate breach within the cooldown: resolve the alert, then

@@ -208,9 +208,6 @@ func (s *Sampler) Close() {
 	<-s.done
 }
 
-// Interval returns the configured sampling tick.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 // Sample reads the runtime once and updates every runtime_* series. Zero
 // heap allocations in steady state: the samples slice (and the histogram
 // buffers inside it) are reused across calls.

@@ -44,11 +44,6 @@ func Summarize[T comparable](values []T) Summary {
 	return SummaryFromCounts(cs)
 }
 
-// EntropyBits returns the Shannon entropy (bits) of the value distribution.
-func EntropyBits[T comparable](values []T) float64 {
-	return Summarize(values).EntropyBits
-}
-
 // NormalizedEntropy returns entropy divided by the maximum possible for the
 // population size, log₂(U).
 func NormalizedEntropy[T comparable](values []T) float64 {
@@ -120,21 +115,6 @@ func Combine[T comparable](vectors ...[]T) ([]string, error) {
 		out[i] = b.String()
 	}
 	return out, nil
-}
-
-// AnonymitySets returns the distribution of anonymity-set sizes: for each
-// fingerprint value held by k users, one set of size k. Keys are set sizes,
-// values how many sets have that size.
-func AnonymitySets[T comparable](values []T) map[int]int {
-	counts := make(map[T]int, len(values))
-	for _, v := range values {
-		counts[v]++
-	}
-	out := make(map[int]int)
-	for _, c := range counts {
-		out[c]++
-	}
-	return out
 }
 
 // DistinctPerGroup returns, for each group key, how many distinct values

@@ -128,13 +128,6 @@ func TestCombineSeparatorAmbiguity(t *testing.T) {
 	}
 }
 
-func TestAnonymitySets(t *testing.T) {
-	sets := AnonymitySets([]string{"a", "a", "a", "b", "c", "c"})
-	if sets[3] != 1 || sets[2] != 1 || sets[1] != 1 {
-		t.Errorf("anonymity sets = %v", sets)
-	}
-}
-
 func TestDistinctPerGroup(t *testing.T) {
 	groups := []string{"win", "win", "mac", "mac", "mac"}
 	vals := []string{"f1", "f1", "f2", "f3", "f2"}

@@ -53,11 +53,8 @@ func NewFFT(n int, sin SinFunc) (*FFT, error) {
 	return f, nil
 }
 
-// Size returns the transform length.
-func (f *FFT) Size() int { return f.n }
-
 // Transform computes the in-place forward FFT of (re, im).
-// Both slices must have length Size().
+// Both slices must have the transform length.
 func (f *FFT) Transform(re, im []float64) {
 	if len(re) != f.n || len(im) != f.n {
 		panic(fmt.Sprintf("dsp: Transform buffer length %d/%d, want %d", len(re), len(im), f.n))
@@ -87,32 +84,5 @@ func (f *FFT) Transform(re, im []float64) {
 				k += step
 			}
 		}
-	}
-}
-
-// Inverse computes the in-place inverse FFT of (re, im), including the 1/n
-// normalization.
-func (f *FFT) Inverse(re, im []float64) {
-	// IFFT(x) = conj(FFT(conj(x))) / n.
-	for i := range im {
-		im[i] = -im[i]
-	}
-	f.Transform(re, im)
-	invN := 1 / float64(f.n)
-	for i := range re {
-		re[i] *= invN
-		im[i] = -im[i] * invN
-	}
-}
-
-// MagnitudesTo fills dst[k] with |X_k| for k in [0, n/2), the spectrum
-// half used by AnalyserNode. dst must have length ≥ n/2.
-func (f *FFT) MagnitudesTo(dst, re, im []float64) {
-	half := f.n / 2
-	if len(dst) < half {
-		panic(fmt.Sprintf("dsp: magnitude buffer length %d, want ≥ %d", len(dst), half))
-	}
-	for k := 0; k < half; k++ {
-		dst[k] = math.Hypot(re[k], im[k])
 	}
 }

@@ -27,35 +27,6 @@ func Goertzel(samples []float32, targetHz, sampleRate float64) float64 {
 	return math.Sqrt(power)
 }
 
-// ResampleLinear converts samples from srcRate to dstRate with linear
-// interpolation — the quality class of the cheap resamplers real audio
-// stacks insert when a 44.1 kHz stream meets 48 kHz hardware.
-func ResampleLinear(samples []float32, srcRate, dstRate float64) []float32 {
-	if len(samples) == 0 || srcRate <= 0 || dstRate <= 0 {
-		return nil
-	}
-	if srcRate == dstRate {
-		return append([]float32(nil), samples...)
-	}
-	ratio := srcRate / dstRate
-	outLen := int(float64(len(samples)) / ratio)
-	if outLen < 1 {
-		outLen = 1
-	}
-	out := make([]float32, outLen)
-	for i := range out {
-		pos := float64(i) * ratio
-		idx := int(pos)
-		if idx >= len(samples)-1 {
-			out[i] = samples[len(samples)-1]
-			continue
-		}
-		frac := float32(pos - float64(idx))
-		out[i] = samples[idx] + (samples[idx+1]-samples[idx])*frac
-	}
-	return out
-}
-
 // RMS returns the root-mean-square level of samples, 0 for an empty slice.
 func RMS(samples []float32) float64 {
 	if len(samples) == 0 {

@@ -3,7 +3,6 @@ package dsp
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func tone(freq, rate float64, n int) []float32 {
@@ -45,57 +44,6 @@ func TestGoertzelMatchesFFTBin(t *testing.T) {
 	gz := Goertzel(buf, freq, rate)
 	if math.Abs(fftMag-gz)/fftMag > 1e-6 {
 		t.Errorf("Goertzel %g vs FFT bin %g", gz, fftMag)
-	}
-}
-
-func TestResampleLinearLengthAndContent(t *testing.T) {
-	const src = 44100.0
-	const dst = 48000.0
-	buf := tone(1000, src, 4410) // 100 ms
-	out := ResampleLinear(buf, src, dst)
-	wantLen := int(4410 * dst / src)
-	if len(out) != wantLen {
-		t.Fatalf("resampled length %d, want %d", len(out), wantLen)
-	}
-	// The tone is still at 1000 Hz at the new rate.
-	at := Goertzel(out, 1000, dst)
-	off := Goertzel(out, 2500, dst)
-	if at < 50*off {
-		t.Errorf("resampled tone smeared: on %g, off %g", at, off)
-	}
-}
-
-func TestResampleLinearIdentityAndEdgeCases(t *testing.T) {
-	buf := []float32{1, 2, 3}
-	same := ResampleLinear(buf, 48000, 48000)
-	if len(same) != 3 || same[0] != 1 || same[2] != 3 {
-		t.Errorf("identity resample = %v", same)
-	}
-	// The copy is independent.
-	same[0] = 99
-	if buf[0] != 1 {
-		t.Error("identity resample aliases input")
-	}
-	if ResampleLinear(nil, 44100, 48000) != nil {
-		t.Error("nil input should give nil")
-	}
-	if ResampleLinear(buf, 0, 48000) != nil || ResampleLinear(buf, 44100, -1) != nil {
-		t.Error("invalid rates should give nil")
-	}
-}
-
-// TestResampleRoundTripEnergy: 44.1k → 48k → 44.1k roughly preserves RMS.
-func TestResampleRoundTripEnergy(t *testing.T) {
-	prop := func(seed int64) bool {
-		freq := 100 + float64(seed%97)*40
-		buf := tone(freq, 44100, 4410)
-		up := ResampleLinear(buf, 44100, 48000)
-		down := ResampleLinear(up, 48000, 44100)
-		r0, r1 := RMS(buf), RMS(down)
-		return math.Abs(r0-r1) < 0.05*r0
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
 	}
 }
 

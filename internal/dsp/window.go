@@ -26,16 +26,6 @@ func BlackmanWindow(n int, sin SinFunc) []float64 {
 	return w
 }
 
-// HannWindow returns the n-point Hann window (used by tests and the
-// resampler, not by AnalyserNode).
-func HannWindow(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n)))
-	}
-	return w
-}
-
 // ApplyWindow multiplies dst element-wise by w. Panics if lengths differ.
 func ApplyWindow(dst, w []float64) {
 	if len(dst) != len(w) {

@@ -71,12 +71,6 @@ func (e *InjectedError) Error() string {
 	return "faultinject: injected " + e.Class.String()
 }
 
-// IsInjected reports whether err was produced by this package.
-func IsInjected(err error) bool {
-	_, ok := err.(*InjectedError)
-	return ok
-}
-
 // Schedule decides, deterministically, which calls a fault fires on. The
 // zero probability for every class makes a Schedule a no-op. Safe for
 // concurrent use.
@@ -185,21 +179,6 @@ func (s *Schedule) Hit(c Class) bool {
 	s.injected[c].Add(1)
 	s.counters[c].Inc()
 	return true
-}
-
-// DelayDuration returns the sleep applied when Delay fires.
-func (s *Schedule) DelayDuration() time.Duration { return s.delay }
-
-// Injected returns how many faults of class c have fired so far.
-func (s *Schedule) Injected(c Class) uint64 { return s.injected[c].Load() }
-
-// TotalInjected sums fired faults across every class.
-func (s *Schedule) TotalInjected() uint64 {
-	var total uint64
-	for c := Class(0); c < numClasses; c++ {
-		total += s.injected[c].Load()
-	}
-	return total
 }
 
 // String summarizes injected-fault counts, for logs and test failure

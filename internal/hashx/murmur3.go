@@ -1,13 +1,10 @@
 // Package hashx implements MurmurHash3 x64/128 — the non-cryptographic hash
-// FingerprintJS computes browser fingerprints with. The paper's vectors
-// (taken from the FingerprintJS lineage) hash buffers with it in the wild;
-// this port lets the vectors package produce wire-compatible fingerprint
-// strings alongside the default SHA-256.
+// FingerprintJS computes browser fingerprints with. The shard router uses
+// it to place each user on a shard.
 package hashx
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"math/bits"
 )
 
@@ -123,14 +120,4 @@ func fmix64(k uint64) uint64 {
 	k *= 0xc4ceb9fe1a85ec53
 	k ^= k >> 33
 	return k
-}
-
-// HexDigest returns the canonical 32-hex-character digest (big-endian
-// rendering of the two halves, as FingerprintJS prints it).
-func HexDigest(data []byte, seed uint64) string {
-	h1, h2 := Sum128(data, seed)
-	var out [16]byte
-	binary.BigEndian.PutUint64(out[:8], h1)
-	binary.BigEndian.PutUint64(out[8:], h2)
-	return hex.EncodeToString(out[:])
 }

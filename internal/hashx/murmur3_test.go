@@ -29,25 +29,16 @@ func TestSum128KnownVectors(t *testing.T) {
 	}
 }
 
-func TestHexDigestFormat(t *testing.T) {
-	d := HexDigest([]byte("hello"), 0)
-	if len(d) != 32 {
-		t.Fatalf("digest length %d", len(d))
-	}
-	if d != "cbd8a7b341bd9b025b1e906a48ae1d19" {
-		t.Errorf("digest = %s", d)
-	}
-}
-
 // TestTailLengths exercises every tail branch (1..16 bytes + blocks).
 func TestTailLengths(t *testing.T) {
-	seen := map[string]int{}
+	seen := map[[2]uint64]int{}
 	for n := 0; n <= 48; n++ {
 		data := make([]byte, n)
 		for i := range data {
 			data[i] = byte(i * 7)
 		}
-		d := HexDigest(data, 0)
+		h1, h2 := Sum128(data, 0)
+		d := [2]uint64{h1, h2}
 		if prev, dup := seen[d]; dup {
 			t.Errorf("lengths %d and %d collide", prev, n)
 		}
@@ -103,9 +94,9 @@ func popcount64(x uint64) int {
 func TestDeterminism(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		data := []byte(fmt.Sprintf("input-%d", i))
-		a := HexDigest(data, 31)
-		b := HexDigest(data, 31)
-		if a != b {
+		a1, a2 := Sum128(data, 31)
+		b1, b2 := Sum128(data, 31)
+		if a1 != b1 || a2 != b2 {
 			t.Fatal("nondeterministic digest")
 		}
 	}

@@ -1,7 +1,7 @@
 // Package mathx provides interchangeable implementations ("kernels") of the
 // transcendental math functions used by audio DSP code.
 //
-// Real browsers differ in how their audio stacks compute sin, cos, exp and
+// Real browsers differ in how their audio stacks compute sin, exp and
 // pow: platform libm implementations, hand-rolled polynomial approximations
 // inside the audio engine, SIMD lookup tables in DSP libraries, and so on.
 // Those tiny last-ulp differences are precisely what Web Audio
@@ -15,54 +15,21 @@
 // kernel collide, exactly like real devices sharing an audio stack.
 package mathx
 
-import "fmt"
-
 // Kernel is one coherent implementation of the transcendental functions the
 // audio engine needs. Implementations must be deterministic and
 // goroutine-safe.
 type Kernel interface {
 	// Name identifies the kernel (stable across runs; part of the
-	// simulated platform's identity).
+	// simulated platform's identity). It is the first field of
+	// platform.Device.AudioStackKey, which keys the render cache, so no
+	// two kernels may share one.
 	Name() string
 	// Sin returns the sine of x (radians).
 	Sin(x float64) float64
-	// Cos returns the cosine of x (radians).
-	Cos(x float64) float64
 	// Exp returns e**x.
 	Exp(x float64) float64
 	// Log returns the natural logarithm of x.
 	Log(x float64) float64
 	// Pow returns x**y.
 	Pow(x, y float64) float64
-	// Tanh returns the hyperbolic tangent of x.
-	Tanh(x float64) float64
-}
-
-// registry of all built-in kernels, keyed by name.
-var registry = map[string]Kernel{}
-
-func register(k Kernel) Kernel {
-	if _, dup := registry[k.Name()]; dup {
-		panic(fmt.Sprintf("mathx: duplicate kernel %q", k.Name()))
-	}
-	registry[k.Name()] = k
-	return k
-}
-
-// Lookup returns the kernel registered under name.
-func Lookup(name string) (Kernel, error) {
-	k, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("mathx: unknown kernel %q", name)
-	}
-	return k, nil
-}
-
-// Names returns the names of all registered kernels in unspecified order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	return out
 }

@@ -6,37 +6,26 @@ import (
 	"testing/quick"
 )
 
-// allKernels returns every registered kernel plus a perturbed one.
+// builtinKernels lists the package's built-in kernels.
+func builtinKernels() []Kernel {
+	return []Kernel{Libm, Poly7, Lut4096, Lut1024, Fdlib}
+}
+
+// allKernels returns every built-in kernel plus a perturbed one.
 func allKernels() []Kernel {
-	ks := []Kernel{Libm, Poly7, Poly5, Lut4096, Lut1024, Fdlib,
-		Perturbed(Libm, "libm+fma", 3e-7)}
-	return ks
+	return append(builtinKernels(), Perturbed(Libm, "libm+fma", 3e-7))
 }
 
-func TestLookup(t *testing.T) {
-	for _, name := range []string{"libm", "poly7", "poly5", "lut4096", "lut1024", "fdlib"} {
-		k, err := Lookup(name)
-		if err != nil {
-			t.Fatalf("Lookup(%q): %v", name, err)
+// TestKernelNamesDistinct: a kernel's name is the first field of
+// platform.Device.AudioStackKey, which keys the render cache, so two
+// built-in kernels sharing a name would share cached renders.
+func TestKernelNamesDistinct(t *testing.T) {
+	seen := map[string]bool{}
+	for _, k := range builtinKernels() {
+		if k.Name() == "" || seen[k.Name()] {
+			t.Errorf("kernel name %q empty or duplicated", k.Name())
 		}
-		if k.Name() != name {
-			t.Errorf("Lookup(%q).Name() = %q", name, k.Name())
-		}
-	}
-	if _, err := Lookup("no-such-kernel"); err == nil {
-		t.Error("Lookup of unknown kernel succeeded")
-	}
-}
-
-func TestNamesCoversRegistry(t *testing.T) {
-	names := Names()
-	if len(names) < 6 {
-		t.Fatalf("Names() = %v, want at least the 6 built-ins", names)
-	}
-	for _, n := range names {
-		if _, err := Lookup(n); err != nil {
-			t.Errorf("name %q listed but not resolvable", n)
-		}
+		seen[k.Name()] = true
 	}
 }
 
@@ -46,7 +35,6 @@ func TestSinAccuracy(t *testing.T) {
 	tolerances := map[string]float64{
 		"libm":     0,
 		"poly7":    3e-4,
-		"poly5":    1e-2,
 		"lut4096":  5e-6,
 		"lut1024":  1e-4,
 		"fdlib":    1e-6,
@@ -65,13 +53,16 @@ func TestSinAccuracy(t *testing.T) {
 	}
 }
 
+// TestCosMatchesShiftedSin: the FFT builds its cosine twiddles as
+// Sin(θ + π/2) through the kernel (dsp.NewFFT), so every kernel's shifted
+// sine must track the cosine.
 func TestCosMatchesShiftedSin(t *testing.T) {
 	for _, k := range allKernels() {
 		for x := -10.0; x <= 10.0; x += 0.31 {
-			got := k.Cos(x)
+			got := k.Sin(x + math.Pi/2)
 			want := math.Cos(x)
 			if math.Abs(got-want) > 1e-2 {
-				t.Fatalf("%s.Cos(%g) = %g, want ≈ %g", k.Name(), x, got, want)
+				t.Fatalf("%s.Sin(%g + π/2) = %g, want ≈ cos = %g", k.Name(), x, got, want)
 			}
 		}
 	}
@@ -117,21 +108,6 @@ func TestPowBasics(t *testing.T) {
 			if math.Abs(got-want)/want > 1e-4 {
 				t.Errorf("%s.Pow(%g,%g) = %g, want ≈ %g", k.Name(), c.x, c.y, got, want)
 			}
-		}
-	}
-}
-
-func TestTanhRange(t *testing.T) {
-	for _, k := range allKernels() {
-		f := func(x float64) bool {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-			y := k.Tanh(x)
-			return y >= -1.0000001 && y <= 1.0000001
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s.Tanh out of [-1,1]: %v", k.Name(), err)
 		}
 	}
 }

@@ -7,36 +7,28 @@ import "math"
 // for a mainstream desktop libm (e.g. glibc on x86-64).
 
 // Libm is the reference kernel backed directly by Go's math package.
-var Libm = register(libmKernel{})
+var Libm Kernel = libmKernel{}
 
 type libmKernel struct{}
 
 func (libmKernel) Name() string             { return "libm" }
 func (libmKernel) Sin(x float64) float64    { return math.Sin(x) }
-func (libmKernel) Cos(x float64) float64    { return math.Cos(x) }
 func (libmKernel) Exp(x float64) float64    { return math.Exp(x) }
 func (libmKernel) Log(x float64) float64    { return math.Log(x) }
 func (libmKernel) Pow(x, y float64) float64 { return math.Pow(x, y) }
-func (libmKernel) Tanh(x float64) float64   { return math.Tanh(x) }
 
 // ---------------------------------------------------------------------------
-// Polynomial kernels: minimax-style polynomial approximations after range
-// reduction, at several accuracy tiers. These stand in for hand-rolled
-// vectorizable approximations found inside audio engines and mobile DSP
-// libraries. Higher order ⇒ closer to libm but still not bit-identical.
+// Polynomial kernel: a minimax-style polynomial approximation after range
+// reduction. It stands in for hand-rolled vectorizable approximations found
+// inside audio engines and mobile DSP libraries: close to libm but not
+// bit-identical.
 
-// Poly7 approximates sin/cos with degree-7 polynomials (float64 ops).
-var Poly7 = register(polyKernel{name: "poly7", order: 7})
+// Poly7 approximates sine with a degree-7 polynomial (float64 ops).
+var Poly7 Kernel = polyKernel{}
 
-// Poly5 approximates sin/cos with degree-5 polynomials; noticeably coarser.
-var Poly5 = register(polyKernel{name: "poly5", order: 5})
+type polyKernel struct{}
 
-type polyKernel struct {
-	name  string
-	order int
-}
-
-func (p polyKernel) Name() string { return p.name }
+func (polyKernel) Name() string { return "poly7" }
 
 // reduce maps x into [-pi, pi) and returns it.
 func reduce(x float64) float64 {
@@ -59,15 +51,8 @@ func (p polyKernel) Sin(x float64) float64 {
 		x = -math.Pi - x
 	}
 	x2 := x * x
-	if p.order >= 7 {
-		// sin x ≈ x (1 - x²/6 (1 - x²/20 (1 - x²/42)))
-		return x * (1 - x2/6*(1-x2/20*(1-x2/42)))
-	}
-	return x * (1 - x2/6*(1-x2/20))
-}
-
-func (p polyKernel) Cos(x float64) float64 {
-	return p.Sin(x + math.Pi/2)
+	// sin x ≈ x (1 - x²/6 (1 - x²/20 (1 - x²/42)))
+	return x * (1 - x2/6*(1-x2/20*(1-x2/42)))
 }
 
 func (p polyKernel) Exp(x float64) float64 {
@@ -101,27 +86,15 @@ func (p polyKernel) Pow(x, y float64) float64 {
 	return p.Exp(y * p.Log(x))
 }
 
-func (p polyKernel) Tanh(x float64) float64 {
-	// tanh via the kernel's own exp, as DSP code commonly does.
-	if x > 20 {
-		return 1
-	}
-	if x < -20 {
-		return -1
-	}
-	e2 := p.Exp(2 * x)
-	return (e2 - 1) / (e2 + 1)
-}
-
 // ---------------------------------------------------------------------------
 // Lookup-table kernels: interpolated sine tables, the classic embedded /
 // wavetable approach. Table size controls the accuracy class.
 
 // Lut4096 uses a 4096-entry linearly interpolated sine table.
-var Lut4096 = register(newLutKernel("lut4096", 4096))
+var Lut4096 Kernel = newLutKernel("lut4096", 4096)
 
 // Lut1024 uses a 1024-entry table; coarser, typical of low-power stacks.
-var Lut1024 = register(newLutKernel("lut1024", 1024))
+var Lut1024 Kernel = newLutKernel("lut1024", 1024)
 
 type lutKernel struct {
 	name  string
@@ -155,14 +128,11 @@ func (l lutKernel) Sin(x float64) float64 {
 	return l.table[i] + (l.table[i+1]-l.table[i])*frac
 }
 
-func (l lutKernel) Cos(x float64) float64 { return l.Sin(x + math.Pi/2) }
-
 // Non-trig functions delegate to libm: real table-based stacks typically only
 // specialize the oscillator path.
 func (l lutKernel) Exp(x float64) float64    { return math.Exp(x) }
 func (l lutKernel) Log(x float64) float64    { return math.Log(x) }
 func (l lutKernel) Pow(x, y float64) float64 { return math.Pow(x, y) }
-func (l lutKernel) Tanh(x float64) float64   { return math.Tanh(x) }
 
 // ---------------------------------------------------------------------------
 // fdlibm-style kernel: same algorithms as libm but with a deliberately
@@ -170,7 +140,7 @@ func (l lutKernel) Tanh(x float64) float64   { return math.Tanh(x) }
 // an independently developed libm lineage (e.g. Bionic vs glibc vs MSVCRT).
 
 // Fdlib approximates an independent libm lineage.
-var Fdlib = register(fdlibKernel{})
+var Fdlib Kernel = fdlibKernel{}
 
 type fdlibKernel struct{}
 
@@ -195,8 +165,6 @@ func (fdlibKernel) Sin(x float64) float64 {
 	return s
 }
 
-func (f fdlibKernel) Cos(x float64) float64 { return f.Sin(x + math.Pi/2) }
-
 func (fdlibKernel) Exp(x float64) float64 {
 	// exp with split reduction; differs from stdlib in the low bits.
 	const log2e = 1 / math.Ln2
@@ -216,7 +184,6 @@ func (f fdlibKernel) Pow(x, y float64) float64 {
 	}
 	return f.Exp(y * math.Log(x))
 }
-func (fdlibKernel) Tanh(x float64) float64 { return math.Tanh(x) }
 
 // ---------------------------------------------------------------------------
 // Perturbed kernels: a base kernel with a deterministic sub-ulp-scale bias on
@@ -226,8 +193,7 @@ func (fdlibKernel) Tanh(x float64) float64 { return math.Tanh(x) }
 // fingerprintable once accumulated over thousands of samples.
 
 // Perturbed derives a kernel from base whose Sin/Exp results are nudged by
-// eps relatively. Registering is the caller's concern; platform code builds
-// these on demand with stable names.
+// eps relatively. Platform code builds these on demand with stable names.
 func Perturbed(base Kernel, name string, eps float64) Kernel {
 	return perturbedKernel{base: base, name: name, eps: eps}
 }
@@ -240,10 +206,8 @@ type perturbedKernel struct {
 
 func (p perturbedKernel) Name() string          { return p.name }
 func (p perturbedKernel) Sin(x float64) float64 { return p.base.Sin(x) * (1 + p.eps) }
-func (p perturbedKernel) Cos(x float64) float64 { return p.base.Cos(x) * (1 + p.eps) }
 func (p perturbedKernel) Exp(x float64) float64 { return p.base.Exp(x) * (1 + p.eps) }
 func (p perturbedKernel) Log(x float64) float64 { return p.base.Log(x) }
 func (p perturbedKernel) Pow(x, y float64) float64 {
 	return p.base.Pow(x, y) * (1 + p.eps)
 }
-func (p perturbedKernel) Tanh(x float64) float64 { return p.base.Tanh(x) }

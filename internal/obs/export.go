@@ -40,8 +40,6 @@ type ExportConfig struct {
 	// Service tags every line's resource (OTLP's service.name); default
 	// "repro".
 	Service string
-	// Now supplies timestamps (tests override); nil means time.Now.
-	Now func() time.Time
 }
 
 // Exporter writes telemetry — completed span trees and registry metric
@@ -54,7 +52,6 @@ type Exporter struct {
 	interval time.Duration
 	maxBytes int64
 	service  string
-	now      func() time.Time
 	path     string
 
 	spans chan *Span
@@ -125,15 +122,11 @@ func NewExporter(cfg ExportConfig) (*Exporter, error) {
 	if cfg.Service == "" {
 		cfg.Service = "repro"
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
 	e := &Exporter{
 		reg:      cfg.Registry,
 		interval: cfg.Interval,
 		maxBytes: cfg.MaxFileBytes,
 		service:  cfg.Service,
-		now:      cfg.Now,
 		path:     cfg.Path,
 		spans:    make(chan *Span, cfg.Buffer),
 		quit:     make(chan struct{}),
@@ -191,7 +184,7 @@ func (e *Exporter) FlushMetrics() error {
 	rec := metricsRecord{
 		Type:         "metrics",
 		Service:      e.service,
-		TimeUnixNano: e.now().UnixNano(),
+		TimeUnixNano: time.Now().UnixNano(),
 		Metrics:      make([]metricSample, len(samples)),
 	}
 	for i, s := range samples {

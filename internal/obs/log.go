@@ -2,21 +2,16 @@ package obs
 
 import (
 	"io"
-	"log"
 	"log/slog"
 	"os"
 )
 
 // LogConfig is the shared structured-logging handler configuration every
-// binary uses, so log shape (level, format, component tagging) is decided
-// once per process instead of per package.
+// binary uses, so log shape (logfmt-style text at info level and above,
+// component tagging) is decided once per process instead of per package.
 type LogConfig struct {
 	// W receives log output; nil means os.Stderr.
 	W io.Writer
-	// Level is the minimum level (default slog.LevelInfo).
-	Level slog.Level
-	// JSON selects machine-readable JSON lines over logfmt-style text.
-	JSON bool
 	// Component tags every record with component=<value> when non-empty.
 	Component string
 }
@@ -27,23 +22,9 @@ func NewLogger(cfg LogConfig) *slog.Logger {
 	if w == nil {
 		w = os.Stderr
 	}
-	opts := &slog.HandlerOptions{Level: cfg.Level}
-	var h slog.Handler
-	if cfg.JSON {
-		h = slog.NewJSONHandler(w, opts)
-	} else {
-		h = slog.NewTextHandler(w, opts)
-	}
-	l := slog.New(h)
+	l := slog.New(slog.NewTextHandler(w, nil))
 	if cfg.Component != "" {
 		l = l.With("component", cfg.Component)
 	}
 	return l
-}
-
-// StdLogger adapts the shared handler config into a *log.Logger for
-// packages that still take the standard interface (collectserver.Config);
-// every Printf lands as one structured record at the given level.
-func StdLogger(cfg LogConfig, level slog.Level) *log.Logger {
-	return slog.NewLogLogger(NewLogger(cfg).Handler(), level)
 }

@@ -31,10 +31,6 @@ type Config struct {
 	// MaxSeries bounds distinct series (default 4096). New series beyond
 	// the cap are dropped and counted on series_store_dropped_total.
 	MaxSeries int
-	// KeepBuckets retains histogram _bucket samples (off by default:
-	// every bucket is its own series, and _sum/_count carry the
-	// latency/size signal the time-series consumers need).
-	KeepBuckets bool
 	// Now supplies timestamps (tests override); nil means time.Now.
 	Now func() time.Time
 }
@@ -90,12 +86,11 @@ type metricState struct {
 // Tick and Query may race freely with metric writers (registry metrics are
 // lock-free) and with each other.
 type Store struct {
-	reg         *obs.Registry
-	interval    time.Duration
-	capacity    int
-	maxSeries   int
-	keepBuckets bool
-	now         func() time.Time
+	reg       *obs.Registry
+	interval  time.Duration
+	capacity  int
+	maxSeries int
+	now       func() time.Time
 
 	ticks   *obs.Counter
 	dropped *obs.Counter
@@ -129,12 +124,11 @@ func New(cfg Config) *Store {
 		cfg.Now = time.Now
 	}
 	return &Store{
-		reg:         cfg.Registry,
-		interval:    cfg.Interval,
-		capacity:    cfg.Capacity,
-		maxSeries:   cfg.MaxSeries,
-		keepBuckets: cfg.KeepBuckets,
-		now:         cfg.Now,
+		reg:       cfg.Registry,
+		interval:  cfg.Interval,
+		capacity:  cfg.Capacity,
+		maxSeries: cfg.MaxSeries,
+		now:       cfg.Now,
 		ticks: cfg.Registry.Counter("series_store_ticks_total",
 			"Registry snapshots taken by the series store.", nil),
 		dropped: cfg.Registry.Counter("series_store_dropped_total",
@@ -209,7 +203,10 @@ func (s *Store) Tick() {
 	defer s.mu.Unlock()
 	for i := range samples {
 		sm := &samples[i]
-		if !s.keepBuckets && strings.HasSuffix(sm.Name, "_bucket") {
+		// Histogram _bucket samples are not retained: every bucket would
+		// be its own series, and _sum/_count carry the latency/size signal
+		// the time-series consumers need.
+		if strings.HasSuffix(sm.Name, "_bucket") {
 			if _, isHist := sm.Labels["le"]; isHist {
 				continue
 			}

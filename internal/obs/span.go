@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -293,15 +292,4 @@ func (s *Span) accumulate(out map[string]time.Duration) {
 	for _, c := range s.Children() {
 		c.accumulate(out)
 	}
-}
-
-// StageNames returns the sorted distinct stage names in the tree.
-func (s *Span) StageNames() []string {
-	m := s.StageDurations()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

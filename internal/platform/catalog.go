@@ -83,10 +83,6 @@ var desktopSIMD = []weighted{
 	{"avx2", 0.88}, {"sse2", 0.08}, {"avx512", 0.04},
 }
 
-var macSIMD = []weighted{
-	{"avx2", 0.90}, {"neon", 0.10}, // Apple Silicon (M1) runs the NEON path
-}
-
 // Android is always NEON.
 
 // ---------------------------------------------------------------------------

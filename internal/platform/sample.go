@@ -94,22 +94,6 @@ func SampleAudioHardware(rng *rand.Rand, os OSFamily) (hw, model string) {
 	}
 }
 
-// SampleSIMD draws the CPU SIMD generation the FFT library dispatches on,
-// independent of other hardware.
-func SampleSIMD(rng *rand.Rand, os OSFamily, audioHW string) string {
-	switch os {
-	case Android:
-		return "neon"
-	case MacOS:
-		if len(audioHW) >= 2 && audioHW[len(audioHW)-2:] == "m1" {
-			return "neon"
-		}
-		return pickWeighted(rng, macSIMD[:1]) // Intel Macs: avx2 era
-	default:
-		return pickWeighted(rng, desktopSIMD)
-	}
-}
-
 // SIMDFor selects the SIMD generation consistent with the machine's GPU:
 // both track the machine's age, so the FFT dispatch tier is largely
 // predictable from the canvas surface — another correlation that keeps
@@ -154,12 +138,6 @@ func SampleRateFor(rng *rand.Rand, os OSFamily) float64 {
 	}
 	v, _ := strconv.Atoi(pickWeighted(rng, cat))
 	return float64(v)
-}
-
-// SampleGPU draws a graphics stack for the canvas surface, independent of
-// the audio hardware.
-func SampleGPU(rng *rand.Rand, os OSFamily) string {
-	return pickWeighted(rng, gpusFor(os))
 }
 
 // GPUFor selects the graphics stack consistent with the audio hardware: a

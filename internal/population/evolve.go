@@ -32,11 +32,6 @@ func DefaultChurn() ChurnModel {
 	return ChurnModel{BrowserUpgradeProb: 0.10, OSUpgradeProb: 0.03}
 }
 
-// IsZero reports whether the model applies no churn.
-func (m ChurnModel) IsZero() bool {
-	return m.BrowserUpgradeProb == 0 && m.OSUpgradeProb == 0
-}
-
 // ChurnEvent records what happened to one device in one epoch step.
 type ChurnEvent struct {
 	// BrowserUpgrade: the browser's major version advanced this epoch.

@@ -80,9 +80,6 @@ func TestChurnRateCalibration(t *testing.T) {
 // TestChurnZeroModel: the zero model never mutates a device.
 func TestChurnZeroModel(t *testing.T) {
 	var model ChurnModel
-	if !model.IsZero() {
-		t.Fatal("zero model not IsZero")
-	}
 	devs := Sample(Config{Seed: 11, N: 50})
 	rng := rand.New(rand.NewSource(1))
 	for _, d := range devs {

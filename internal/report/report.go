@@ -82,28 +82,6 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// CSV renders the table as comma-separated values (quoted as needed).
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	writeCSVRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-			}
-			sb.WriteString(c)
-		}
-		sb.WriteByte('\n')
-	}
-	writeCSVRow(t.headers)
-	for _, row := range t.rows {
-		writeCSVRow(row)
-	}
-	return sb.String()
-}
-
 // Histogram renders counts as horizontal bars with a CDF column, the text
 // analogue of the paper's Fig. 3 bar+CDF plot.
 func Histogram(title string, labels []int, freqs []int, cdf []float64, width int) string {

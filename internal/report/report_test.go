@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -24,17 +23,6 @@ func TestTableAlignment(t *testing.T) {
 	// Header and rows align at the same column offsets.
 	if strings.Index(lines[1], "Distinct") != strings.Index(lines[4], "87") {
 		t.Errorf("columns misaligned:\n%s", out)
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("", "name", "value")
-	tb.AddRow(`quo"ted`, 1)
-	tb.AddRow("with,comma", 2)
-	csv := tb.CSV()
-	want := "name,value\n\"quo\"\"ted\",1\n\"with,comma\",2\n"
-	if csv != want {
-		t.Errorf("CSV = %q, want %q", csv, want)
 	}
 }
 
@@ -79,40 +67,4 @@ func TestHeatmap(t *testing.T) {
 	// Out-of-range values are clamped, not panicking.
 	_ = Heatmap("", []string{"X"}, [][]float64{{1.7}})
 	_ = Heatmap("", []string{"X"}, [][]float64{{-0.2}})
-}
-
-func TestTableJSON(t *testing.T) {
-	tb := NewTable("T", "name", "count", "score")
-	tb.AddRow("DC", 59, 1.935)
-	b, err := tb.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Title string           `json:"title"`
-		Rows  []map[string]any `json:"rows"`
-	}
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, b)
-	}
-	if doc.Title != "T" || len(doc.Rows) != 1 {
-		t.Fatalf("doc = %+v", doc)
-	}
-	row := doc.Rows[0]
-	if row["name"] != "DC" {
-		t.Errorf("name = %v", row["name"])
-	}
-	if row["count"] != float64(59) { // JSON numbers decode as float64
-		t.Errorf("count = %v (%T)", row["count"], row["count"])
-	}
-	if row["score"] != 1.935 {
-		t.Errorf("score = %v", row["score"])
-	}
-	var sb strings.Builder
-	if err := tb.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(sb.String(), "\n") {
-		t.Error("WriteJSON missing trailing newline")
-	}
 }

@@ -41,12 +41,6 @@ func NewVerifiers(n int, cfg verify.Config) (*Verifiers, error) {
 	return v, nil
 }
 
-// Shards returns the shard count.
-func (v *Verifiers) Shards() int { return len(v.engines) }
-
-// Engine returns shard i's engine (tests and diagnostics).
-func (v *Verifiers) Engine(i int) *verify.Engine { return v.engines[i] }
-
 // Enroll routes each record to its user's owning shard. It is
 // read-your-writes like verify.Engine.Enroll: once Enroll returns, every
 // Verify that starts afterwards recognizes the enrolled hashes, so a

@@ -19,9 +19,7 @@ import (
 // and identical to a single unsharded engine.
 func TestVerifiersDifferential(t *testing.T) {
 	ev, err := study.BuildEvolved(study.EvolvedConfig{
-		LongitudinalConfig: study.LongitudinalConfig{
-			Seed: 5, Users: 60, Epochs: 4, SamplesPerEpoch: 2,
-		},
+		Seed: 5, Users: 60, Epochs: 4, SamplesPerEpoch: 2,
 		Vectors:     []vectors.ID{vectors.DC, vectors.FFT, vectors.Hybrid},
 		Churn:       population.DefaultChurn(),
 		Parallelism: 4,

@@ -309,13 +309,6 @@ func isSegmentName(path, candidate string) bool {
 // Path returns the active file path.
 func (s *Store) Path() string { return s.path }
 
-// Segments returns the sealed segment paths, oldest first.
-func (s *Store) Segments() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]string(nil), s.sealed...)
-}
-
 // MaxSeq returns the highest Record.Seq among the records read at Open
 // and appended since, or 0 when none carries one. Recover does not lower
 // it.

@@ -1,9 +1,6 @@
 package study
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math/rand"
 
@@ -12,30 +9,32 @@ import (
 	"repro/internal/vectors"
 )
 
-// The evolved-dataset builder: LongitudinalConfig generalized from a
-// single-vector accuracy simulation into a reusable generator of
-// time-evolving observation data. Each user's device steps through a
+// The evolved-dataset builder: a generator of time-evolving observation
+// data, after the longitudinal tracking studies of the paper's related work
+// (FP-STALKER, Vastel et al.). Each user's device steps through a
 // population.ChurnModel between epochs — browser/OS upgrades mutating the
 // DSP-kernel parameters mid-study — and every configured vector is rendered
-// SamplesPerEpoch times per epoch. Longitudinal replays the result through
-// a collation graph; the verification workload (internal/verify) splits it
-// into enrollment history and genuine/impostor trials for FAR/FRR sweeps.
+// SamplesPerEpoch times per epoch. The verification workload
+// (internal/verify) splits the result into enrollment history and
+// genuine/impostor trials for FAR/FRR sweeps.
 
-// EvolvedConfig parameterizes an evolved-dataset build. The embedded
-// LongitudinalConfig keeps the original knobs (Seed, Users, Epochs,
-// UpgradeProb, SamplesPerEpoch, Vector); the additional fields widen it to
-// multiple vectors and a full churn model.
+// EvolvedConfig parameterizes an evolved-dataset build.
 type EvolvedConfig struct {
-	LongitudinalConfig
+	// Seed drives population sampling, upgrades and jitter.
+	Seed int64
+	// Users is the tracked population size.
+	Users int
+	// Epochs is the number of observation rounds (e.g. weeks).
+	Epochs int
+	// SamplesPerEpoch is how many times each vector runs per user per
+	// epoch (default 3).
+	SamplesPerEpoch int
 	// Vectors selects which vectors are rendered each epoch. Nil renders
-	// only LongitudinalConfig.Vector (default Hybrid).
+	// only Hybrid.
 	Vectors []vectors.ID
 	// Churn is the upgrade model applied between epochs. The zero value
-	// derives a browser-only model from UpgradeProb, preserving the
-	// original Longitudinal semantics.
+	// upgrades nothing.
 	Churn population.ChurnModel
-	// Mix selects the population's demographic mix (zero = MainStudyMix).
-	Mix population.Mix
 	// RenderCache, when non-nil, shares renders with other studies in the
 	// process (cost scales with distinct audio stacks, not users).
 	RenderCache *vectors.Cache
@@ -63,48 +62,6 @@ type EvolvedDataset struct {
 	Upgrades, OSUpgrades, FingerprintShifts int
 }
 
-// Fingerprint returns a content digest of the whole dataset — users,
-// observations, and churn events. Two builds of the same config must agree
-// byte for byte (the determinism probe in the tests).
-func (ev *EvolvedDataset) Fingerprint() string {
-	h := sha256.New()
-	writeStr := func(s string) {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
-	}
-	for _, u := range ev.Users {
-		writeStr(u)
-	}
-	for _, v := range ev.Vectors {
-		writeStr(v.String())
-		for _, epoch := range ev.Obs[v] {
-			for _, samples := range epoch {
-				for _, hash := range samples {
-					writeStr(hash)
-				}
-			}
-		}
-	}
-	for _, epoch := range ev.Events {
-		for _, e := range epoch {
-			var b byte
-			if e.BrowserUpgrade {
-				b |= 1
-			}
-			if e.OSUpgrade {
-				b |= 2
-			}
-			if e.StackShift {
-				b |= 4
-			}
-			h.Write([]byte{b})
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // BuildEvolved renders the evolved dataset. Each user is driven by its own
 // pre-derived rng (churn draws and jitter draws both), so the output is
 // bit-identical regardless of Parallelism.
@@ -116,19 +73,12 @@ func BuildEvolved(cfg EvolvedConfig) (*EvolvedDataset, error) {
 	if cfg.SamplesPerEpoch <= 0 {
 		cfg.SamplesPerEpoch = 3
 	}
-	if cfg.Vector == 0 {
-		cfg.Vector = vectors.Hybrid
-	}
 	vecs := cfg.Vectors
 	if len(vecs) == 0 {
-		vecs = []vectors.ID{cfg.Vector}
-	}
-	churn := cfg.Churn
-	if churn.IsZero() {
-		churn = population.ChurnModel{BrowserUpgradeProb: cfg.UpgradeProb}
+		vecs = []vectors.ID{vectors.Hybrid}
 	}
 
-	devs := population.Sample(population.Config{Seed: cfg.Seed, N: cfg.Users, Mix: cfg.Mix})
+	devs := population.Sample(population.Config{Seed: cfg.Seed, N: cfg.Users})
 	jitter := platform.DefaultJitter()
 	cache := cfg.RenderCache
 	if cache == nil {
@@ -169,7 +119,7 @@ func BuildEvolved(cfg EvolvedConfig) (*EvolvedDataset, error) {
 		rng := rand.New(rand.NewSource(userSeeds[u]))
 		for e := 0; e < cfg.Epochs; e++ {
 			if e > 0 {
-				ev.Events[e][u] = churn.Step(rng, d)
+				ev.Events[e][u] = cfg.Churn.Step(rng, d)
 			}
 			runner := vectors.NewRunner(d.AudioTraits(), d.SampleRate)
 			stack := d.AudioStackKey()

@@ -13,9 +13,7 @@ import (
 // regardless of worker parallelism; a different seed diverges.
 func TestBuildEvolvedDeterminism(t *testing.T) {
 	cfg := EvolvedConfig{
-		LongitudinalConfig: LongitudinalConfig{
-			Seed: 42, Users: 24, Epochs: 4, SamplesPerEpoch: 2,
-		},
+		Seed: 42, Users: 24, Epochs: 4, SamplesPerEpoch: 2,
 		Vectors: []vectors.ID{vectors.DC, vectors.FFT, vectors.Hybrid},
 		Churn:   population.DefaultChurn(),
 	}
@@ -62,9 +60,7 @@ func TestBuildEvolvedDeterminism(t *testing.T) {
 func TestBuildEvolvedChurnCalibration(t *testing.T) {
 	churn := population.ChurnModel{BrowserUpgradeProb: 0.15, OSUpgradeProb: 0.04}
 	cfg := EvolvedConfig{
-		LongitudinalConfig: LongitudinalConfig{
-			Seed: 7, Users: 600, Epochs: 9, SamplesPerEpoch: 1,
-		},
+		Seed: 7, Users: 600, Epochs: 9, SamplesPerEpoch: 1,
 		Churn:       churn,
 		Parallelism: 4,
 	}
@@ -118,7 +114,7 @@ func TestBuildEvolvedValidation(t *testing.T) {
 		t.Error("zero config accepted")
 	}
 	if _, err := BuildEvolved(EvolvedConfig{
-		LongitudinalConfig: LongitudinalConfig{Users: 5},
+		Users: 5,
 	}); err == nil {
 		t.Error("zero epochs accepted")
 	}

@@ -17,9 +17,8 @@ type Index struct {
 
 // vecIndex holds one vector's interned view of Dataset.Obs.
 type vecIndex struct {
-	ids      [][]int32        // user → iteration → dense fingerprint ID
-	universe int              // number of distinct fingerprints
-	intern   map[string]int32 // hash → dense ID
+	ids      [][]int32 // user → iteration → dense fingerprint ID
+	universe int       // number of distinct fingerprints
 }
 
 // buildIndex interns every observation. Fingerprint IDs are assigned in
@@ -32,45 +31,25 @@ func buildIndex(obs map[vectors.ID][][]string) *Index {
 		for _, r := range rows {
 			total += len(r)
 		}
-		vx := &vecIndex{
-			ids:    make([][]int32, len(rows)),
-			intern: make(map[string]int32, 256),
-		}
+		vx := &vecIndex{ids: make([][]int32, len(rows))}
+		intern := make(map[string]int32, 256) // hash → dense ID
 		backing := make([]int32, 0, total)
 		for ui, r := range rows {
 			start := len(backing)
 			for _, h := range r {
-				id, ok := vx.intern[h]
+				id, ok := intern[h]
 				if !ok {
-					id = int32(len(vx.intern))
-					vx.intern[h] = id
+					id = int32(len(intern))
+					intern[h] = id
 				}
 				backing = append(backing, id)
 			}
 			vx.ids[ui] = backing[start:len(backing):len(backing)]
 		}
-		vx.universe = len(vx.intern)
+		vx.universe = len(intern)
 		ix.byVec[v] = vx
 	}
 	return ix
-}
-
-// NumFingerprints returns the size of vector v's fingerprint universe.
-func (ix *Index) NumFingerprints(v vectors.ID) int {
-	if vx := ix.byVec[v]; vx != nil {
-		return vx.universe
-	}
-	return 0
-}
-
-// FingerprintID returns the dense ID of an elementary fingerprint hash.
-func (ix *Index) FingerprintID(v vectors.ID, hash string) (int32, bool) {
-	vx := ix.byVec[v]
-	if vx == nil {
-		return 0, false
-	}
-	id, ok := vx.intern[hash]
-	return id, ok
 }
 
 // ObsIDs returns vector v's observations as interned IDs, aligned with

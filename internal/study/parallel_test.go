@@ -247,7 +247,7 @@ func TestConcurrentCacheAndGraphStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if ds.Index().NumFingerprints(v) == 0 {
+				if ds.Index().byVec[v].universe == 0 {
 					t.Errorf("Index has no fingerprints for %v", v)
 					return
 				}

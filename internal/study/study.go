@@ -54,22 +54,12 @@ type Config struct {
 	// dataset comes out bit-identical to an uninterrupted run. A file
 	// written under a different Config is ignored and overwritten.
 	CheckpointPath string
-	// SpanSink, when non-nil, receives the finished "study.run" span tree
-	// when RunContext completes — the simulation's counterpart of the
-	// server's telemetry export (obs.Exporter satisfies the interface).
-	SpanSink obs.SpanExporter
 	// RenderCache, when non-nil, memoizes fingerprint renders across runs:
 	// passing one cache to several studies (as fpstudy does for the main
 	// and follow-up populations) shares renders between them, and the
 	// caller can read its Stats for progress reporting. Nil means a fresh
 	// private cache per run. Results are bit-identical either way.
 	RenderCache *vectors.Cache
-	// ShadowAudit, when non-nil, attaches the divergence auditor to the run's
-	// render cache: a deterministic sample of cache-miss renders is re-rendered
-	// through the block and reference engines in lockstep, and any bit
-	// divergence lands in the auditor's flight-record ring and on
-	// vectors_render_divergence_total.
-	ShadowAudit *vectors.ShadowAuditor
 }
 
 // Dataset is the raw outcome of a study: the participants, their non-audio
@@ -113,9 +103,6 @@ type Dataset struct {
 	idx        *Index
 	denseByVec map[vectors.ID]*denseInfo
 }
-
-// UserIDs returns the participant IDs in dataset order.
-func (ds *Dataset) UserIDs() []string { return ds.Users }
 
 // Run simulates the full study: every user runs every vector Iterations
 // times. Rendering is memoized per (audio stack, vector, capture offset), so
@@ -166,19 +153,10 @@ func run(ctx context.Context, cfg Config, vs []vectors.ID) (*Dataset, error) {
 			cfg.Users, cfg.Iterations)
 	}
 	ctx, runSpan := obsStart(ctx, "study.run")
-	if runSpan == nil && cfg.SpanSink != nil {
-		// A sink without an ambient trace still deserves spans: root one.
-		ctx, runSpan = obs.Start(ctx, "study.run")
-	}
 	runSpan.SetAttr("users", cfg.Users)
 	runSpan.SetAttr("iterations", cfg.Iterations)
 	runSpan.SetAttr("vectors", len(vs))
-	defer func() {
-		runSpan.End()
-		if cfg.SpanSink != nil && runSpan != nil {
-			cfg.SpanSink.ExportSpan(runSpan)
-		}
-	}()
+	defer runSpan.End()
 
 	jitter := cfg.Jitter
 	if jitter == nil {
@@ -253,9 +231,6 @@ func run(ctx context.Context, cfg Config, vs []vectors.ID) (*Dataset, error) {
 	cache := cfg.RenderCache
 	if cache == nil {
 		cache = vectors.NewCache()
-	}
-	if cfg.ShadowAudit != nil {
-		cache.SetShadow(cfg.ShadowAudit)
 	}
 	plan := planRenders(ds, jitter, userSeeds, resumed)
 	if err := runAll(len(devs), cfg.Parallelism, func(i int) error {

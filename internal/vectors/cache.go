@@ -27,12 +27,10 @@ type Cache struct {
 	mu       sync.Mutex
 	m        map[cacheKey]Fingerprint
 	inflight map[cacheKey]inflightSlot
-	max      int // 0 = unbounded
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	waits     atomic.Int64
-	evictions atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
+	waits  atomic.Int64
 
 	// shadow, when set, samples this cache's miss-path renders through the
 	// lockstep engine audit. Hung off the cache because the miss path is
@@ -63,36 +61,12 @@ type inflightSlot struct {
 	i    int
 }
 
-// NewCache returns an empty, unbounded cache.
+// NewCache returns an empty cache. It is unbounded: a study's key set is
+// its platform classes × vectors × offsets, a few thousand entries.
 func NewCache() *Cache {
 	return &Cache{
 		m:        make(map[cacheKey]Fingerprint),
 		inflight: make(map[cacheKey]inflightSlot),
-	}
-}
-
-// SetMaxEntries bounds the cache to n memoized renders (0 restores
-// unbounded). When full, an arbitrary entry is evicted per insert —
-// acceptable because every entry is equally cheap to recompute and study
-// sweeps revisit keys uniformly.
-func (c *Cache) SetMaxEntries(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.max = n
-	c.evictLocked()
-}
-
-func (c *Cache) evictLocked() {
-	if c.max <= 0 {
-		return
-	}
-	for len(c.m) > c.max {
-		for k := range c.m {
-			delete(c.m, k)
-			c.evictions.Add(1)
-			mCacheEvictions.Inc()
-			break
-		}
 	}
 }
 
@@ -113,8 +87,6 @@ type CacheStats struct {
 	// Waits counts fingerprints taken from another goroutine's
 	// in-progress render instead of rendered again.
 	Waits int64
-	// Evictions counts entries dropped by the SetMaxEntries bound.
-	Evictions int64
 	// Entries is the current number of memoized renders.
 	Entries int
 }
@@ -135,11 +107,10 @@ func (c *Cache) Stats() CacheStats {
 	entries := len(c.m)
 	c.mu.Unlock()
 	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Waits:     c.waits.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   entries,
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Waits:   c.waits.Load(),
+		Entries: entries,
 	}
 }
 
@@ -148,9 +119,6 @@ func (c *Cache) Stats() CacheStats {
 // synchronously inside the singleflight, so the 1-in-N sampling rate is the
 // latency control.
 func (c *Cache) SetShadow(a *ShadowAuditor) { c.shadow.Store(a) }
-
-// Shadow returns the attached shadow auditor, if any.
-func (c *Cache) Shadow() *ShadowAuditor { return c.shadow.Load() }
 
 // Run returns the fingerprint for (stackKey, id, offset), rendering through
 // r on a cache miss: RunOffsets with one offset.
@@ -233,7 +201,6 @@ func (c *Cache) do(stackKey string, id ID, offsets []int, render func(missing []
 				c.m[k] = own.fps[j]
 			}
 		}
-		c.evictLocked()
 		c.mu.Unlock()
 		close(own.done)
 	}

@@ -247,34 +247,3 @@ func TestCacheErrorNotCached(t *testing.T) {
 		t.Fatalf("retry after error = %v, %v", fps, err)
 	}
 }
-
-// TestCacheMaxEntries: the entry bound holds and evictions are counted.
-func TestCacheMaxEntries(t *testing.T) {
-	c := NewCache()
-	c.SetMaxEntries(3)
-	var f fakeRender
-	for i := 0; i < 6; i++ {
-		if _, err := c.do("stack", DC, []int{i}, f.pass(nil, nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Len() > 3 {
-		t.Errorf("len %d exceeds bound 3", c.Len())
-	}
-	if st := c.Stats(); st.Evictions != 3 {
-		t.Errorf("evictions = %d, want 3", st.Evictions)
-	}
-	// Shrinking evicts immediately.
-	c.SetMaxEntries(1)
-	if c.Len() > 1 {
-		t.Errorf("len %d after shrinking bound to 1", c.Len())
-	}
-	// Restoring unbounded keeps entries.
-	c.SetMaxEntries(0)
-	if _, err := c.do("stack", DC, []int{100}, f.pass(nil, nil)); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 2 {
-		t.Errorf("len %d after unbounding, want 2", c.Len())
-	}
-}

@@ -35,15 +35,6 @@ func extendedString(id ID) (string, bool) {
 	return "", false
 }
 
-// RunExtended executes an extension vector at one capture offset (same
-// contract as Run).
-func (r *Runner) RunExtended(id ID, captureOffset int) (Fingerprint, error) {
-	if _, ok := extendedString(id); !ok {
-		return Fingerprint{}, fmt.Errorf("vectors: %v is not an extension vector", id)
-	}
-	return r.Run(id, captureOffset)
-}
-
 // buildExtendedSignal wires the signal stage of one extension vector.
 func buildExtendedSignal(rt *webaudio.RealtimeSim, id ID) (webaudio.Node, error) {
 	var signal webaudio.Node

@@ -11,7 +11,7 @@ func TestExtendedVectorsProduceFingerprints(t *testing.T) {
 	r := defaultRunner()
 	seen := map[string]ID{}
 	for _, id := range Extended {
-		fp, err := r.RunExtended(id, 0)
+		fp, err := r.Run(id, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", id, err)
 		}
@@ -44,11 +44,11 @@ func TestExtendedVectorsPlatformSensitive(t *testing.T) {
 	tr.Kernel = mathx.Fdlib
 	alt := NewRunner(tr, 0)
 	for _, id := range Extended {
-		a, err := ref.RunExtended(id, 0)
+		a, err := ref.Run(id, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := alt.RunExtended(id, 0)
+		b, err := alt.Run(id, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,18 +60,18 @@ func TestExtendedVectorsPlatformSensitive(t *testing.T) {
 
 func TestExtendedVectorsDeterministicAndFickle(t *testing.T) {
 	for _, id := range Extended {
-		a, err := defaultRunner().RunExtended(id, 0)
+		a, err := defaultRunner().Run(id, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := defaultRunner().RunExtended(id, 0)
+		b, err := defaultRunner().Run(id, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.Hash != b.Hash {
 			t.Errorf("%v: nondeterministic at fixed offset", id)
 		}
-		c, err := defaultRunner().RunExtended(id, 4)
+		c, err := defaultRunner().Run(id, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,10 +79,7 @@ func TestExtendedVectorsDeterministicAndFickle(t *testing.T) {
 			t.Errorf("%v: insensitive to capture offset", id)
 		}
 	}
-	if _, err := defaultRunner().RunExtended(DC, 0); err == nil {
-		t.Error("core vector accepted by RunExtended")
-	}
-	if _, err := defaultRunner().RunExtended(BiquadSweep, -1); err == nil {
+	if _, err := defaultRunner().Run(BiquadSweep, -1); err == nil {
 		t.Error("negative offset accepted")
 	}
 }
@@ -92,7 +89,7 @@ func BenchmarkExtendedVectors(b *testing.B) {
 	for _, id := range Extended {
 		b.Run(id.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := r.RunExtended(id, 0); err != nil {
+				if _, err := r.Run(id, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

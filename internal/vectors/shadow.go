@@ -1,10 +1,8 @@
 package vectors
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -21,7 +19,7 @@ import (
 // lockstep and comparing every node's output down to the Float32bits. A
 // divergence is attributed to a specific compiled op, quantum and sample,
 // exported as a counter the watch layer alerts on, and retained in a bounded
-// ring of flight records dumpable at /debug/render/divergence.
+// ring of flight records (Summary).
 
 // FlightRecord is one confirmed engine divergence with everything needed to
 // reproduce it: the platform-class key, the vector and capture state, and
@@ -54,19 +52,14 @@ type ShadowConfig struct {
 	RingSize int
 	// Registry receives the audit metrics; nil uses obs.Default.
 	Registry *obs.Registry
-	// MaxQuanta caps the lockstep window per audit (default: the sampled
-	// render's own length, which DC bounds at 40 and the FFT family at
-	// captureBaseQuanta+offset).
-	MaxQuanta int
 }
 
 // ShadowAuditor re-renders sampled production renders through the block and
 // reference engines in lockstep and records any bit divergence. Safe for
 // concurrent use.
 type ShadowAuditor struct {
-	every     int
-	ringSize  int
-	maxQuanta int
+	every    int
+	ringSize int
 
 	checks   *obs.Counter
 	diverged *obs.Counter
@@ -91,10 +84,9 @@ func NewShadowAuditor(cfg ShadowConfig) *ShadowAuditor {
 		cfg.Registry = obs.Default
 	}
 	return &ShadowAuditor{
-		every:     cfg.Every,
-		ringSize:  cfg.RingSize,
-		maxQuanta: cfg.MaxQuanta,
-		reg:       cfg.Registry,
+		every:    cfg.Every,
+		ringSize: cfg.RingSize,
+		reg:      cfg.Registry,
 		checks: cfg.Registry.Counter("vectors_shadow_checks_total",
 			"production renders re-rendered through the lockstep engine comparison", nil),
 		diverged: cfg.Registry.Counter("vectors_render_divergence_total",
@@ -143,9 +135,6 @@ func (a *ShadowAuditor) Audit(stackKey string, r *Runner, id ID, offset int) *Fl
 	if err != nil {
 		a.errs.Inc()
 		return nil
-	}
-	if a.maxQuanta > 0 && quanta > a.maxQuanta {
-		quanta = a.maxQuanta
 	}
 	div, err := webaudio.LockstepCompare(got, want, quanta)
 	if err != nil {
@@ -210,7 +199,7 @@ func (a *ShadowAuditor) Records() []FlightRecord {
 	return append(out, a.ring...)
 }
 
-// ShadowSummary is the flight-recorder dump served by Handler.
+// ShadowSummary is the flight-recorder dump.
 type ShadowSummary struct {
 	// SampleEvery is the configured 1-in-N audit rate.
 	SampleEvery int `json:"sample_every"`
@@ -233,21 +222,6 @@ func (a *ShadowAuditor) Summary() ShadowSummary {
 		Errors:      a.errs.Value(),
 		Records:     a.Records(),
 	}
-}
-
-// Handler serves the flight-recorder dump (GET → ShadowSummary JSON).
-func (a *ShadowAuditor) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(a.Summary())
-	})
 }
 
 // probe builds the vector's graph on a fresh context pinned to engine e and

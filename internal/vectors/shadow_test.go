@@ -1,8 +1,6 @@
 package vectors
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/obs"
@@ -114,9 +112,6 @@ func TestCacheShadowHookAuditsMissPath(t *testing.T) {
 	a := testAuditor(t, 1)
 	c := NewCache()
 	c.SetShadow(a)
-	if c.Shadow() != a {
-		t.Fatal("Shadow() accessor broken")
-	}
 	r := NewRunner(webaudio.DefaultTraits(), 44100)
 
 	if _, err := c.Run("stack-a", r, DC, 0); err != nil {
@@ -131,33 +126,6 @@ func TestCacheShadowHookAuditsMissPath(t *testing.T) {
 	}
 	if got := a.Summary().Checks; got != 1 {
 		t.Fatalf("hit-path triggered audit: checks = %d", got)
-	}
-}
-
-func TestShadowHandlerServesSummary(t *testing.T) {
-	webaudio.SetBlockFault("gain", 3, 1<<15)
-	defer webaudio.SetBlockFault("", 0, 0)
-	a := testAuditor(t, 1)
-	r := NewRunner(webaudio.DefaultTraits(), 44100)
-	a.Audit("stack-x", r, FFT, 2)
-
-	srv := httptest.NewServer(a.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var s ShadowSummary
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Divergences != 1 || len(s.Records) != 1 {
-		t.Fatalf("summary over HTTP = %+v", s)
-	}
-	rec := s.Records[0]
-	if rec.Divergence.Op != "gain" || rec.Vector != "FFT" || rec.Offset != 2 {
-		t.Fatalf("record = %+v", rec)
 	}
 }
 

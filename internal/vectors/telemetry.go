@@ -17,8 +17,6 @@ var (
 		"fingerprint renders that had to run the engine", nil)
 	mCacheWaits = obs.Default.Counter("vectors_cache_singleflight_waits_total",
 		"fingerprints taken from an in-progress render instead of rendered again", nil)
-	mCacheEvictions = obs.Default.Counter("vectors_cache_evictions_total",
-		"memoized renders dropped by the cache entry bound", nil)
 )
 
 func init() {

@@ -21,7 +21,6 @@ import (
 	"slices"
 
 	"repro/internal/dsp"
-	"repro/internal/hashx"
 	"repro/internal/webaudio"
 )
 
@@ -98,29 +97,16 @@ type Fingerprint struct {
 	Sum float64 `json:"sum"`
 }
 
-// Hasher selects the digest applied to observed audio buffers.
-type Hasher int
-
-const (
-	// SHA256 is the default digest (64 hex chars).
-	SHA256 Hasher = iota
-	// Murmur3 is FingerprintJS's MurmurHash3 x64/128 (32 hex chars) — the
-	// digest the in-the-wild scripts actually compute, for wire-compatible
-	// fingerprint strings.
-	Murmur3
-)
-
 // Runner executes fingerprinting vectors against one simulated audio stack.
 // A Runner is cheap; construct one per (traits, sample rate) pair.
 type Runner struct {
 	traits webaudio.Traits
 	rate   float64
-	hasher Hasher
 
 	// engine, when engineSet, pins the DSP engine this runner's contexts
-	// render under instead of the process-wide default. The shadow auditor
-	// uses this to re-render samples through the reference engine without
-	// flipping webaudio.SetDefaultEngine under concurrent renders.
+	// render under instead of the process-wide default, so tests compare
+	// engines without flipping webaudio.SetDefaultEngine under concurrent
+	// renders (SetEngine, export_test.go).
 	engine    webaudio.Engine
 	engineSet bool
 }
@@ -133,13 +119,6 @@ func NewRunner(traits webaudio.Traits, sampleRate float64) *Runner {
 	}
 	return &Runner{traits: traits, rate: sampleRate}
 }
-
-// SetHasher selects the fingerprint digest (default SHA256).
-func (r *Runner) SetHasher(h Hasher) { r.hasher = h }
-
-// SetEngine pins the DSP engine this runner renders under (by default new
-// contexts follow webaudio.DefaultEngine).
-func (r *Runner) SetEngine(e webaudio.Engine) { r.engine, r.engineSet = e, true }
 
 // newOffline constructs an offline context honoring the engine override.
 func (r *Runner) newOffline(length int, rate float64) *webaudio.OfflineContext {
@@ -157,14 +136,6 @@ func (r *Runner) newRealtime() *webaudio.RealtimeSim {
 		rt.SetEngine(r.engine)
 	}
 	return rt
-}
-
-// digest hashes observed bytes with the runner's hasher.
-func (r *Runner) digest(data []byte) string {
-	if r.hasher == Murmur3 {
-		return hashx.HexDigest(data, 31) // FingerprintJS's default seed
-	}
-	return hashBytes(data)
 }
 
 // Graph constants shared by the vectors, matching the published scripts.
@@ -324,7 +295,7 @@ func (r *Runner) runDC() (Fingerprint, error) {
 	window := buf[dcWindowStart:dcWindowEnd]
 	return Fingerprint{
 		Vector: DC,
-		Hash:   r.digest(dsp.AppendFloat32Bytes(nil, window)),
+		Hash:   hashBytes(dsp.AppendFloat32Bytes(nil, window)),
 		Sum:    dsp.SumAbs(window),
 	}, nil
 }
@@ -402,7 +373,7 @@ func (r *Runner) capture(g *liveGraph, id ID) (Fingerprint, error) {
 		g.data = dsp.AppendFloat32Bytes(g.data, g.lastBuf)
 		sum += dsp.SumAbs(g.lastBuf)
 	}
-	return Fingerprint{Vector: id, Hash: r.digest(g.data), Sum: sum}, nil
+	return Fingerprint{Vector: id, Hash: hashBytes(g.data), Sum: sum}, nil
 }
 
 // buildFFTGraph wires the Fig. 2 graph (triangle oscillator → Analyser →

@@ -286,45 +286,3 @@ func BenchmarkRunAllCached(b *testing.B) {
 		}
 	}
 }
-
-// TestMurmur3Hasher: the FingerprintJS-compatible digest yields 32-hex
-// fingerprints that preserve the identity structure of the default SHA-256.
-func TestMurmur3Hasher(t *testing.T) {
-	sha := defaultRunner()
-	mm := defaultRunner()
-	mm.SetHasher(Murmur3)
-	for _, id := range All {
-		a, err := sha.Run(id, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := mm.Run(id, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b.Hash) != 32 {
-			t.Errorf("%v: murmur digest length %d, want 32", id, len(b.Hash))
-		}
-		if a.Hash == b.Hash {
-			t.Errorf("%v: hashers produced identical strings", id)
-		}
-		// Determinism per hasher.
-		b2, err := mm.Run(id, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Hash != b2.Hash {
-			t.Errorf("%v: murmur digest nondeterministic", id)
-		}
-	}
-	// Different stacks still separate under Murmur3.
-	tr := webaudio.DefaultTraits()
-	tr.Kernel = mathx.Poly7
-	other := NewRunner(tr, 0)
-	other.SetHasher(Murmur3)
-	a, _ := mm.Run(DC, 0)
-	b, _ := other.Run(DC, 0)
-	if a.Hash == b.Hash {
-		t.Error("murmur digest failed to separate stacks")
-	}
-}

@@ -46,11 +46,12 @@ type Calibration struct {
 	ImpostorTrials int `json:"impostor_trials"`
 }
 
-// Calibrate sweeps steps+1 thresholds over [0,1] and locates the EER.
-func Calibrate(trials []Trial, steps int) Calibration {
-	if steps <= 0 {
-		steps = 100
-	}
+// calibrationSteps is the threshold grid resolution.
+const calibrationSteps = 100
+
+// Calibrate sweeps calibrationSteps+1 thresholds over [0,1] and locates the
+// EER.
+func Calibrate(trials []Trial) Calibration {
 	var genuine, impostor int
 	for _, t := range trials {
 		if t.Genuine {
@@ -61,8 +62,8 @@ func Calibrate(trials []Trial, steps int) Calibration {
 	}
 	cal := Calibration{GenuineTrials: genuine, ImpostorTrials: impostor}
 	bestGap := 2.0
-	for i := 0; i <= steps; i++ {
-		th := float64(i) / float64(steps)
+	for i := 0; i <= calibrationSteps; i++ {
+		th := float64(i) / calibrationSteps
 		var fa, fr int
 		for _, t := range trials {
 			accept := t.Score >= th
@@ -104,12 +105,10 @@ type SweepConfig struct {
 	// EnrollEpochs is how many leading epochs form the stored history;
 	// the remaining epochs supply trials (default Epochs/2, minimum 1).
 	EnrollEpochs int
-	// ImpostorsPerUser is how many impostor trials each user is the victim
-	// of (default 2).
-	ImpostorsPerUser int
-	// Steps is the threshold grid resolution (default 100).
-	Steps int
 }
+
+// impostorsPerUser is how many impostor trials each user is the victim of.
+const impostorsPerUser = 2
 
 // SweepResult carries the calibration plus the population it came from.
 type SweepResult struct {
@@ -144,10 +143,6 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 	if enroll >= ev.Epochs {
 		return SweepResult{}, fmt.Errorf("verify: enroll epochs %d leave no held-out epochs of %d", enroll, ev.Epochs)
 	}
-	impostors := cfg.ImpostorsPerUser
-	if impostors <= 0 {
-		impostors = 2
-	}
 
 	eng := New(Config{})
 	for _, v := range ev.Vectors {
@@ -181,7 +176,7 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 		}
 		// Impostors present their own first held-out epoch under u's name.
 		// The deterministic stride spreads victims across the population.
-		for k := 1; k <= impostors; k++ {
+		for k := 1; k <= impostorsPerUser; k++ {
 			imp := (u + k*securityStride) % len(ev.Users)
 			if imp == u {
 				imp = (imp + 1) % len(ev.Users)
@@ -192,7 +187,7 @@ func Sweep(cfg SweepConfig) (SweepResult, error) {
 	}
 
 	return SweepResult{
-		Calibration:       Calibrate(trials, cfg.Steps),
+		Calibration:       Calibrate(trials),
 		Users:             len(ev.Users),
 		Epochs:            ev.Epochs,
 		EnrollEpochs:      enroll,

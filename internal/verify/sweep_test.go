@@ -13,9 +13,7 @@ import (
 func TestSweepSmall(t *testing.T) {
 	res, err := Sweep(SweepConfig{
 		Evolved: study.EvolvedConfig{
-			LongitudinalConfig: study.LongitudinalConfig{
-				Seed: 11, Users: 120, Epochs: 4, SamplesPerEpoch: 2,
-			},
+			Seed: 11, Users: 120, Epochs: 4, SamplesPerEpoch: 2,
 			Vectors:     []vectors.ID{vectors.DC, vectors.FFT, vectors.Hybrid},
 			Churn:       population.DefaultChurn(),
 			Parallelism: 4,
@@ -56,7 +54,7 @@ func TestSweepSmall(t *testing.T) {
 func TestSweepRejectsBadSplit(t *testing.T) {
 	_, err := Sweep(SweepConfig{
 		Evolved: study.EvolvedConfig{
-			LongitudinalConfig: study.LongitudinalConfig{Seed: 1, Users: 4, Epochs: 2},
+			Seed: 1, Users: 4, Epochs: 2,
 		},
 		EnrollEpochs: 2,
 	})
@@ -77,9 +75,7 @@ func TestGoldenEER(t *testing.T) {
 	}
 	res, err := Sweep(SweepConfig{
 		Evolved: study.EvolvedConfig{
-			LongitudinalConfig: study.LongitudinalConfig{
-				Seed: 20211120, Users: 2093, Epochs: 6, SamplesPerEpoch: 2,
-			},
+			Seed: 20211120, Users: 2093, Epochs: 6, SamplesPerEpoch: 2,
 			Vectors:     vectors.All,
 			Churn:       population.DefaultChurn(),
 			Parallelism: 4,

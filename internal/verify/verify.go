@@ -177,9 +177,6 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// Threshold returns the active accept threshold.
-func (e *Engine) Threshold() float64 { return e.cfg.Threshold }
-
 // Enroll folds stored records into the per-user history. Records whose
 // vector is not an audio vector (auxiliary surfaces such as Canvas ride
 // along in submissions) are ignored. Safe to call concurrently with
@@ -222,13 +219,6 @@ func (e *Engine) EnrollHashes(userID string, v vectors.ID, hashes ...string) {
 		recs[i] = storage.Record{UserID: userID, Vector: v.String(), Hash: h}
 	}
 	e.Enroll(recs)
-}
-
-// Users returns the enrolled-user count.
-func (e *Engine) Users() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.users)
 }
 
 // Score computes the decision score and evidence for a claimed user

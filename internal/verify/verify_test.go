@@ -164,7 +164,7 @@ func TestCalibrate(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		trials = append(trials, Trial{Score: 0.9, Genuine: true}, Trial{Score: 0.1, Genuine: false})
 	}
-	cal := Calibrate(trials, 100)
+	cal := Calibrate(trials)
 	if cal.EER != 0 {
 		t.Errorf("separable EER = %v, want 0", cal.EER)
 	}
@@ -183,7 +183,7 @@ func TestCalibrate(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		trials = append(trials, Trial{Score: 0.5, Genuine: true}, Trial{Score: 0.5, Genuine: false})
 	}
-	if cal := Calibrate(trials, 100); cal.EER != 0.5 {
+	if cal := Calibrate(trials); cal.EER != 0.5 {
 		t.Errorf("overlapping EER = %v, want 0.5", cal.EER)
 	}
 }

@@ -1,8 +1,6 @@
 package watch
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/obs"
@@ -14,7 +12,7 @@ import (
 // auditor: a deliberately broken block kernel must (1) increment
 // vectors_render_divergence_total through the production cache-miss path,
 // (2) drive the render_divergence watch rule to firing, and (3) leave a
-// flight record naming the offending op on the divergence dump.
+// flight record naming the offending op in the auditor's summary.
 func TestRenderDivergenceEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, mon := newTestMonitor(t, reg, []Rule{{
@@ -66,18 +64,8 @@ func TestRenderDivergenceEndToEnd(t *testing.T) {
 		t.Fatalf("alert = %+v", alert)
 	}
 
-	// The flight-recorder dump names the offending op.
-	srv := httptest.NewServer(auditor.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sum vectors.ShadowSummary
-	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
-		t.Fatal(err)
-	}
+	// The flight recorder names the offending op.
+	sum := auditor.Summary()
 	if len(sum.Records) != 1 {
 		t.Fatalf("flight records = %d, want 1", len(sum.Records))
 	}

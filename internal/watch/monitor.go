@@ -65,29 +65,12 @@ type Config struct {
 	Registry *obs.Registry
 	// Rules is the rule table; nil uses DefaultRules().
 	Rules []Rule
-	// History bounds the resolved-alert history (default 32).
-	History int
 	// Logger receives fire/resolve events; nil disables logging.
 	Logger *slog.Logger
-	// OnTransition, when set, receives every user-visible alert state
-	// change: (alert, "", "pending") when a breach opens an alert,
-	// (alert, "pending", "firing") on promotion, and (alert, "firing",
-	// "resolved") when a firing alert clears. Cancelled pending alerts
-	// stay silent, matching the lifecycle. The hook runs on the observing
-	// goroutine but outside the monitor's lock, after the evaluation pass
-	// that produced the transition — calling back into Snapshot/Alerts
-	// from the hook is safe. Heavy work should still be handed off to
-	// another goroutine to keep the ingest path fast.
-	//
-	// Delivery is read-after-Sync: once streaming.Engine.Sync returns,
-	// every transition produced by the records it covers has been
-	// delivered to the hook, exactly once and in production order (the
-	// engine counts a batch applied only after its observer call, which
-	// delivers the batch's transitions, returns). Order holds across
-	// batches applied by one goroutine at a time, as the engine's queue
-	// consumer applies them.
-	OnTransition func(alert Alert, from, to string)
 }
+
+// resolvedHistory bounds the resolved-alert history.
+const resolvedHistory = 32
 
 // ewmaState is one subject's running mean/variance.
 type ewmaState struct {
@@ -124,7 +107,7 @@ type alertState struct {
 	breaches int
 }
 
-// transition is one queued OnTransition delivery: state changes are
+// transition is one queued transition-hook delivery: state changes are
 // collected under the lock and delivered after it is released.
 type transition struct {
 	alert    Alert
@@ -155,7 +138,6 @@ type Monitor struct {
 	engine *streaming.Engine
 	reg    *obs.Registry
 	logger *slog.Logger
-	hist   int
 
 	mEvals *obs.Counter
 
@@ -166,14 +148,14 @@ type Monitor struct {
 	nFiring  atomic.Int64
 	nPending atomic.Int64
 
-	// hook is the OnTransition callback; atomic so SetTransitionHook can
+	// hook is the transition callback; atomic so SetTransitionHook can
 	// install it after construction without racing Observe.
 	hook atomic.Pointer[func(Alert, string, string)]
 
 	mu       sync.Mutex
 	rules    []*ruleState
 	active   map[string]*alertState // key: rule "\x00" subject
-	resolved []Alert                // oldest first, bounded by hist
+	resolved []Alert                // oldest first, bounded by resolvedHistory
 	records  int64
 	evals    int64
 	// trans queues state changes produced under mu; Observe drains and
@@ -197,15 +179,10 @@ func New(cfg Config) (*Monitor, error) {
 	if rules == nil {
 		rules = DefaultRules()
 	}
-	hist := cfg.History
-	if hist <= 0 {
-		hist = 32
-	}
 	m := &Monitor{
 		engine: cfg.Engine,
 		reg:    reg,
 		logger: cfg.Logger,
-		hist:   hist,
 		active: make(map[string]*alertState),
 	}
 	for _, r := range rules {
@@ -232,15 +209,28 @@ func New(cfg Config) (*Monitor, error) {
 	reg.GaugeFunc("watch_alerts_pending",
 		"Alerts currently in the pending state.", nil,
 		func() float64 { return float64(m.nPending.Load()) })
-	if cfg.OnTransition != nil {
-		m.SetTransitionHook(cfg.OnTransition)
-	}
 	cfg.Engine.SetObserver(m.Observe)
 	return m, nil
 }
 
-// SetTransitionHook installs (or, with nil, removes) the OnTransition
-// callback after construction. This breaks the chicken-and-egg between the
+// SetTransitionHook installs (or, with nil, removes) the callback that
+// receives every user-visible alert state change: (alert, "", "pending")
+// when a breach opens an alert, (alert, "pending", "firing") on promotion,
+// and (alert, "firing", "resolved") when a firing alert clears. Cancelled
+// pending alerts stay silent, matching the lifecycle. The hook runs on the
+// observing goroutine but outside the monitor's lock, after the evaluation
+// pass that produced the transition — calling back into Snapshot from the
+// hook is safe. Heavy work should still be handed off to another goroutine
+// to keep the ingest path fast.
+//
+// Delivery is read-after-Sync: once streaming.Engine.Sync returns, every
+// transition produced by the records it covers has been delivered to the
+// hook, exactly once and in production order (the engine counts a batch
+// applied only after its observer call, which delivers the batch's
+// transitions, returns). Order holds across batches applied by one
+// goroutine at a time, as the engine's queue consumer applies them.
+//
+// Installing after construction breaks the chicken-and-egg between the
 // monitor and a diag.Capturer that needs the monitor's snapshot: build the
 // monitor first, then hand its hook to the capturer. Safe for concurrent
 // use.
@@ -266,7 +256,7 @@ func (m *Monitor) RuleByName(name string) (Rule, bool) {
 // Observe is the engine's per-batch hook: records is the total applied
 // record count. Each rule whose Every-interval has elapsed since its last
 // evaluation is evaluated once at this record index. State transitions
-// produced by the pass are delivered to the OnTransition hook after the
+// produced by the pass are delivered to the transition hook after the
 // lock is released and before Observe returns, each exactly once and in
 // the order the pass produced them. Because the engine counts a batch
 // applied only after Observe returns, every transition of the records a
@@ -525,21 +515,13 @@ func (m *Monitor) clear(r Rule, subject string, records int64) {
 	as.alert.ResolvedAtRecords = records
 	m.queueTransition(as.alert, StateFiring, StateResolved)
 	m.resolved = append(m.resolved, as.alert)
-	if len(m.resolved) > m.hist {
-		m.resolved = m.resolved[len(m.resolved)-m.hist:]
+	if len(m.resolved) > resolvedHistory {
+		m.resolved = m.resolved[len(m.resolved)-resolvedHistory:]
 	}
 	if m.logger != nil {
 		m.logger.Info("alert resolved", "rule", r.Name, "subject", subject,
 			"records", records)
 	}
-}
-
-// Alerts returns the live alerts (sorted by rule then subject) followed
-// by the resolved history, oldest first.
-func (m *Monitor) Alerts() []Alert {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.alertsLocked()
 }
 
 func (m *Monitor) alertsLocked() []Alert {

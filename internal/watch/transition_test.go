@@ -103,37 +103,6 @@ func TestRuleByName(t *testing.T) {
 	}
 }
 
-// TestConfigOnTransition checks the Config-field form of the hook wiring.
-func TestConfigOnTransition(t *testing.T) {
-	reg := obs.NewRegistry()
-	eng := streaming.New(streaming.Config{Registry: reg, AMIRefreshEvery: -1})
-	defer eng.Close()
-	var fired int
-	_, err := New(Config{
-		Engine:   eng,
-		Registry: reg,
-		Rules: []Rule{{
-			Name: "render-divergence", Kind: KindRenderDivergence,
-			Every: 1, For: 1,
-		}},
-		OnTransition: func(a Alert, from, to string) {
-			if to == StateFiring {
-				fired++
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg.Counter("vectors_render_divergence_total", "", nil).Inc()
-	// The observer evaluates rules at the applied-record count, so drive a
-	// real record through the engine.
-	eng.Apply([]storage.Record{{UserID: "u0", Vector: vectors.DC.String(), Hash: "cafe"}})
-	if fired != 1 {
-		t.Fatalf("firing transitions = %d, want 1", fired)
-	}
-}
-
 // TestHookDeliveredBeforeSync pins the hook's read-after-Sync contract:
 // records go through the engine's async queue, and once Sync returns every
 // transition they produced is in the hook's log, exactly once and in
@@ -150,27 +119,27 @@ func TestHookDeliveredBeforeSync(t *testing.T) {
 		at       int64 // the applied-record count of the transition
 	}
 	var log []event
-	_, err := New(Config{
+	mon, err := New(Config{
 		Engine:   eng,
 		Registry: reg,
 		Rules: []Rule{{
 			Name: "churn", Kind: KindClusterChurn, Vector: vectors.DC.String(),
 			Every: 10, For: 1, MaxChurn: 0.5,
 		}},
-		OnTransition: func(a Alert, from, to string) {
-			at := a.PendingAtRecords
-			switch to {
-			case StateFiring:
-				at = a.FiredAtRecords
-			case StateResolved:
-				at = a.ResolvedAtRecords
-			}
-			log = append(log, event{from, to, at})
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mon.SetTransitionHook(func(a Alert, from, to string) {
+		at := a.PendingAtRecords
+		switch to {
+		case StateFiring:
+			at = a.FiredAtRecords
+		case StateResolved:
+			at = a.ResolvedAtRecords
+		}
+		log = append(log, event{from, to, at})
+	})
 
 	ctx := context.Background()
 	// calm(c) adds ten new users, each with a fingerprint of its own: the

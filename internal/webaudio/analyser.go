@@ -16,10 +16,7 @@ import (
 // calculations are what are causing this apparent instability").
 type AnalyserNode struct {
 	nodeBase
-	fftSize   int
-	smoothing float64
-	minDB     float64
-	maxDB     float64
+	fftSize int
 
 	ring     []float32
 	ringPos  int
@@ -29,11 +26,13 @@ type AnalyserNode struct {
 	smoothed []float64
 	haveData bool
 	// re/im are the FFT scratch buffers, reused across captures so
-	// steady-state GetFloatFrequencyData/GetByteFrequencyData allocate
-	// nothing; dbScratch holds the dB spectrum for the byte path.
-	re, im    []float64
-	dbScratch []float32
+	// steady-state GetFloatFrequencyData allocates nothing.
+	re, im []float64
 }
+
+// smoothingTimeConstant is the spec default smoothing over time, which
+// fingerprint scripts never change.
+const smoothingTimeConstant = 0.8
 
 // NewAnalyser creates an analyser with the given fftSize (a power of two in
 // [32, 32768]; 2048 is both the spec default and what fingerprint scripts
@@ -51,17 +50,14 @@ func (c *Context) NewAnalyser(fftSize int) (*AnalyserNode, error) {
 		return nil, err
 	}
 	a := &AnalyserNode{
-		nodeBase:  nodeBase{ctx: c, label: "analyser"},
-		fftSize:   fftSize,
-		smoothing: 0.8,
-		minDB:     -100,
-		maxDB:     -30,
-		ring:      make([]float32, fftSize),
-		fft:       plan.fft,
-		window:    plan.window,
-		smoothed:  make([]float64, fftSize/2),
-		re:        make([]float64, fftSize),
-		im:        make([]float64, fftSize),
+		nodeBase: nodeBase{ctx: c, label: "analyser"},
+		fftSize:  fftSize,
+		ring:     make([]float32, fftSize),
+		fft:      plan.fft,
+		window:   plan.window,
+		smoothed: make([]float64, fftSize/2),
+		re:       make([]float64, fftSize),
+		im:       make([]float64, fftSize),
 	}
 	c.register(a)
 	return a, nil
@@ -70,15 +66,6 @@ func (c *Context) NewAnalyser(fftSize int) (*AnalyserNode, error) {
 // FrequencyBinCount returns fftSize/2, the length GetFloatFrequencyData
 // fills.
 func (a *AnalyserNode) FrequencyBinCount() int { return a.fftSize / 2 }
-
-// SetSmoothingTimeConstant sets the inter-capture smoothing factor τ ∈ [0,1].
-func (a *AnalyserNode) SetSmoothingTimeConstant(tau float64) error {
-	if tau < 0 || tau > 1 {
-		return fmt.Errorf("webaudio: smoothingTimeConstant %v out of [0,1]", tau)
-	}
-	a.smoothing = tau
-	return nil
-}
 
 func (a *AnalyserNode) process(frameTime int64) {
 	tr := a.ctx.traits
@@ -135,7 +122,7 @@ func (a *AnalyserNode) computeSpectrum() {
 
 	half := a.fftSize / 2
 	scale := 1 / float64(a.fftSize)
-	tau := a.smoothing
+	tau := smoothingTimeConstant
 	if !a.haveData {
 		tau = 0
 		a.haveData = true
@@ -168,49 +155,5 @@ func (a *AnalyserNode) GetFloatFrequencyData(dst []float32) error {
 		dst[k] = float32(dsp.LinearToDecibels(a.smoothed[k]))
 	}
 	a.ctx.traits.Farble.farbleInPlace(dst[:half])
-	return nil
-}
-
-// GetByteFrequencyData is the spec's quantized spectrum read: the dB value
-// of each bin is mapped linearly from [minDecibels, maxDecibels] onto
-// [0, 255] and clamped. It shares (and advances) the smoothing state with
-// GetFloatFrequencyData, and farbling applies before quantization, as the
-// byte array is just as script-readable as the float one.
-func (a *AnalyserNode) GetByteFrequencyData(dst []byte) error {
-	half := a.fftSize / 2
-	if len(dst) < half {
-		return fmt.Errorf("webaudio: destination length %d < frequencyBinCount %d", len(dst), half)
-	}
-	a.computeSpectrum()
-	if a.dbScratch == nil {
-		a.dbScratch = make([]float32, half)
-	}
-	for k := 0; k < half; k++ {
-		a.dbScratch[k] = float32(dsp.LinearToDecibels(a.smoothed[k]))
-	}
-	a.ctx.traits.Farble.farbleInPlace(a.dbScratch)
-	span := a.maxDB - a.minDB
-	for k := 0; k < half; k++ {
-		norm := (float64(a.dbScratch[k]) - a.minDB) / span
-		switch {
-		case !(norm > 0): // also catches the -Inf of silent bins
-			dst[k] = 0
-		case norm >= 1:
-			dst[k] = 255
-		default:
-			dst[k] = byte(255 * norm)
-		}
-	}
-	return nil
-}
-
-// GetFloatTimeDomainData copies the most recent fftSize frames into dst
-// (length ≥ fftSize), oldest first.
-func (a *AnalyserNode) GetFloatTimeDomainData(dst []float32) error {
-	if len(dst) < a.fftSize {
-		return fmt.Errorf("webaudio: destination length %d < fftSize %d", len(dst), a.fftSize)
-	}
-	n := copy(dst, a.ring[a.ringPos:])
-	copy(dst[n:a.fftSize], a.ring[:a.ringPos])
 	return nil
 }

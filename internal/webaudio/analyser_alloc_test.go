@@ -24,15 +24,11 @@ func renderedAnalyser(t testing.TB, fftSize int) *AnalyserNode {
 }
 
 // TestAnalyserFrequencyDataZeroAllocs asserts the capture hot path reuses
-// its FFT scratch: after warm-up, neither frequency-data read allocates.
+// its FFT scratch: after warm-up, a frequency-data read allocates nothing.
 func TestAnalyserFrequencyDataZeroAllocs(t *testing.T) {
 	an := renderedAnalyser(t, 2048)
 	floats := make([]float32, an.FrequencyBinCount())
-	bytes := make([]byte, an.FrequencyBinCount())
 	if err := an.GetFloatFrequencyData(floats); err != nil {
-		t.Fatal(err)
-	}
-	if err := an.GetByteFrequencyData(bytes); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
@@ -41,44 +37,6 @@ func TestAnalyserFrequencyDataZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("GetFloatFrequencyData allocates %v objects per call in steady state, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := an.GetByteFrequencyData(bytes); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("GetByteFrequencyData allocates %v objects per call in steady state, want 0", n)
-	}
-}
-
-// TestGetByteFrequencyData checks the spec mapping: bytes are the float dB
-// spectrum mapped linearly from [minDecibels, maxDecibels] onto [0, 255]
-// with clamping, sharing the same smoothing state.
-func TestGetByteFrequencyData(t *testing.T) {
-	af := renderedAnalyser(t, 2048)
-	ab := renderedAnalyser(t, 2048)
-	floats := make([]float32, af.FrequencyBinCount())
-	bytes := make([]byte, ab.FrequencyBinCount())
-	if err := af.GetFloatFrequencyData(floats); err != nil {
-		t.Fatal(err)
-	}
-	if err := ab.GetByteFrequencyData(bytes); err != nil {
-		t.Fatal(err)
-	}
-	for k, db := range floats {
-		norm := (float64(db) - af.minDB) / (af.maxDB - af.minDB)
-		var want byte
-		switch {
-		case !(norm > 0):
-			want = 0
-		case norm >= 1:
-			want = 255
-		default:
-			want = byte(255 * norm)
-		}
-		if bytes[k] != want {
-			t.Fatalf("bin %d: byte %d, want %d (dB %v)", k, bytes[k], want, db)
-		}
 	}
 }
 

@@ -196,6 +196,6 @@ func kernelHist(class string) *obs.Histogram {
 // timeBlock runs one op's block kernel under the clock and records it.
 func timeBlock(op *renderOp, frame int64, in *[RenderQuantum]float64) {
 	start := time.Now()
-	op.block.processBlock(frame, in)
+	op.node.processBlock(frame, in)
 	op.hist.ObserveWithExemplar(time.Since(start).Seconds(), currentRenderTraceID())
 }

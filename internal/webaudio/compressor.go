@@ -47,12 +47,6 @@ func (c *Context) NewDynamicsCompressor() *DynamicsCompressorNode {
 	return d
 }
 
-// Reduction returns the current gain reduction in dB (≤ 0), mirroring the
-// read-only attribute of the real node. Quanta rendered under
-// Context.RenderUnobserved on the block engine do not update it: it keeps
-// the value of the last quantum rendered in full.
-func (d *DynamicsCompressorNode) Reduction() float64 { return d.reduction }
-
 func (d *DynamicsCompressorNode) params() []*AudioParam {
 	return []*AudioParam{d.Threshold, d.Knee, d.Ratio, d.Attack, d.Release}
 }

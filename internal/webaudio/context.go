@@ -1,9 +1,6 @@
 package webaudio
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Context owns an audio graph and its rendering clock. It corresponds to
 // BaseAudioContext: OfflineContext and RealtimeSim specialize how it is
@@ -33,15 +30,6 @@ func NewContext(sampleRate float64, traits Traits) *Context {
 	statContexts.Inc()
 	return c
 }
-
-// SampleRate returns the context sample rate in Hz.
-func (c *Context) SampleRate() float64 { return c.sampleRate }
-
-// Traits returns the engine traits the context renders with.
-func (c *Context) Traits() Traits { return c.traits }
-
-// CurrentTime returns the rendered time in seconds.
-func (c *Context) CurrentTime() float64 { return float64(c.frame) / c.sampleRate }
 
 // CurrentFrame returns the rendered time in frames.
 func (c *Context) CurrentFrame() int64 { return c.frame }
@@ -105,20 +93,6 @@ func (c *Context) render(n int, unobserved bool) error {
 	statQuanta.Add(int64(n))
 	statNodes.Add(int64(n) * int64(len(c.order)))
 	return nil
-}
-
-// RenderFrames renders at least totalFrames frames (rounded up to whole
-// quanta) while recording the destination, and returns exactly totalFrames
-// recorded samples.
-func (c *Context) RenderFrames(totalFrames int) ([]float32, error) {
-	if totalFrames <= 0 {
-		return nil, fmt.Errorf("webaudio: RenderFrames(%d): length must be positive", totalFrames)
-	}
-	c.dest.record = true
-	if err := c.RenderQuanta(quantaFor(totalFrames)); err != nil {
-		return nil, err
-	}
-	return c.dest.readRecorded(totalFrames), nil
 }
 
 // quantaFor rounds a frame count up to whole render quanta.
@@ -187,9 +161,6 @@ func NewOfflineContext(length int, sampleRate float64, traits Traits) *OfflineCo
 	return o
 }
 
-// Length returns the configured render length in frames.
-func (o *OfflineContext) Length() int { return o.length }
-
 // StartRendering renders the quanta of the buffer that RenderQuanta or
 // RenderUnobserved have not already advanced, and returns the whole
 // buffer from frame 0.
@@ -237,9 +208,3 @@ func (r *RealtimeSim) CaptureAfter(baseQuanta, offsetQuanta int) error {
 	}
 	return r.RenderQuanta(baseQuanta + offsetQuanta - at)
 }
-
-// FramesToSeconds converts a frame count at rate sr to seconds.
-func FramesToSeconds(frames int64, sr float64) float64 { return float64(frames) / sr }
-
-// SecondsToFrames converts seconds to whole frames at rate sr.
-func SecondsToFrames(sec, sr float64) int64 { return int64(math.Round(sec * sr)) }

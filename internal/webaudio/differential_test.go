@@ -53,12 +53,12 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 	t.Helper()
 	g := &diffGraph{}
 
-	// Sources: 1-3 of oscillator / constant / buffer source, with random
-	// start times and optional stops that straddle quantum boundaries.
+	// Sources: 1-3 standard or custom-wave oscillators, with random start
+	// times and optional stops that straddle quantum boundaries.
 	nSrc := 1 + rng.Intn(3)
 	sources := make([]Node, 0, nSrc)
 	for s := 0; s < nSrc; s++ {
-		switch rng.Intn(5) {
+		switch rng.Intn(3) {
 		case 0, 1: // standard oscillator
 			typ := OscillatorType(rng.Intn(4))
 			freq := 200 + 4800*rng.Float64()
@@ -86,21 +86,6 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 			o.SetPeriodicWave(w)
 			o.Start(0.004 * rng.Float64())
 			sources = append(sources, o)
-		case 3: // constant source
-			cs := ctx.NewConstantSource(rng.Float64()*2 - 1)
-			cs.Start(0.004 * rng.Float64())
-			if rng.Intn(2) == 0 {
-				cs.Stop(0.005 + 0.010*rng.Float64())
-			}
-			sources = append(sources, cs)
-		case 4: // buffer source (per-sample fallback path in the program)
-			buf := make([]float32, 256+rng.Intn(1024))
-			for i := range buf {
-				buf[i] = rng.Float32()*2 - 1
-			}
-			bs := ctx.NewBufferSource(buf, rng.Intn(2) == 0)
-			bs.Start(0.004 * rng.Float64())
-			sources = append(sources, bs)
 		}
 	}
 
@@ -129,15 +114,15 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 	// Processor chain: 1-3 random stages.
 	nProc := 1 + rng.Intn(3)
 	for p := 0; p < nProc; p++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(4) {
 		case 0: // gain: constant, automated, or audio-rate modulated
 			gn := ctx.NewGain(0.2 + rng.Float64())
 			switch rng.Intn(3) {
 			case 1: // automation events → a-rate block sampling
 				gn.Gain.SetValueAtTime(0.5, 0)
-				gn.Gain.LinearRampToValueAtTime(0.1+rng.Float64(), 0.005+0.01*rng.Float64())
+				gn.Gain.ExponentialRampToValueAtTime(0.1+rng.Float64(), 0.005+0.01*rng.Float64())
 				if rng.Intn(2) == 0 {
-					gn.Gain.SetTargetAtTime(rng.Float64(), 0.008, 0.003)
+					gn.Gain.SetValueAtTime(rng.Float64(), 0.008+0.005*rng.Float64())
 				}
 			case 2: // AM: modulator oscillator into the param
 				mod := ctx.NewOscillator(Sine, 20+100*rng.Float64())
@@ -150,16 +135,12 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 			bq.Frequency.SetValue(100 + 8000*rng.Float64())
 			bq.Q.SetValue(0.5 + 5*rng.Float64())
 			bq.Gain.SetValue(float64(rng.Intn(24) - 12))
-			connectHead(bq)
-		case 2: // IIR with stable coefficients
-			ff := []float64{0.15 + 0.1*rng.Float64(), 0.2, 0.1}
-			fb := []float64{1, -0.4 - 0.3*rng.Float64(), 0.15}
-			ir, err := ctx.NewIIRFilter(ff, fb)
-			if err != nil {
-				t.Fatalf("NewIIRFilter: %v", err)
+			if rng.Intn(3) == 0 { // exponential sweep, as the BiquadSweep vector does
+				bq.Frequency.SetValueAtTime(200, 0)
+				bq.Frequency.ExponentialRampToValueAtTime(2000+8000*rng.Float64(), 0.01+0.05*rng.Float64())
 			}
-			connectHead(ir)
-		case 3: // waveshaper with a random curve
+			connectHead(bq)
+		case 2: // waveshaper with a random curve
 			ws := ctx.NewWaveShaper()
 			if rng.Intn(4) != 0 {
 				curve := make([]float32, 3+rng.Intn(64))
@@ -171,18 +152,7 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 				}
 			}
 			connectHead(ws)
-		case 4: // delay, constant or automated
-			dl, err := ctx.NewDelay(0.05)
-			if err != nil {
-				t.Fatalf("NewDelay: %v", err)
-			}
-			dl.DelayTime.SetValue(0.03 * rng.Float64())
-			if rng.Intn(3) == 0 {
-				dl.DelayTime.SetValueAtTime(0.001, 0)
-				dl.DelayTime.LinearRampToValueAtTime(0.03*rng.Float64(), 0.01)
-			}
-			connectHead(dl)
-		case 5: // compressor
+		case 3: // compressor
 			dc := ctx.NewDynamicsCompressor()
 			if rng.Intn(2) == 0 {
 				dc.Threshold.SetValue(-40 + 20*rng.Float64())

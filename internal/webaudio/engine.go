@@ -48,6 +48,3 @@ func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
 // SetEngine switches this context's render implementation. Output is
 // bit-identical either way; only rendering cost changes.
 func (c *Context) SetEngine(e Engine) { c.engine = e }
-
-// Engine returns the context's render implementation.
-func (c *Context) Engine() Engine { return c.engine }

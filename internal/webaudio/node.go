@@ -14,6 +14,11 @@ type Node interface {
 	// process renders the node's next quantum into base().output. Inputs
 	// are guaranteed to have been processed for the same quantum.
 	process(frameTime int64)
+	// processBlock is process's block kernel (program.go): it renders the
+	// same quantum, bit for bit, given the pre-mixed input block (the
+	// sumInputs result for every frame of the quantum). Nodes without
+	// audio inputs receive the scratch untouched and must ignore it.
+	processBlock(frameTime int64, in *[RenderQuantum]float64)
 }
 
 // nodeBase carries graph wiring and the node's mono output buffer.

@@ -1,9 +1,6 @@
 package webaudio
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // WaveShaperNode applies a caller-supplied nonlinear transfer curve by
 // linear interpolation over the input range [-1, 1], per the spec (the
@@ -85,229 +82,5 @@ func (w *WaveShaperNode) processBlock(_ int64, in *[RenderQuantum]float64) {
 			s := w.curve[idx] + (w.curve[idx+1]-w.curve[idx])*frac
 			w.output[i] = flushRound(flush, float64(s))
 		}
-	}
-}
-
-// DelayNode delays its input by DelayTime seconds (audio-rate modulable, up
-// to the construction-time maximum), with linear interpolation between
-// samples.
-type DelayNode struct {
-	nodeBase
-	// DelayTime is the delay in seconds.
-	DelayTime *AudioParam
-	buf       []float32
-	pos       int
-}
-
-// NewDelay creates a delay line holding up to maxDelay seconds.
-func (c *Context) NewDelay(maxDelay float64) (*DelayNode, error) {
-	if maxDelay <= 0 || maxDelay > 180 {
-		return nil, fmt.Errorf("webaudio: maxDelay %g out of (0, 180]", maxDelay)
-	}
-	frames := int(math.Ceil(maxDelay*c.sampleRate)) + RenderQuantum
-	d := &DelayNode{
-		nodeBase: nodeBase{ctx: c, label: "delay"},
-		buf:      make([]float32, frames),
-	}
-	d.DelayTime = newParam(c, "delayTime", 0, 0, maxDelay)
-	c.register(d)
-	return d, nil
-}
-
-func (d *DelayNode) params() []*AudioParam { return []*AudioParam{d.DelayTime} }
-
-func (d *DelayNode) process(frameTime int64) {
-	tr := d.ctx.traits
-	n := len(d.buf)
-	sr := d.ctx.sampleRate
-	for i := 0; i < RenderQuantum; i++ {
-		d.buf[d.pos] = tr.round32(d.sumInputs(i))
-		delay := d.DelayTime.sampleAt(frameTime, i) * sr
-		if delay < 0 {
-			delay = 0
-		}
-		// Read behind the write head with linear interpolation.
-		readPos := float64(d.pos) - delay
-		for readPos < 0 {
-			readPos += float64(n)
-		}
-		idx := int(readPos)
-		frac := float32(readPos - float64(idx))
-		s0 := d.buf[idx%n]
-		s1 := d.buf[(idx+1)%n]
-		d.output[i] = tr.round32(float64(s0 + (s1-s0)*frac))
-		d.pos = (d.pos + 1) % n
-	}
-}
-
-// processBlock is the delay block kernel. A k-rate DelayTime (no automation,
-// no modulators) folds the read offset to a constant; otherwise the offset
-// is recomputed per sample exactly as the reference loop does.
-func (d *DelayNode) processBlock(frameTime int64, in *[RenderQuantum]float64) {
-	flush := d.ctx.traits.FlushDenormals
-	n := len(d.buf)
-	sr := d.ctx.sampleRate
-	kRate := d.DelayTime.isKRate()
-	constDelay := 0.0
-	if kRate {
-		constDelay = d.DelayTime.constValue() * sr
-		if constDelay < 0 {
-			constDelay = 0
-		}
-	}
-	pos := d.pos
-	for i := 0; i < RenderQuantum; i++ {
-		d.buf[pos] = flushRound(flush, in[i])
-		delay := constDelay
-		if !kRate {
-			delay = d.DelayTime.sampleAt(frameTime, i) * sr
-			if delay < 0 {
-				delay = 0
-			}
-		}
-		readPos := float64(pos) - delay
-		for readPos < 0 {
-			readPos += float64(n)
-		}
-		idx := int(readPos)
-		frac := float32(readPos - float64(idx))
-		s0 := d.buf[idx%n]
-		s1 := d.buf[(idx+1)%n]
-		d.output[i] = flushRound(flush, float64(s0+(s1-s0)*frac))
-		pos = (pos + 1) % n
-	}
-	d.pos = pos
-}
-
-// ConstantSourceNode outputs its Offset parameter — the spec's DC source,
-// handy for biasing modulation graphs.
-type ConstantSourceNode struct {
-	nodeBase
-	// Offset is the constant output value (audio-rate modulable).
-	Offset    *AudioParam
-	startTime float64
-	stopTime  float64
-	started   bool
-}
-
-// NewConstantSource creates a constant source with the given offset.
-func (c *Context) NewConstantSource(offset float64) *ConstantSourceNode {
-	n := &ConstantSourceNode{nodeBase: nodeBase{ctx: c, label: "constant"}}
-	n.Offset = newParam(c, "offset", offset, 0, 0)
-	n.stopTime = math.Inf(1)
-	c.register(n)
-	return n
-}
-
-// Start schedules output from time t (seconds).
-func (n *ConstantSourceNode) Start(t float64) { n.started = true; n.startTime = t }
-
-// Stop schedules the end of output at time t (seconds).
-func (n *ConstantSourceNode) Stop(t float64) { n.stopTime = t }
-
-func (n *ConstantSourceNode) params() []*AudioParam { return []*AudioParam{n.Offset} }
-
-func (n *ConstantSourceNode) process(frameTime int64) {
-	tr := n.ctx.traits
-	sr := n.ctx.sampleRate
-	for i := 0; i < RenderQuantum; i++ {
-		t := (float64(frameTime) + float64(i)) / sr
-		if !n.started || t < n.startTime || t >= n.stopTime {
-			n.output[i] = 0
-			continue
-		}
-		n.output[i] = tr.round32(n.Offset.sampleAt(frameTime, i))
-	}
-}
-
-// processBlock is the constant-source block kernel: when the whole quantum
-// is inside [start, stop) and Offset is k-rate, the output is one rounded
-// constant. Everything else takes the reference loop.
-func (n *ConstantSourceNode) processBlock(frameTime int64, _ *[RenderQuantum]float64) {
-	sr := n.ctx.sampleRate
-	t0 := float64(frameTime) / sr
-	tLast := (float64(frameTime) + RenderQuantum - 1) / sr
-	if !(n.started && t0 >= n.startTime && tLast < n.stopTime) || !n.Offset.isKRate() {
-		n.process(frameTime)
-		return
-	}
-	v := n.ctx.traits.round32(n.Offset.constValue())
-	for i := 0; i < RenderQuantum; i++ {
-		n.output[i] = v
-	}
-}
-
-// AudioBufferSourceNode plays a mono sample buffer, optionally looped, at a
-// modulable playback rate (linear-interpolated resampling).
-type AudioBufferSourceNode struct {
-	nodeBase
-	// PlaybackRate scales read speed (1 = native).
-	PlaybackRate *AudioParam
-	buffer       []float32
-	loop         bool
-	pos          float64
-	startTime    float64
-	stopTime     float64
-	started      bool
-	done         bool
-}
-
-// NewBufferSource creates a source for the given sample buffer (copied).
-func (c *Context) NewBufferSource(buffer []float32, loop bool) *AudioBufferSourceNode {
-	s := &AudioBufferSourceNode{
-		nodeBase: nodeBase{ctx: c, label: "buffersource"},
-		buffer:   append([]float32(nil), buffer...),
-		loop:     loop,
-	}
-	s.PlaybackRate = newParam(c, "playbackRate", 1, 0, 0)
-	s.stopTime = math.Inf(1)
-	c.register(s)
-	return s
-}
-
-// Start schedules playback from time t (seconds).
-func (s *AudioBufferSourceNode) Start(t float64) { s.started = true; s.startTime = t }
-
-// Stop schedules the end of playback at time t (seconds).
-func (s *AudioBufferSourceNode) Stop(t float64) { s.stopTime = t }
-
-func (s *AudioBufferSourceNode) params() []*AudioParam {
-	return []*AudioParam{s.PlaybackRate}
-}
-
-func (s *AudioBufferSourceNode) process(frameTime int64) {
-	tr := s.ctx.traits
-	sr := s.ctx.sampleRate
-	n := len(s.buffer)
-	for i := 0; i < RenderQuantum; i++ {
-		t := (float64(frameTime) + float64(i)) / sr
-		if !s.started || s.done || n == 0 || t < s.startTime || t >= s.stopTime {
-			s.output[i] = 0
-			continue
-		}
-		idx := int(s.pos)
-		if idx >= n-1 {
-			if !s.loop {
-				if idx >= n {
-					s.done = true
-					s.output[i] = 0
-					continue
-				}
-				s.output[i] = tr.round32(float64(s.buffer[n-1]))
-			} else {
-				s.pos = math.Mod(s.pos, float64(n))
-				idx = int(s.pos)
-			}
-		}
-		if !s.done && idx < n-1 {
-			frac := float32(s.pos - float64(idx))
-			v := s.buffer[idx] + (s.buffer[idx+1]-s.buffer[idx])*frac
-			s.output[i] = tr.round32(float64(v))
-		}
-		rate := s.PlaybackRate.sampleAt(frameTime, i)
-		if rate < 0 {
-			rate = 0
-		}
-		s.pos += rate
 	}
 }

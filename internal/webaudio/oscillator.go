@@ -104,9 +104,6 @@ func (o *OscillatorNode) Start(t float64) {
 	o.startTime = t
 }
 
-// Stop schedules the end of sound production at time t (seconds).
-func (o *OscillatorNode) Stop(t float64) { o.stopTime = t }
-
 func (o *OscillatorNode) params() []*AudioParam {
 	return []*AudioParam{o.Frequency, o.Detune}
 }

@@ -22,16 +22,13 @@ type paramEventKind int
 
 const (
 	setValue paramEventKind = iota
-	linearRamp
 	exponentialRamp
-	setTarget
 )
 
 type paramEvent struct {
 	kind paramEventKind
 	time float64 // seconds
 	val  float64
-	tc   float64 // time constant (setTarget only)
 }
 
 func newParam(ctx *Context, name string, def, min, max float64) *AudioParam {
@@ -49,11 +46,6 @@ func (p *AudioParam) SetValueAtTime(v, t float64) {
 	p.insert(paramEvent{kind: setValue, time: t, val: v})
 }
 
-// LinearRampToValueAtTime schedules a linear ramp ending at time t.
-func (p *AudioParam) LinearRampToValueAtTime(v, t float64) {
-	p.insert(paramEvent{kind: linearRamp, time: t, val: v})
-}
-
 // ExponentialRampToValueAtTime schedules an exponential ramp ending at t.
 // The target value must be non-zero, per spec.
 func (p *AudioParam) ExponentialRampToValueAtTime(v, t float64) {
@@ -61,17 +53,6 @@ func (p *AudioParam) ExponentialRampToValueAtTime(v, t float64) {
 		panic("webaudio: exponential ramp target must be non-zero")
 	}
 	p.insert(paramEvent{kind: exponentialRamp, time: t, val: v})
-}
-
-// SetTargetAtTime schedules an exponential approach toward target starting
-// at time t with the given time constant (seconds), per the spec.
-func (p *AudioParam) SetTargetAtTime(target, t, timeConstant float64) {
-	if timeConstant <= 0 {
-		// Spec: a zero time constant jumps immediately.
-		p.insert(paramEvent{kind: setValue, time: t, val: target})
-		return
-	}
-	p.insert(paramEvent{kind: setTarget, time: t, val: target, tc: timeConstant})
 }
 
 func (p *AudioParam) insert(e paramEvent) {
@@ -99,51 +80,26 @@ func (p *AudioParam) automatedValue(t float64) float64 {
 	}
 	val := p.value // anchored value at prevTime
 	prevTime := 0.0
-	var target *paramEvent // active SetTargetAtTime decay, if any
-	valueAt := func(x float64) float64 {
-		if target != nil && x >= prevTime {
-			return target.val + (val-target.val)*math.Exp(-(x-prevTime)/target.tc)
-		}
-		return val
-	}
 	for i := range p.events {
 		e := &p.events[i]
 		if e.time > t {
-			// A pending ramp interpolates from the previous anchor.
-			switch e.kind {
-			case linearRamp:
-				if e.time == prevTime {
-					return p.clamp(e.val)
-				}
-				frac := (t - prevTime) / (e.time - prevTime)
-				return p.clamp(val + (e.val-val)*frac)
-			case exponentialRamp:
-				if val == 0 || e.time == prevTime {
-					return p.clamp(val)
-				}
-				frac := (t - prevTime) / (e.time - prevTime)
-				ratio := e.val / val
-				if ratio <= 0 {
-					return p.clamp(val)
-				}
-				return p.clamp(val * math.Pow(ratio, frac))
-			default:
-				// Value holds (or keeps decaying) until the future event.
-				return p.clamp(valueAt(t))
+			// A pending exponential ramp interpolates from the previous
+			// anchor; a pending step leaves the value where it is.
+			if e.kind != exponentialRamp || val == 0 || e.time == prevTime {
+				return p.clamp(val)
 			}
+			frac := (t - prevTime) / (e.time - prevTime)
+			ratio := e.val / val
+			if ratio <= 0 {
+				return p.clamp(val)
+			}
+			return p.clamp(val * math.Pow(ratio, frac))
 		}
 		// Advance the anchored state through the event.
-		if e.kind == setTarget {
-			val = valueAt(e.time)
-			prevTime = e.time
-			target = e
-		} else {
-			val = e.val
-			prevTime = e.time
-			target = nil
-		}
+		val = e.val
+		prevTime = e.time
 	}
-	return p.clamp(valueAt(t))
+	return p.clamp(val)
 }
 
 // sampleAt returns the effective parameter value for an absolute frame:

@@ -13,19 +13,9 @@ package webaudio
 
 import "repro/internal/obs"
 
-// blockNode is implemented by nodes with a block kernel. processBlock
-// renders one quantum into base().output given the pre-mixed input block
-// (the engine's sumInputs result for every frame of the quantum). Nodes
-// without audio inputs receive the scratch untouched and must ignore it.
-type blockNode interface {
-	Node
-	processBlock(frameTime int64, in *[RenderQuantum]float64)
-}
-
 // renderOp is one compiled step of a render program.
 type renderOp struct {
-	node  Node
-	block blockNode // nil → per-sample fallback via node.process
+	node Node
 	// comp is set when the op is a compressor, the one node with a
 	// cheaper kernel for quanta rendered under Context.RenderUnobserved;
 	// every other op renders hinted quanta in full.
@@ -61,19 +51,12 @@ type blockScratch struct {
 func (c *Context) compileProgram() {
 	ops := c.prog.ops[:0]
 	for _, n := range c.order {
-		op := renderOp{node: n}
-		if bn, ok := n.(blockNode); ok {
-			op.block = bn
-			op.comp, _ = n.(*DynamicsCompressorNode)
-			op.hist = kernelHist(opClass(n.base().label))
-		}
+		op := renderOp{node: n, hist: kernelHist(opClass(n.base().label))}
+		op.comp, _ = n.(*DynamicsCompressorNode)
 		for _, in := range n.base().inputs {
 			op.srcs = append(op.srcs, &in.base().output)
 		}
-		switch n.(type) {
-		case *OscillatorNode, *ConstantSourceNode:
-			op.noMix = true
-		}
+		_, op.noMix = n.(*OscillatorNode)
 		ops = append(ops, op)
 	}
 	c.prog.ops = ops
@@ -88,12 +71,6 @@ func (p *renderProgram) run(c *Context, unobserved bool) {
 	fault := blockFaultHook.Load()
 	for i := range p.ops {
 		op := &p.ops[i]
-		if op.block == nil {
-			// No block kernel for this node type: the per-sample reference
-			// path renders it (reading the same, already-filled buffers).
-			op.node.process(frame)
-			continue
-		}
 		if !op.noMix {
 			mixInto(&c.scratch.mix, op.srcs, mix32)
 		}
@@ -103,7 +80,7 @@ func (p *renderProgram) run(c *Context, unobserved bool) {
 		case timed:
 			timeBlock(op, frame, &c.scratch.mix)
 		default:
-			op.block.processBlock(frame, &c.scratch.mix)
+			op.node.processBlock(frame, &c.scratch.mix)
 		}
 		if fault != nil {
 			fault.apply(op.node)

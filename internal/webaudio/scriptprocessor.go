@@ -44,9 +44,6 @@ func (c *Context) NewScriptProcessor(bufferSize int) (*ScriptProcessorNode, erro
 	return s, nil
 }
 
-// Events returns how many audioprocess events have fired.
-func (s *ScriptProcessorNode) Events() int { return s.events }
-
 func (s *ScriptProcessorNode) process(frameTime int64) {
 	tr := s.ctx.traits
 	for i := 0; i < RenderQuantum; i++ {
