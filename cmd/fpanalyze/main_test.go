@@ -84,7 +84,7 @@ func TestRunRecoverFlag(t *testing.T) {
 
 // TestRunExportTelemetry: -export writes the analysis span tree plus at
 // least one registry snapshot as NDJSON — the same parity fpstudy and
-// fpserver have, consumable by the series/exemplar tooling.
+// fpserver have.
 func TestRunExportTelemetry(t *testing.T) {
 	path := writeFixtureDataset(t)
 	exportPath := filepath.Join(t.TempDir(), "telemetry.ndjson")

@@ -1,7 +1,8 @@
 // Command fpdiag inspects the diagnostic bundles a -diag fpserver (or a
 // manual POST /api/v1/obs/bundles) captured: list the ring, show one
 // bundle's manifest and heap top-N, and diff the heap between two bundles
-// to see what grew between captures.
+// to see what grew between captures. show and diff read the heap profiles
+// with `go tool pprof`, so they need a Go toolchain on PATH.
 //
 // Usage:
 //
@@ -15,8 +16,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
+	"strings"
 	"text/tabwriter"
 
 	"repro/internal/diag"
@@ -120,81 +122,74 @@ func runShow(out io.Writer, dir, id string, top int) error {
 		fmt.Fprintf(out, "    %-16s %d\n", f.Name, f.Bytes)
 	}
 
-	heap, err := readHeapProfile(dir, id)
+	report, err := pprofTop(dir, id, "", top)
 	if err != nil {
 		fmt.Fprintf(out, "  heap profile unreadable: %v\n", err)
 		return nil
 	}
 	fmt.Fprintf(out, "  heap inuse_space top %d by function:\n", top)
-	tw := tabwriter.NewWriter(out, 4, 4, 2, ' ', 0)
-	for _, ft := range diag.TopByType(heap, "inuse_space", top) {
-		fmt.Fprintf(tw, "    %d\t%s\n", ft.Value, ft.Func)
-	}
-	return tw.Flush()
+	writeIndented(out, "    ", report)
+	return nil
 }
 
 // runDiff prints the per-function inuse_space delta between bundle a
-// (before) and bundle b (after), largest absolute change first — "what
-// grew between these two captures".
+// (before) and bundle b (after), as `go tool pprof -diff_base` ranks it —
+// "what grew between these two captures".
 func runDiff(out io.Writer, dir, a, b string, top int) error {
-	before, err := readHeapProfile(dir, a)
+	report, err := pprofTop(dir, b, a, top)
 	if err != nil {
-		return fmt.Errorf("bundle %s: %w", a, err)
+		return err
 	}
-	after, err := readHeapProfile(dir, b)
-	if err != nil {
-		return fmt.Errorf("bundle %s: %w", b, err)
-	}
-	delta := map[string]int64{}
-	for _, ft := range diag.TopByType(before, "inuse_space", 0) {
-		delta[ft.Func] -= ft.Value
-	}
-	for _, ft := range diag.TopByType(after, "inuse_space", 0) {
-		delta[ft.Func] += ft.Value
-	}
-	rows := make([]diag.FuncTotal, 0, len(delta))
-	for f, v := range delta {
-		if v != 0 {
-			rows = append(rows, diag.FuncTotal{Func: f, Value: v})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		ai, aj := abs(rows[i].Value), abs(rows[j].Value)
-		if ai != aj {
-			return ai > aj
-		}
-		return rows[i].Func < rows[j].Func
-	})
-	if top > 0 && len(rows) > top {
-		rows = rows[:top]
-	}
-	fmt.Fprintf(out, "heap inuse_space delta %s -> %s (top %d by |change|):\n", a, b, top)
-	if len(rows) == 0 {
-		fmt.Fprintln(out, "  no per-function changes")
-		return nil
-	}
-	tw := tabwriter.NewWriter(out, 4, 4, 2, ' ', 0)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "  %+d\t%s\n", r.Value, r.Func)
-	}
-	return tw.Flush()
+	fmt.Fprintf(out, "heap inuse_space delta %s -> %s (top %d):\n", a, b, top)
+	writeIndented(out, "  ", report)
+	return nil
 }
 
-func readHeapProfile(dir, id string) (*diag.Profile, error) {
+// pprofTop runs `go tool pprof -top` over bundle id's heap profile, diffed
+// against bundle base's when base is non-empty, and returns the report.
+// GOTOOLCHAIN=local keeps go from fetching a toolchain to run it.
+func pprofTop(dir, id, base string, top int) (string, error) {
+	args := []string{"tool", "pprof", "-top", "-sample_index=inuse_space", fmt.Sprintf("-nodecount=%d", top)}
+	if base != "" {
+		basePath, err := heapPath(dir, base)
+		if err != nil {
+			return "", err
+		}
+		args = append(args, "-diff_base="+basePath)
+	}
+	path, err := heapPath(dir, id)
+	if err != nil {
+		return "", err
+	}
+	cmd := exec.Command("go", append(args, path)...)
+	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	report, err := cmd.Output()
+	if err != nil {
+		msg := err.Error()
+		if text := strings.TrimSpace(stderr.String()); text != "" {
+			msg = strings.ReplaceAll(text, "\n", "; ")
+		}
+		return "", fmt.Errorf("go tool pprof: %s", msg)
+	}
+	return string(report), nil
+}
+
+// heapPath locates one bundle's heap profile.
+func heapPath(dir, id string) (string, error) {
 	if !diag.ValidBundleID(id) {
-		return nil, diag.ErrUnknownBundle
+		return "", fmt.Errorf("bundle %s: %w", id, diag.ErrUnknownBundle)
 	}
-	f, err := os.Open(filepath.Join(dir, id, diag.FileHeap))
-	if err != nil {
-		return nil, err
+	path := filepath.Join(dir, id, diag.FileHeap)
+	if _, err := os.Stat(path); err != nil {
+		return "", fmt.Errorf("bundle %s: %w", id, err)
 	}
-	defer f.Close()
-	return diag.ParsePprof(f)
+	return path, nil
 }
 
-func abs(v int64) int64 {
-	if v < 0 {
-		return -v
+func writeIndented(out io.Writer, indent, text string) {
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		fmt.Fprintln(out, indent+line)
 	}
-	return v
 }

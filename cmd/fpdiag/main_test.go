@@ -2,7 +2,8 @@ package main
 
 import (
 	"bytes"
-	"runtime"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -39,7 +40,6 @@ func TestFpdiagListShowDiff(t *testing.T) {
 	}
 	retainForDiff(6)
 	defer func() { fpdiagSink = nil }()
-	runtime.GC() // heap profiles report post-GC live data
 	second, err := capt.Capture()
 	if err != nil {
 		t.Fatal(err)
@@ -66,6 +66,7 @@ func TestFpdiagListShowDiff(t *testing.T) {
 		diag.FileHeap,
 		diag.FileGoroutines,
 		"heap inuse_space top",
+		"flat%", // pprof's column header: the profile was read
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("show output missing %q:\n%s", want, text)
@@ -99,4 +100,66 @@ func TestFpdiagListShowDiff(t *testing.T) {
 	if err := run([]string{"-dir", dir}, &out, &out); err == nil {
 		t.Error("missing command did not error")
 	}
+}
+
+// TestFpdiagWithoutToolchain: with no go on PATH, show still prints the
+// manifest and reports the heap profile unreadable, while diff, which has
+// nothing else to print, fails naming the missing tool.
+func TestFpdiagWithoutToolchain(t *testing.T) {
+	dir, first, second := captureTwo(t)
+	t.Setenv("PATH", t.TempDir())
+
+	var out bytes.Buffer
+	if err := run([]string{"-dir", dir, "show", first.ID}, &out, &out); err != nil {
+		t.Fatalf("show without a toolchain: %v", err)
+	}
+	for _, want := range []string{"bundle " + first.ID, diag.FileHeap, "heap profile unreadable:"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("show output missing %q:\n%s", want, out.String())
+		}
+	}
+
+	err := run([]string{"-dir", dir, "diff", first.ID, second.ID}, &out, &out)
+	if err == nil || !strings.Contains(err.Error(), "go tool pprof") {
+		t.Fatalf("diff without a toolchain = %v, want an error naming go tool pprof", err)
+	}
+}
+
+// TestFpdiagUnreadableProfile: a heap profile pprof cannot parse leaves
+// show printing the manifest and the pprof error, and fails diff.
+func TestFpdiagUnreadableProfile(t *testing.T) {
+	dir, good, bad := captureTwo(t)
+	if err := os.WriteFile(filepath.Join(dir, bad.ID, diag.FileHeap), []byte("not a profile"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := run([]string{"-dir", dir, "show", bad.ID}, &out, &out); err != nil {
+		t.Fatalf("show of an unreadable profile: %v", err)
+	}
+	for _, want := range []string{"bundle " + bad.ID, "heap profile unreadable: go tool pprof"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("show output missing %q:\n%s", want, out.String())
+		}
+	}
+	if err := run([]string{"-dir", dir, "diff", good.ID, bad.ID}, &out, &out); err == nil {
+		t.Error("diff against an unreadable profile did not error")
+	}
+}
+
+// captureTwo captures two bundles into a fresh ring.
+func captureTwo(t *testing.T) (dir string, first, second diag.Manifest) {
+	t.Helper()
+	dir = t.TempDir()
+	capt, err := diag.NewCapturer(diag.CaptureConfig{Dir: dir, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, err = capt.Capture(); err != nil {
+		t.Fatal(err)
+	}
+	if second, err = capt.Capture(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, first, second
 }

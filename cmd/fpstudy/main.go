@@ -13,6 +13,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,7 +63,6 @@ func run(runCtx context.Context, args []string, outw, errw io.Writer) error {
 		engine     = fs.String("render-engine", "block", "DSP engine: block (compiled render programs) or reference (per-sample); outputs are bit-identical")
 		shadow     = fs.Int("shadow", 0, "audit 1 in N cache-miss renders by re-rendering through both engines in lockstep (0 disables)")
 		shadowOut  = fs.String("shadow-out", "", "write the shadow auditor's flight-record summary as JSON to this path (with -shadow)")
-		kernelTime = fs.Bool("kernel-timing", false, "record per-kernel block timing histograms with trace exemplars (adds clock overhead per op)")
 		vSweep     = fs.Bool("verify-sweep", false, "run the offline verification FAR/FRR/EER sweep over the evolved population instead of the measurement campaigns (uses -users and -seed)")
 		vEpochs    = fs.Int("verify-epochs", 6, "evolved-population epochs for the sweep (with -verify-sweep)")
 		vSamples   = fs.Int("verify-samples", 2, "samples per user per vector per epoch (with -verify-sweep)")
@@ -71,6 +71,18 @@ func run(runCtx context.Context, args []string, outw, errw io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *shadowOut != "" && *shadow <= 0 {
+		return errors.New("-shadow-out requires -shadow")
+	}
+	if !*vSweep {
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		for _, name := range []string{"verify-epochs", "verify-samples", "verify-enroll", "verify-out"} {
+			if set[name] {
+				return fmt.Errorf("-%s requires -verify-sweep", name)
+			}
+		}
 	}
 	logger := log.New(errw, "fpstudy ", log.LstdFlags|log.Lmsgprefix)
 
@@ -115,15 +127,6 @@ func run(runCtx context.Context, args []string, outw, errw io.Writer) error {
 
 	root := obs.NewTrace("fpstudy")
 	ctx := obs.ContextWithSpan(runCtx, root)
-
-	if *kernelTime {
-		webaudio.SetKernelTiming(true)
-		defer webaudio.SetKernelTiming(false)
-		// Kernel-timing exemplars carry the run's trace id, so a slow kernel
-		// seen on a scrape links back to this campaign's span tree.
-		webaudio.SetRenderTraceID(root.TraceID())
-		defer webaudio.SetRenderTraceID("")
-	}
 
 	// One render cache across both campaigns: platform classes shared
 	// between the main and follow-up mixes render once for the whole run.

@@ -125,3 +125,24 @@ func TestRunVerifySweep(t *testing.T) {
 		t.Errorf("log missing calibration line:\n%s", logs.String())
 	}
 }
+
+// TestRunRejectsOrphanFlags: a flag that only acts alongside another is an
+// error without it, not silently ignored.
+func TestRunRejectsOrphanFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shadow-out", "audit.json"}, "-shadow-out requires -shadow"},
+		{[]string{"-verify-epochs", "4"}, "-verify-epochs requires -verify-sweep"},
+		{[]string{"-verify-samples", "1"}, "-verify-samples requires -verify-sweep"},
+		{[]string{"-verify-enroll", "2"}, "-verify-enroll requires -verify-sweep"},
+		{[]string{"-verify-out", "cal.json"}, "-verify-out requires -verify-sweep"},
+	} {
+		var stdout, logs bytes.Buffer
+		err := run(context.Background(), tc.args, &stdout, &logs)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("run(%v) = %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -322,6 +322,10 @@ func (c *Capturer) writeFiles(dir string, man *Manifest, alert *watch.Alert) err
 		return err
 	}
 	if err := writeTo(FileHeap, func(f *os.File) error {
+		// The heap profile reports the last completed GC cycle; collect
+		// first so it shows the heap at capture time, not memory freed
+		// since (net/http/pprof's ?gc=1).
+		runtime.GC()
 		return pprof.Lookup("heap").WriteTo(f, 0)
 	}); err != nil {
 		return err
@@ -382,14 +386,9 @@ func (c *Capturer) bundleMetrics(alert *watch.Alert) []string {
 		"watch_alerts_firing":      {},
 	}
 	if alert != nil && c.cfg.RuleLookup != nil {
-		if r, ok := c.cfg.RuleLookup(alert.Rule); ok {
-			switch r.Kind {
-			case watch.KindRenderDivergence:
-				set[r.DivergenceMetric] = struct{}{}
-			case watch.KindErrorBudget:
-				set[r.ErrorMetric] = struct{}{}
-				set[r.TotalMetric] = struct{}{}
-			}
+		if r, ok := c.cfg.RuleLookup(alert.Rule); ok && r.Kind == watch.KindErrorBudget {
+			set[r.ErrorMetric] = struct{}{}
+			set[r.TotalMetric] = struct{}{}
 		}
 	}
 	out := make([]string, 0, len(set))

@@ -3,6 +3,7 @@ package diag
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func newFakeClock() *fakeClock {
 
 func firingAlert(rule string) watch.Alert {
 	return watch.Alert{
-		Rule: rule, Kind: watch.KindRenderDivergence,
+		Rule: rule, Kind: watch.KindErrorBudget,
 		Subject: rule, State: watch.StateFiring,
 		Value: 1, FiredAtRecords: 100,
 	}
@@ -65,14 +66,9 @@ func TestCaptureManualWritesCompleteBundle(t *testing.T) {
 			t.Errorf("bundle file %s is empty", want)
 		}
 	}
-	// The heap profile must parse with the bundled reader.
-	f, err := os.Open(filepath.Join(c.Dir(), man.ID, FileHeap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, err := ParsePprof(f); err != nil {
-		t.Fatalf("bundled heap profile does not parse: %v", err)
+	// The heap profile must be one pprof reads.
+	if top := PprofTop(t, filepath.Join(c.Dir(), man.ID, FileHeap)); !strings.Contains(top, "flat%") {
+		t.Fatalf("pprof -top of the bundled heap profile has no table:\n%s", top)
 	}
 
 	got, err := c.Manifest(man.ID)
@@ -100,7 +96,7 @@ func TestCooldownSuppressesSecondCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.OnTransition(firingAlert("render-divergence"), watch.StatePending, watch.StateFiring)
+	c.OnTransition(firingAlert("ingest-error-budget"), watch.StatePending, watch.StateFiring)
 	c.Flush()
 	if n := countBundles(t, c); n != 1 {
 		t.Fatalf("after first firing: %d bundles, want 1", n)
@@ -108,7 +104,7 @@ func TestCooldownSuppressesSecondCapture(t *testing.T) {
 
 	// Second breach 1 minute later: inside the cooldown, suppressed.
 	clk.advance(time.Minute)
-	c.OnTransition(firingAlert("render-divergence"), watch.StatePending, watch.StateFiring)
+	c.OnTransition(firingAlert("ingest-error-budget"), watch.StatePending, watch.StateFiring)
 	c.Flush()
 	if n := countBundles(t, c); n != 1 {
 		t.Fatalf("breach within cooldown captured: %d bundles, want 1", n)
@@ -117,7 +113,7 @@ func TestCooldownSuppressesSecondCapture(t *testing.T) {
 		t.Errorf("diag_captures_suppressed_total = %d, want 1", v)
 	}
 
-	// A different rule is not suppressed by render-divergence's cooldown.
+	// A different rule is not suppressed by ingest-error-budget's cooldown.
 	c.OnTransition(firingAlert("entropy-collapse"), watch.StatePending, watch.StateFiring)
 	c.Flush()
 	if n := countBundles(t, c); n != 2 {
@@ -126,7 +122,7 @@ func TestCooldownSuppressesSecondCapture(t *testing.T) {
 
 	// Past the cooldown the original rule captures again.
 	clk.advance(10 * time.Minute)
-	c.OnTransition(firingAlert("render-divergence"), watch.StatePending, watch.StateFiring)
+	c.OnTransition(firingAlert("ingest-error-budget"), watch.StatePending, watch.StateFiring)
 	c.Flush()
 	if n := countBundles(t, c); n != 3 {
 		t.Fatalf("breach past cooldown did not capture: %d bundles, want 3", n)
@@ -139,7 +135,7 @@ func TestOnTransitionIgnoresNonFiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := firingAlert("render-divergence")
+	a := firingAlert("ingest-error-budget")
 	c.OnTransition(a, "", watch.StatePending)
 	c.OnTransition(a, watch.StateFiring, watch.StateResolved)
 	c.Flush()
@@ -218,7 +214,7 @@ func TestRingEvictsByBytesButKeepsNewest(t *testing.T) {
 
 func TestValidBundleID(t *testing.T) {
 	for id, want := range map[string]bool{
-		"20260808T120000Z-0001-render-divergence": true,
+		"20260808T120000Z-0001-ingest-error-budget": true,
 		"":                 false,
 		".":                false,
 		"..":               false,

@@ -100,9 +100,6 @@ type metricSample struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  float64           `json:"value"`
-	// Exemplar carries a histogram's most recent traced observation, so
-	// the NDJSON telemetry file alone links a distribution to a trace id.
-	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
 // NewExporter opens the sink and starts the export worker.
@@ -188,7 +185,7 @@ func (e *Exporter) FlushMetrics() error {
 		Metrics:      make([]metricSample, len(samples)),
 	}
 	for i, s := range samples {
-		ms := metricSample{Name: s.Name, Value: s.Value, Exemplar: s.Exemplar}
+		ms := metricSample{Name: s.Name, Value: s.Value}
 		if len(s.Labels) > 0 {
 			ms.Labels = s.Labels
 		}

@@ -29,9 +29,6 @@ type Sample struct {
 	// cumulative semantics (the series store's delta queries) treat
 	// counter and histogram samples as monotonic.
 	Type string
-	// Exemplar is the histogram series' most recent traced observation,
-	// attached to the _count sample by Registry.Snapshot; nil otherwise.
-	Exemplar *Exemplar
 }
 
 // Exposition is a parsed scrape: declared type per family plus every

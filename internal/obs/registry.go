@@ -228,18 +228,6 @@ type Histogram struct {
 	counts []atomic.Uint64 // len(bounds)+1, per-bucket (non-cumulative)
 	count  atomic.Uint64
 	sum    atomicFloat
-	ex     atomic.Pointer[Exemplar]
-}
-
-// Exemplar ties a histogram's distribution back to one concrete traced
-// event: the most recent observation recorded with a trace identity. A
-// scrape showing a slow bucket then answers "which request/render was
-// that?" from the trace file alone.
-type Exemplar struct {
-	// TraceID is the 32-hex trace the observation happened under.
-	TraceID string `json:"trace_id"`
-	// Value is the observed value.
-	Value float64 `json:"value"`
 }
 
 // atomicFloat accumulates float64 values with CAS.
@@ -271,24 +259,6 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.add(v)
-}
-
-// ObserveWithExemplar records one value and, when traceID is non-empty,
-// retains it as the series' exemplar (last writer wins — "most recent
-// traced observation" is the useful semantic for attribution).
-func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
-	h.Observe(v)
-	if traceID != "" {
-		h.ex.Store(&Exemplar{TraceID: traceID, Value: v})
-	}
-}
-
-// Exemplar returns the most recent traced observation, if any.
-func (h *Histogram) Exemplar() (Exemplar, bool) {
-	if e := h.ex.Load(); e != nil {
-		return *e, true
-	}
-	return Exemplar{}, false
 }
 
 // Count returns the number of observations.
@@ -499,11 +469,7 @@ func sampleSeries(name, kind, labelBlock string, m any) []Sample {
 		l["le"] = "+Inf"
 		out = append(out, Sample{Name: name + "_bucket", Labels: l, Value: float64(cum), Type: kind})
 		out = append(out, Sample{Name: name + "_sum", Labels: labels(), Value: m.Sum(), Type: kind})
-		countSample := Sample{Name: name + "_count", Labels: labels(), Value: float64(m.Count()), Type: kind}
-		if ex, ok := m.Exemplar(); ok {
-			countSample.Exemplar = &ex
-		}
-		out = append(out, countSample)
+		out = append(out, Sample{Name: name + "_count", Labels: labels(), Value: float64(m.Count()), Type: kind})
 		return out
 	}
 	return nil

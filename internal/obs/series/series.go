@@ -76,10 +76,9 @@ func (rg *ring) points() []Point {
 
 // metricState groups every labeled series of one metric name.
 type metricState struct {
-	typ      string
-	rings    map[string]*ring // label key → ring
-	order    []string         // label keys in first-seen order
-	exemplar *obs.Exemplar    // most recent histogram exemplar, if any
+	typ   string
+	rings map[string]*ring // label key → ring
+	order []string         // label keys in first-seen order
 }
 
 // Store is the in-process TSDB. All methods are safe for concurrent use;
@@ -218,9 +217,6 @@ func (s *Store) Tick() {
 			s.names = append(s.names, sm.Name)
 			sort.Strings(s.names)
 		}
-		if sm.Exemplar != nil {
-			ms.exemplar = sm.Exemplar
-		}
 		key := labelKey(sm.Labels)
 		rg, ok := ms.rings[key]
 		if !ok {
@@ -254,9 +250,6 @@ type QueryResult struct {
 	Delta bool `json:"delta,omitempty"`
 	// Series lists every labeled series, in first-seen order.
 	Series []Series `json:"series"`
-	// Exemplar is the metric's most recent traced observation (histogram
-	// families only).
-	Exemplar *obs.Exemplar `json:"exemplar,omitempty"`
 }
 
 // cumulative reports whether a metric type's values are monotonic — the
@@ -276,11 +269,10 @@ func (s *Store) Query(metric string, since time.Time, delta bool) (QueryResult, 
 		return QueryResult{}, false
 	}
 	res := QueryResult{
-		Metric:   metric,
-		Type:     ms.typ,
-		Delta:    delta && cumulative(ms.typ),
-		Series:   make([]Series, 0, len(ms.order)),
-		Exemplar: ms.exemplar,
+		Metric: metric,
+		Type:   ms.typ,
+		Delta:  delta && cumulative(ms.typ),
+		Series: make([]Series, 0, len(ms.order)),
 	}
 	cut := int64(0)
 	if !since.IsZero() {

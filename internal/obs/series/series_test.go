@@ -160,7 +160,7 @@ func TestQuerySinceCutsOldPoints(t *testing.T) {
 func TestHistogramBucketsExcludedByDefault(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := reg.Histogram("lat_seconds", "", []float64{0.1, 1}, nil)
-	h.ObserveWithExemplar(0.5, "aabbccdd00112233aabbccdd00112233")
+	h.Observe(0.5)
 	s, _ := newTestStore(t, reg, 8)
 	s.Tick()
 
@@ -170,9 +170,6 @@ func TestHistogramBucketsExcludedByDefault(t *testing.T) {
 	cres, ok := s.Query("lat_seconds_count", time.Time{}, false)
 	if !ok || cres.Series[0].Points[0].V != 1 {
 		t.Fatalf("count series: ok=%v res=%+v", ok, cres)
-	}
-	if cres.Exemplar == nil || cres.Exemplar.TraceID != "aabbccdd00112233aabbccdd00112233" {
-		t.Fatalf("exemplar not carried: %+v", cres.Exemplar)
 	}
 	if _, ok := s.Query("lat_seconds_sum", time.Time{}, false); !ok {
 		t.Fatal("sum series missing")

@@ -94,13 +94,6 @@ type budgetState struct {
 	total  float64
 }
 
-// divState is one render-divergence rule's previous counter position. The
-// baseline starts at zero (not "unseen"): divergences that happened before
-// the monitor attached still fire on the first evaluation.
-type divState struct {
-	prev float64
-}
-
 // alertState is one live (pending or firing) alert plus its breach run.
 type alertState struct {
 	alert    Alert
@@ -121,7 +114,6 @@ type ruleState struct {
 	ewma     map[string]*ewmaState
 	churn    map[string]*churnState
 	budget   budgetState
-	div      divState
 }
 
 // sigmaFloor keeps the z-score finite on flat history: a perfectly
@@ -190,7 +182,7 @@ func New(cfg Config) (*Monitor, error) {
 			return nil, errors.New("watch: rule without a name")
 		}
 		switch r.Kind {
-		case KindEntropyCollapse, KindClusterChurn, KindErrorBudget, KindRenderDivergence:
+		case KindEntropyCollapse, KindClusterChurn, KindErrorBudget:
 		default:
 			return nil, fmt.Errorf("watch: rule %q has unknown kind %q", r.Name, r.Kind)
 		}
@@ -291,8 +283,6 @@ func (m *Monitor) observeLocked(records int64) []transition {
 			m.evalChurn(rs, records)
 		case KindErrorBudget:
 			m.evalBudget(rs, records)
-		case KindRenderDivergence:
-			m.evalDivergence(rs, records)
 		}
 	}
 	trans := m.trans
@@ -413,31 +403,6 @@ func (m *Monitor) evalBudget(rs *ruleState, records int64) {
 	st.seen = true
 	st.errors = errSum
 	st.total = totSum
-}
-
-// evalDivergence compares the shadow auditor's divergence counter against
-// its previous position and breaches on any increase beyond the rule's
-// tolerance (default 0: one confirmed mismatch fires). Caller holds m.mu.
-func (m *Monitor) evalDivergence(rs *ruleState, records int64) {
-	var sum float64
-	for _, s := range m.reg.Snapshot() {
-		if s.Name == rs.rule.DivergenceMetric {
-			sum += s.Value
-		}
-	}
-	st := &rs.div
-	d := sum - st.prev
-	if d < 0 {
-		d = sum // counter reset: the new value bounds the new divergences
-	}
-	if d > rs.rule.MaxDivergences {
-		m.breach(rs.rule, rs.rule.Name, records, d, rs.rule.MaxDivergences, fmt.Sprintf(
-			"%.0f new engine divergences since last evaluation (%s total %.0f)",
-			d, rs.rule.DivergenceMetric, sum))
-	} else {
-		m.clear(rs.rule, rs.rule.Name, records)
-	}
-	st.prev = sum
 }
 
 // queueTransition records one state change for post-unlock delivery.

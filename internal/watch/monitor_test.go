@@ -229,7 +229,7 @@ func TestHealthText(t *testing.T) {
 	if !strings.HasPrefix(txt, "status: ok\n") {
 		t.Fatalf("fresh monitor health = %q", txt)
 	}
-	for _, want := range []string{"records: 0", "rules: 5", "firing: 0"} {
+	for _, want := range []string{"records: 0", "rules: 4", "firing: 0"} {
 		if !strings.Contains(txt, want) {
 			t.Fatalf("health text missing %q:\n%s", want, txt)
 		}

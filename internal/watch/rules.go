@@ -29,11 +29,6 @@ const (
 	// burns the SLO's budget faster than MaxBurn — the standard
 	// burn-rate alert, driven by record progress instead of wall time.
 	KindErrorBudget = "error_budget"
-	// KindRenderDivergence watches the shadow auditor's divergence counter
-	// and fires the moment new block-vs-reference engine mismatches appear
-	// — a confirmed divergence means every fingerprint rendered since is
-	// suspect, so the threshold defaults to zero tolerance.
-	KindRenderDivergence = "render_divergence"
 )
 
 // Rule is one declarative watcher. Zero fields take the documented
@@ -79,13 +74,6 @@ type Rule struct {
 	// MaxBurn is the burn-rate threshold: 1.0 means errors arrive exactly
 	// at the rate that exhausts the budget (default 1).
 	MaxBurn float64
-
-	// DivergenceMetric names the counter a render-divergence rule watches
-	// (default "vectors_render_divergence_total"). The rule breaches when
-	// the counter's inter-evaluation increase exceeds MaxDivergences —
-	// which defaults to 0, so a single confirmed mismatch fires.
-	DivergenceMetric string
-	MaxDivergences   float64
 }
 
 // normalize fills a rule's defaulted fields in place.
@@ -114,9 +102,6 @@ func (r *Rule) normalize() {
 	if r.MaxBurn <= 0 {
 		r.MaxBurn = 1
 	}
-	if r.DivergenceMetric == "" {
-		r.DivergenceMetric = "vectors_render_divergence_total"
-	}
 }
 
 // DefaultRules is the stock rule table a `fpserver -watch` run uses: one
@@ -142,10 +127,6 @@ func DefaultRules() []Rule {
 			ErrorLabels: map[string]string{"route": "/api/v1/fingerprints", "class": "5xx"},
 			TotalMetric: "fpserver_requests_total",
 			TotalLabels: map[string]string{"route": "/api/v1/fingerprints"},
-		},
-		{
-			Name: "render-divergence",
-			Kind: KindRenderDivergence,
 		},
 		{
 			// Burn-rate alert over the verification decision latency SLO:

@@ -12,10 +12,11 @@ import (
 	"repro/internal/vectors"
 )
 
-// TestTransitionHookLifecycle drives a divergence rule through
-// open→fire→resolve and asserts the hook sees each user-visible state
-// change exactly once, outside the monitor lock (the hook calls Snapshot,
-// which would deadlock if delivery happened under m.mu).
+// TestTransitionHookLifecycle drives an error-budget rule through
+// open→cancel→open→fire→resolve and asserts the hook sees each
+// user-visible state change exactly once, outside the monitor lock (the
+// hook calls Snapshot, which would deadlock if delivery happened under
+// m.mu).
 func TestTransitionHookLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := streaming.New(streaming.Config{Registry: reg, AMIRefreshEvery: -1})
@@ -30,8 +31,9 @@ func TestTransitionHookLifecycle(t *testing.T) {
 		Engine:   eng,
 		Registry: reg,
 		Rules: []Rule{{
-			Name: "render-divergence", Kind: KindRenderDivergence,
-			Every: 1, For: 2,
+			Name: "error-budget", Kind: KindErrorBudget, Every: 1, For: 2,
+			ErrorMetric: "requests_total", ErrorLabels: map[string]string{"class": "5xx"},
+			TotalMetric: "requests_total",
 		}},
 	})
 	if err != nil {
@@ -43,16 +45,21 @@ func TestTransitionHookLifecycle(t *testing.T) {
 		got = append(got, seen{a.Rule, from, to, snap.Firing})
 	})
 
-	div := reg.Counter("vectors_render_divergence_total", "", nil)
+	failed := reg.Counter("requests_total", "", obs.Labels{"class": "5xx"})
+	served := reg.Counter("requests_total", "", obs.Labels{"class": "2xx"})
 
-	div.Inc()
-	mon.Observe(1) // breach 1: opens pending
-	mon.Observe(2) // clean: cancels pending silently
-	div.Inc()
-	mon.Observe(3) // breach 1: opens pending again
-	div.Inc()
-	mon.Observe(4) // breach 2: promotes to firing
-	mon.Observe(5) // clean: resolves
+	served.Inc()
+	mon.Observe(1) // first evaluation: sets the counter baseline
+	failed.Inc()
+	mon.Observe(2) // breach 1: opens pending
+	served.Inc()
+	mon.Observe(3) // clean: cancels pending silently
+	failed.Inc()
+	mon.Observe(4) // breach 1: opens pending again
+	failed.Inc()
+	mon.Observe(5) // breach 2: promotes to firing
+	served.Inc()
+	mon.Observe(6) // clean: resolves
 
 	// Expected sequence: open, (silent cancel), open, fire, resolve.
 	exp := []struct{ from, to string }{
@@ -69,7 +76,7 @@ func TestTransitionHookLifecycle(t *testing.T) {
 			t.Errorf("transition %d = %s->%s, want %s->%s",
 				i, got[i].from, got[i].to, e.from, e.to)
 		}
-		if got[i].rule != "render-divergence" {
+		if got[i].rule != "error-budget" {
 			t.Errorf("transition %d rule = %q", i, got[i].rule)
 		}
 	}
@@ -88,15 +95,15 @@ func TestRuleByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := mon.RuleByName("render-divergence")
+	r, ok := mon.RuleByName("ingest-error-budget")
 	if !ok {
-		t.Fatal("RuleByName(render-divergence) not found in DefaultRules")
+		t.Fatal("RuleByName(ingest-error-budget) not found in DefaultRules")
 	}
-	if r.Kind != KindRenderDivergence {
+	if r.Kind != KindErrorBudget {
 		t.Errorf("kind = %q", r.Kind)
 	}
-	if r.DivergenceMetric == "" {
-		t.Error("rule not normalized: DivergenceMetric empty")
+	if r.SLO != 0.99 || r.Every != 64 {
+		t.Errorf("rule not normalized: SLO %v, Every %d", r.SLO, r.Every)
 	}
 	if _, ok := mon.RuleByName("no-such-rule"); ok {
 		t.Error("RuleByName(no-such-rule) = true")

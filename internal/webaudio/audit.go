@@ -11,19 +11,13 @@ package webaudio
 // as a named divergence instead of silently corrupting every downstream
 // entropy number.
 //
-// The file also owns the two supporting knobs: a test-only block-kernel
-// fault injector (how the auditor itself is proven to catch a broken
-// kernel) and the opt-in per-kernel block timing histograms with trace
-// exemplars.
+// The file also owns the test-only block-kernel fault injector, how the
+// auditor itself is proven to catch a broken kernel.
 
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // Divergence locates the first bit mismatch between two engines rendering
@@ -129,73 +123,4 @@ func (f *blockFault) apply(n Node) {
 	}
 	out := &b.output
 	out[f.sample] = math.Float32frombits(math.Float32bits(out[f.sample]) ^ f.xor)
-}
-
-// Per-kernel block timing. Off by default: timing costs two clock reads
-// per op per quantum plus one allocation per traced observation, which the
-// default render path must not pay (TestBlockRenderZeroAlloc pins it).
-// When enabled, each compiled op's kernel time lands in a fixed-bucket
-// histogram labeled by op class, carrying the most recent render trace id
-// as an exemplar — a slow render seen on a scrape is then attributable to
-// a specific kernel and a specific trace.
-var kernelTimingOn atomic.Bool
-
-// SetKernelTiming toggles per-kernel block timing histograms and returns
-// the previous setting. Enable it before constructing contexts: programs
-// compiled while timing is off run without per-op clocks.
-func SetKernelTiming(on bool) bool { return kernelTimingOn.Swap(on) }
-
-// renderTraceID is the trace identity attached to kernel-timing exemplars:
-// whatever trace the current render campaign runs under (study.RunContext
-// and the server's render paths stamp it).
-var renderTraceID atomic.Pointer[string]
-
-// SetRenderTraceID stamps the trace id subsequent kernel-timing exemplars
-// carry ("" clears it).
-func SetRenderTraceID(id string) {
-	if id == "" {
-		renderTraceID.Store(nil)
-		return
-	}
-	renderTraceID.Store(&id)
-}
-
-func currentRenderTraceID() string {
-	if p := renderTraceID.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
-// KernelTimingBuckets covers 100ns … 1ms, suitable for one 128-sample
-// block-kernel invocation in seconds.
-func KernelTimingBuckets() []float64 {
-	return []float64{1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6,
-		1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3}
-}
-
-// opClass reduces a node label to its kernel class: "oscillator:triangle"
-// and "oscillator:sine" are the same compiled kernel, so they share a
-// histogram series (bounded cardinality: one series per node type).
-func opClass(label string) string {
-	if i := strings.IndexByte(label, ':'); i >= 0 {
-		return label[:i]
-	}
-	return label
-}
-
-// kernelHist resolves the timing histogram for one op class on the shared
-// registry (get-or-create; called once per program compile, not per
-// quantum).
-func kernelHist(class string) *obs.Histogram {
-	return obs.Default.Histogram("webaudio_kernel_block_seconds",
-		"wall time of one 128-sample block-kernel invocation, by op class",
-		KernelTimingBuckets(), obs.Labels{"op": class})
-}
-
-// timeBlock runs one op's block kernel under the clock and records it.
-func timeBlock(op *renderOp, frame int64, in *[RenderQuantum]float64) {
-	start := time.Now()
-	op.node.processBlock(frame, in)
-	op.hist.ObserveWithExemplar(time.Since(start).Seconds(), currentRenderTraceID())
 }

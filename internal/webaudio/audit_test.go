@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // auditGraph builds the FFT-vector-shaped chain (oscillator → biquad →
@@ -82,74 +80,5 @@ func TestBlockFaultOnlyHitsBlockEngine(t *testing.T) {
 	}
 	if div != nil {
 		t.Fatalf("reference engine affected by block fault: %v", div)
-	}
-}
-
-func TestKernelTimingHistograms(t *testing.T) {
-	prev := SetKernelTiming(true)
-	defer SetKernelTiming(prev)
-	SetRenderTraceID("0123456789abcdef0123456789abcdef")
-	defer SetRenderTraceID("")
-
-	before := kernelHist("oscillator").Count()
-	c := auditGraph(EngineBlock)
-	if err := c.RenderQuanta(10); err != nil {
-		t.Fatal(err)
-	}
-	h := kernelHist("oscillator")
-	if h.Count() != before+10 {
-		t.Fatalf("oscillator kernel observations = %d, want %d", h.Count(), before+10)
-	}
-	ex, ok := h.Exemplar()
-	if !ok {
-		t.Fatal("no exemplar recorded")
-	}
-	if ex.TraceID != "0123456789abcdef0123456789abcdef" {
-		t.Fatalf("exemplar trace = %q", ex.TraceID)
-	}
-	if ex.Value <= 0 {
-		t.Fatalf("exemplar value = %v", ex.Value)
-	}
-
-	// The exemplar must surface on a registry snapshot (that is how the
-	// exporter's trace file and the series store see it).
-	var found bool
-	for _, s := range obs.Default.Snapshot() {
-		if s.Name == "webaudio_kernel_block_seconds_count" && s.Labels["op"] == "oscillator" {
-			if s.Exemplar == nil || s.Exemplar.TraceID != ex.TraceID {
-				t.Fatalf("snapshot exemplar = %+v", s.Exemplar)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("kernel timing series missing from snapshot")
-	}
-}
-
-func TestKernelTimingOffByDefaultKeepsHistogramsQuiet(t *testing.T) {
-	if kernelTimingOn.Load() {
-		t.Fatal("kernel timing must default to off")
-	}
-	before := kernelHist("compressor").Count()
-	c := auditGraph(EngineBlock)
-	if err := c.RenderQuanta(5); err != nil {
-		t.Fatal(err)
-	}
-	if got := kernelHist("compressor").Count(); got != before {
-		t.Fatalf("untimed render observed %d kernel timings", got-before)
-	}
-}
-
-func TestOpClass(t *testing.T) {
-	for in, want := range map[string]string{
-		"oscillator:triangle": "oscillator",
-		"biquad:lowpass":      "biquad",
-		"gain":                "gain",
-		"destination":         "destination",
-	} {
-		if got := opClass(in); got != want {
-			t.Fatalf("opClass(%q) = %q, want %q", in, got, want)
-		}
 	}
 }

@@ -11,8 +11,6 @@ package webaudio
 // kernel is bit-identical to the node's per-sample process() by
 // construction: same operations, same order, same widths.
 
-import "repro/internal/obs"
-
 // renderOp is one compiled step of a render program.
 type renderOp struct {
 	node Node
@@ -25,10 +23,6 @@ type renderOp struct {
 	// noMix marks source nodes whose kernel ignores the input block, so the
 	// driver can skip zeroing the scratch.
 	noMix bool
-	// hist is the op class's kernel-timing histogram, resolved at compile
-	// time so the timed path (SetKernelTiming) never touches the registry
-	// per quantum.
-	hist *obs.Histogram
 }
 
 // renderProgram is the compiled form of a graph's topo order.
@@ -51,7 +45,7 @@ type blockScratch struct {
 func (c *Context) compileProgram() {
 	ops := c.prog.ops[:0]
 	for _, n := range c.order {
-		op := renderOp{node: n, hist: kernelHist(opClass(n.base().label))}
+		op := renderOp{node: n}
 		op.comp, _ = n.(*DynamicsCompressorNode)
 		for _, in := range n.base().inputs {
 			op.srcs = append(op.srcs, &in.base().output)
@@ -67,19 +61,15 @@ func (c *Context) compileProgram() {
 func (p *renderProgram) run(c *Context, unobserved bool) {
 	frame := c.frame
 	mix32 := c.traits.MixPrecision == Mix32
-	timed := kernelTimingOn.Load()
 	fault := blockFaultHook.Load()
 	for i := range p.ops {
 		op := &p.ops[i]
 		if !op.noMix {
 			mixInto(&c.scratch.mix, op.srcs, mix32)
 		}
-		switch {
-		case unobserved && op.comp != nil:
+		if unobserved && op.comp != nil {
 			op.comp.processUnobserved(frame, &c.scratch.mix)
-		case timed:
-			timeBlock(op, frame, &c.scratch.mix)
-		default:
+		} else {
 			op.node.processBlock(frame, &c.scratch.mix)
 		}
 		if fault != nil {
