@@ -67,7 +67,7 @@ func TestCaptureManualWritesCompleteBundle(t *testing.T) {
 		}
 	}
 	// The heap profile must be one pprof reads.
-	if top := PprofTop(t, filepath.Join(c.Dir(), man.ID, FileHeap)); !strings.Contains(top, "flat%") {
+	if top := PprofTop(t, filepath.Join(c.Dir(), man.ID, FileHeap), "alloc_space"); !strings.Contains(top, "flat%") {
 		t.Fatalf("pprof -top of the bundled heap profile has no table:\n%s", top)
 	}
 

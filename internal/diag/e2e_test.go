@@ -187,7 +187,7 @@ func TestFaultInjectedCaptureE2E(t *testing.T) {
 	}
 
 	// The heap profile must be one pprof reads, with samples in it.
-	top := diag.PprofTop(t, filepath.Join(bundleDir, man.ID, diag.FileHeap))
+	top := diag.PprofTop(t, filepath.Join(bundleDir, man.ID, diag.FileHeap), "alloc_space")
 	if !strings.Contains(top, "flat%") {
 		t.Errorf("pprof -top of the bundled heap profile has no table:\n%s", top)
 	}

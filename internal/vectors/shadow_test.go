@@ -129,6 +129,59 @@ func TestCacheShadowHookAuditsMissPath(t *testing.T) {
 	}
 }
 
+// TestCacheMissPathCountsRenderDivergence drives a deliberately broken block
+// kernel through the production cache-miss path: it must increment
+// vectors_render_divergence_total once and leave a flight record naming the
+// offending op, and once the kernel is fixed further misses audit clean.
+func TestCacheMissPathCountsRenderDivergence(t *testing.T) {
+	a := testAuditor(t, 1)
+	c := NewCache()
+	c.SetShadow(a)
+	r := NewRunner(webaudio.DefaultTraits(), 44100)
+	diverged := a.reg.Counter("vectors_render_divergence_total", "", nil)
+
+	if _, err := c.Run("stack-healthy", r, DC, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := diverged.Value(); got != 0 {
+		t.Fatalf("healthy engines: vectors_render_divergence_total = %d, want 0", got)
+	}
+
+	webaudio.SetBlockFault("compressor", 9, 1<<21)
+	defer webaudio.SetBlockFault("", 0, 0)
+	if _, err := c.Run("stack-broken", r, DC, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := diverged.Value(); got != 1 {
+		t.Fatalf("vectors_render_divergence_total = %d, want 1", got)
+	}
+	sum := a.Summary()
+	if len(sum.Records) != 1 {
+		t.Fatalf("flight records = %d, want 1", len(sum.Records))
+	}
+	rec := sum.Records[0]
+	if rec.Divergence.Op != "compressor" || rec.Divergence.Sample != 9 {
+		t.Fatalf("flight record did not name the broken kernel: %+v", rec.Divergence)
+	}
+	if rec.StackKey != "stack-broken" || rec.Vector != "DC" {
+		t.Fatalf("flight record context: %+v", rec)
+	}
+	if rec.Divergence.OpIndex < 0 {
+		t.Fatalf("op index missing: %+v", rec.Divergence)
+	}
+
+	webaudio.SetBlockFault("", 0, 0)
+	if _, err := c.Run("stack-fixed", r, DC, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := diverged.Value(); got != 1 {
+		t.Fatalf("fixed kernel: vectors_render_divergence_total = %d, want 1", got)
+	}
+	if s := a.Summary(); s.Checks != 3 || s.Divergences != 1 {
+		t.Fatalf("summary after fix = %+v", s)
+	}
+}
+
 // TestShadowProbeCoversRender pins the lockstep window to the production
 // render: the probe audits exactly the quanta Run renders, so the audit
 // reaches the last frames the fingerprint reads (DC's window ends at frame
