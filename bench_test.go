@@ -303,20 +303,6 @@ func BenchmarkKernelOscillator(b *testing.B) {
 	})
 }
 
-// BenchmarkKernelBiquad: oscillator through a lowpass biquad.
-func BenchmarkKernelBiquad(b *testing.B) {
-	benchEngines(b, func(b *testing.B) {
-		benchRenderGraph(b, func(ctx *webaudio.Context) {
-			osc := ctx.NewOscillator(webaudio.Sawtooth, 2000)
-			osc.Start(0)
-			bq := ctx.NewBiquadFilter(webaudio.Lowpass)
-			bq.Frequency.SetValue(8000)
-			webaudio.Connect(osc, bq)
-			webaudio.Connect(bq, ctx.Destination())
-		})
-	})
-}
-
 // BenchmarkKernelCompressor: the DC vector's hot node (kernel Log/Pow per
 // sample — the fingerprint surface — dominates both engines).
 func BenchmarkKernelCompressor(b *testing.B) {

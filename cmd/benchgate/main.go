@@ -21,7 +21,9 @@
 // Names are matched without the -<GOMAXPROCS> suffix go test appends on a
 // multi-core host, so a baseline recorded on one machine gates results
 // from another. The gate fails closed: comparing no baseline entry at all
-// exits 2 rather than passing.
+// exits 2 rather than passing, and a baseline entry with no fresh result
+// fails like a regression, so a deleted or renamed benchmark cannot
+// silently stop being gated while its stale entry stays behind.
 package main
 
 import (
@@ -60,8 +62,9 @@ func main() {
 }
 
 // run executes the gate and returns the process exit code: 0 pass,
-// 1 regression (unless reportOnly). Usage/IO problems, and a fresh
-// snapshot that matches no baseline entry, come back as errors.
+// 1 regression or baseline entry without a fresh result (unless
+// reportOnly). Usage/IO problems, and a fresh snapshot that matches no
+// baseline entry, come back as errors.
 func run(args []string, outw, errw io.Writer) (int, error) {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(errw)
@@ -157,13 +160,20 @@ func run(args []string, outw, errw io.Writer) (int, error) {
 		}
 	}
 
+	skipped := len(baseline) - compared
 	fmt.Fprintf(outw, "benchgate: compared %d, skipped %d of %d baseline benchmark(s)\n",
-		compared, len(baseline)-compared, len(baseline))
+		compared, skipped, len(baseline))
 	if compared == 0 {
 		return 0, fmt.Errorf("no fresh benchmark matches a baseline entry of %s", *base)
 	}
+	if skipped > 0 {
+		fmt.Fprintf(outw, "benchgate: %d baseline benchmark(s) without a fresh result; run them or delete them from %s\n",
+			skipped, *base)
+	}
 	if regressions > 0 {
 		fmt.Fprintf(outw, "benchgate: %d regression(s) against %s\n", regressions, *base)
+	}
+	if skipped+regressions > 0 {
 		if *reportOnly {
 			fmt.Fprintln(outw, "benchgate: report-only mode, not failing")
 			return 0, nil

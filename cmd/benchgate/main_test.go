@@ -139,8 +139,9 @@ func TestZeroAllocPin(t *testing.T) {
 	}
 }
 
-// TestMissingAndNewBenchmarksReported: absent benchmarks are SKIP (not a
-// failure), unknown fresh benchmarks are NEW.
+// TestMissingAndNewBenchmarksReported: a baseline benchmark absent from the
+// fresh snapshot is SKIP and fails the gate (exit 1) unless -report-only;
+// an unknown fresh benchmark is NEW and does not fail it.
 func TestMissingAndNewBenchmarksReported(t *testing.T) {
 	dir := t.TempDir()
 	basePath := writeSnapshot(t, dir, "base.json", []benchResult{
@@ -149,17 +150,30 @@ func TestMissingAndNewBenchmarksReported(t *testing.T) {
 	})
 	newPath := writeSnapshot(t, dir, "new.json", []benchResult{
 		{Name: "BenchmarkKernelAMGain/block", NsPerOp: 2500},
-		{Name: "BenchmarkKernelWaveShaper/block", NsPerOp: 900},
+		{Name: "BenchmarkKernelNovel/block", NsPerOp: 900},
 	})
 	code, out := gate(t, "-base", basePath, "-new", newPath)
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out)
+	if code != 1 {
+		t.Fatalf("missing baseline benchmark passed (exit %d):\n%s", code, out)
 	}
 	if !strings.Contains(out, "SKIP") || !strings.Contains(out, "BenchmarkKernelAMGain/reference") {
 		t.Fatalf("missing benchmark not reported:\n%s", out)
 	}
-	if !strings.Contains(out, "NEW") || !strings.Contains(out, "BenchmarkKernelWaveShaper/block") {
+	if !strings.Contains(out, "NEW") || !strings.Contains(out, "BenchmarkKernelNovel/block") {
 		t.Fatalf("new benchmark not reported:\n%s", out)
+	}
+	if code, out := gate(t, "-base", basePath, "-new", newPath, "-report-only"); code != 0 {
+		t.Fatalf("report-only failed on a missing benchmark (exit %d):\n%s", code, out)
+	}
+
+	// Only the new benchmark beside a complete baseline: NEW alone passes.
+	full := writeSnapshot(t, dir, "full.json", []benchResult{
+		{Name: "BenchmarkKernelAMGain/block", NsPerOp: 2500},
+		{Name: "BenchmarkKernelAMGain/reference", NsPerOp: 11500},
+		{Name: "BenchmarkKernelNovel/block", NsPerOp: 900},
+	})
+	if code, out := gate(t, "-base", basePath, "-new", full); code != 0 {
+		t.Fatalf("a new benchmark failed the gate (exit %d):\n%s", code, out)
 	}
 }
 

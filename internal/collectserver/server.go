@@ -180,7 +180,9 @@ type session struct {
 	userAgent string
 	created   time.Time
 	lastSeen  time.Time
-	records   int
+	// records counts the session's stored records plus the batches being
+	// appended (the quota reservation).
+	records int
 	// seen caches submission responses by idempotency key so a client
 	// retrying a lost ack replays the original outcome instead of
 	// duplicating records; seenOrder evicts oldest-first.
@@ -473,6 +475,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Records), s.cfg.MaxBatch))
 		return
 	}
+	for _, fr := range req.Records {
+		if err := validateFPRecord(fr, s.cfg.MaxIterations); err != nil {
+			respondError(w, http.StatusUnprocessableEntity, CodeInvalidRecord, err.Error())
+			return
+		}
+	}
 
 	now := s.cfg.Now()
 	s.mu.Lock()
@@ -502,6 +510,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		respondError(w, http.StatusTooManyRequests, CodeQuotaExceeded, "session record quota exceeded")
 		return
 	}
+	// Reserve the batch against the quota; a failed append releases it, so
+	// only stored records count.
 	sess.lastSeen = now
 	sess.records += len(req.Records)
 	userID, sessionID, ua := sess.userID, sess.id, sess.userAgent
@@ -510,10 +520,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	recs := make([]storage.Record, 0, len(req.Records))
 	for _, fr := range req.Records {
-		if err := validateFPRecord(fr, s.cfg.MaxIterations); err != nil {
-			respondError(w, http.StatusUnprocessableEntity, CodeInvalidRecord, err.Error())
-			return
-		}
 		recs = append(recs, storage.Record{
 			SessionID: sessionID, UserID: userID, Vector: fr.Vector,
 			Iteration: fr.Iteration, Hash: fr.Hash, Sum: fr.Sum,
@@ -525,6 +531,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	appendSpan.SetAttr("records", len(recs))
 	appendSpan.End()
 	if err != nil {
+		s.mu.Lock()
+		sess.records -= len(recs)
+		s.mu.Unlock()
 		respondError(w, http.StatusInternalServerError, CodeStorageFailure, "storage failure")
 		return
 	}
@@ -558,8 +567,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func validateFPRecord(fr FPRecord, maxIter int) error {
-	if _, err := vectors.ParseID(fr.Vector); err != nil && fr.Vector != "MathJS" &&
-		fr.Vector != "Canvas" && fr.Vector != "Fonts" && fr.Vector != "UserAgent" {
+	if !knownVectorName(fr.Vector) {
 		return fmt.Errorf("unknown vector %q", fr.Vector)
 	}
 	if fr.Iteration < 0 || fr.Iteration >= maxIter {
@@ -629,7 +637,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // knownVectorName reports whether name is one of the seven audio vectors or
-// an auxiliary surface accepted by validateFPRecord.
+// an auxiliary surface: the vector names a submitted record may carry.
 func knownVectorName(name string) bool {
 	if _, err := vectors.ParseID(name); err == nil {
 		return true

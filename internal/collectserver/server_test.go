@@ -3,11 +3,13 @@ package collectserver
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,6 +189,11 @@ func TestSubmitRejectsBadInput(t *testing.T) {
 			validRecord(0), validRecord(1), validRecord(2), validRecord(3)}}, http.StatusRequestEntityTooLarge},
 		{"unknown vector", SubmitRequest{Token: tok, Records: []FPRecord{
 			{Vector: "Telepathy", Iteration: 0, Hash: "aa"}}}, http.StatusUnprocessableEntity},
+		// Vector names outside the paper's seven.
+		{"vector Biquad Sweep", SubmitRequest{Token: tok, Records: []FPRecord{
+			{Vector: "Biquad Sweep", Iteration: 0, Hash: "aa"}}}, http.StatusUnprocessableEntity},
+		{"vector Shaper", SubmitRequest{Token: tok, Records: []FPRecord{
+			{Vector: "Shaper", Iteration: 0, Hash: "aa"}}}, http.StatusUnprocessableEntity},
 		{"iteration out of range", SubmitRequest{Token: tok, Records: []FPRecord{
 			{Vector: "DC", Iteration: 30, Hash: "aa"}}}, http.StatusUnprocessableEntity},
 		{"non-hex hash", SubmitRequest{Token: tok, Records: []FPRecord{
@@ -238,6 +245,76 @@ func TestSessionQuota(t *testing.T) {
 		SubmitRequest{Token: tok, Records: []FPRecord{validRecord(2)}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("quota not enforced: %d", resp.StatusCode)
+	}
+}
+
+// TestSessionQuotaIgnoresRejectedBatch: a batch rejected as invalid stores
+// nothing, so it spends none of the session's quota.
+func TestSessionQuotaIgnoresRejectedBatch(t *testing.T) {
+	f := newFixture(t, func(c *Config) { c.MaxRecordsPerSession = 2 })
+	tok := f.startSession(t, "u1")
+	bad := FPRecord{Vector: "Telepathy", Iteration: 0, Hash: "aa"}
+	resp, body := f.post(t, "/api/v1/fingerprints",
+		SubmitRequest{Token: tok, Records: []FPRecord{bad, bad}})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("invalid batch: %d %s", resp.StatusCode, body)
+	}
+	resp, body = f.post(t, "/api/v1/fingerprints",
+		SubmitRequest{Token: tok, Records: []FPRecord{validRecord(0), validRecord(1)}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid batch after a rejected one: %d %s", resp.StatusCode, body)
+	}
+	var out SubmitResponse
+	decodeData(t, body, &out)
+	if out.Total != 2 || f.store.Count() != 2 {
+		t.Errorf("total_for_session = %d, stored %d, want 2 and 2", out.Total, f.store.Count())
+	}
+}
+
+// failingStore is a real store whose Append fails while fail is set.
+type failingStore struct {
+	*storage.Store
+	fail atomic.Bool
+}
+
+func (s *failingStore) Append(recs ...storage.Record) error {
+	if s.fail.Load() {
+		return errors.New("disk full")
+	}
+	return s.Store.Append(recs...)
+}
+
+// TestSessionQuotaReleasedOnStoreFailure: a batch the store fails to append,
+// and each idempotent retry of it, gives its quota reservation back.
+func TestSessionQuotaReleasedOnStoreFailure(t *testing.T) {
+	var fs *failingStore
+	f := newFixture(t, func(c *Config) {
+		c.MaxRecordsPerSession = 2
+		fs = &failingStore{Store: c.Store.(*storage.Store)}
+		c.Store = fs
+	})
+	tok := f.startSession(t, "u1")
+	req := SubmitRequest{
+		Token:          tok,
+		Records:        []FPRecord{validRecord(0), validRecord(1)},
+		IdempotencyKey: "batch-0001",
+	}
+	fs.fail.Store(true)
+	for attempt := 0; attempt < 2; attempt++ {
+		resp, body := f.post(t, "/api/v1/fingerprints", req)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("attempt %d on a failing store: %d %s", attempt, resp.StatusCode, body)
+		}
+	}
+	fs.fail.Store(false)
+	resp, body := f.post(t, "/api/v1/fingerprints", req)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("retry after the store recovered: %d %s", resp.StatusCode, body)
+	}
+	var out SubmitResponse
+	decodeData(t, body, &out)
+	if out.Total != 2 || f.store.Count() != 2 {
+		t.Errorf("total_for_session = %d, stored %d, want 2 and 2", out.Total, f.store.Count())
 	}
 }
 

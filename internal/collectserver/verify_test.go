@@ -120,6 +120,7 @@ func TestVerifyFlow(t *testing.T) {
 	// Invalid sample content → 422 invalid_record.
 	for _, bad := range []VerifySample{
 		{Vector: "NotAVector", Hash: "aa01"},
+		{Vector: "Shaper", Hash: "aa01"}, // outside the paper's seven
 		{Vector: "DC", Hash: "UPPERCASE"},
 	} {
 		resp, body = f.post(t, "/api/v1/verify",

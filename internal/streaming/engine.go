@@ -388,13 +388,12 @@ func (e *Engine) applyLocked(r *storage.Record) {
 	}
 	s.Records++
 
-	// Auxiliary rows ride in Surfaces, and the analyses cover vectors.All
-	// only, as in FromRecords: an extended vector parses but is not folded.
+	// Auxiliary rows ride in Surfaces only, as in FromRecords.
 	v, err := vectors.ParseID(r.Vector)
-	i := slices.Index(vectors.All, v)
-	if err != nil || i < 0 {
+	if err != nil {
 		return
 	}
+	i := slices.Index(vectors.All, v)
 	vi, vs := &e.vecs[i], &s.Vecs[i]
 	fp, ok := vi.intern[r.Hash]
 	if !ok {

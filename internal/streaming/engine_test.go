@@ -47,15 +47,15 @@ func TestEngineConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEngineSkipsExtendedVectors: the analyses cover vectors.All only, so
-// a record of an extended vector, which parses and which the collection
-// server accepts, registers its user but joins no collation graph — as
-// in study.FromRecordsOpts.
-func TestEngineSkipsExtendedVectors(t *testing.T) {
+// TestEngineSkipsAuxiliaryRecords: the analyses cover vectors.All only, so
+// an auxiliary record (a MathJS row, which the collection server accepts)
+// registers its user but joins no collation graph — as in
+// study.FromRecordsOpts.
+func TestEngineSkipsAuxiliaryRecords(t *testing.T) {
 	recs := []storage.Record{
 		{UserID: "u1", Vector: vectors.DC.String(), Hash: "a"},
 		{UserID: "u2", Vector: vectors.DC.String(), Hash: "b"},
-		{UserID: "u3", Vector: vectors.Shaper.String(), Hash: "a"},
+		{UserID: "u3", Vector: "MathJS", Hash: "a"},
 	}
 	eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
 	defer eng.Close()

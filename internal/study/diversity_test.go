@@ -87,7 +87,7 @@ func TestDiversityRejects(t *testing.T) {
 		t.Errorf("rejected run touched its checkpoint: %v", err)
 	}
 	cfg.CheckpointPath = ""
-	if _, err := Diversity(context.Background(), cfg, vectors.Shaper); err == nil {
-		t.Error("Diversity accepted an extension vector")
+	if _, err := Diversity(context.Background(), cfg, vectors.ID(len(vectors.All))); err == nil {
+		t.Error("Diversity accepted a vector outside the seven")
 	}
 }

@@ -48,12 +48,12 @@ func scriptDC(t *testing.T, traits webaudio.Traits) vectors.Fingerprint {
 
 // TestRunOffsetsMatchesFreshRuns is the differential gate on the one
 // capture loop: every fingerprint of a multi-offset pass must equal, bit
-// for bit, a fresh Run at that offset, for all seven vectors and the
-// extension vectors, under both engines, on 2016- and 2021-era stacks and
-// with farbling on. It is also the oracle for the render hint: the block
-// engine renders the quanta no capture reads under RenderUnobserved, the
-// reference engine ignores the hint, so every block pass must equal the
-// reference pass, and DC must equal the published script's full render.
+// for bit, a fresh Run at that offset, for all seven vectors, under both
+// engines, on 2016- and 2021-era stacks and with farbling on. It is also
+// the oracle for the render hint: the block engine renders the quanta no
+// capture reads under RenderUnobserved, the reference engine ignores the
+// hint, so every block pass must equal the reference pass, and DC must
+// equal the published script's full render.
 func TestRunOffsetsMatchesFreshRuns(t *testing.T) {
 	type stack struct {
 		name   string
@@ -70,14 +70,13 @@ func TestRunOffsetsMatchesFreshRuns(t *testing.T) {
 	farbled.Farble = &webaudio.FarbleConfig{Seed: 0xfa4b, Epsilon: 1e-4}
 	stacks = append(stacks, stack{"farbled", farbled, 48000})
 
-	ids := append(append([]vectors.ID(nil), vectors.All...), vectors.Extended...)
 	for _, st := range stacks {
 		passes := map[webaudio.Engine]map[vectors.ID][]vectors.Fingerprint{}
 		for _, engine := range []webaudio.Engine{webaudio.EngineBlock, webaudio.EngineReference} {
 			passes[engine] = map[vectors.ID][]vectors.Fingerprint{}
 			r := vectors.NewRunner(st.traits, st.rate)
 			r.SetEngine(engine)
-			for _, id := range ids {
+			for _, id := range vectors.All {
 				pass, err := r.RunOffsets(id, passOffsets)
 				if err != nil {
 					t.Fatalf("%s %v %v: %v", st.name, engine, id, err)
@@ -98,7 +97,7 @@ func TestRunOffsetsMatchesFreshRuns(t *testing.T) {
 				}
 			}
 		}
-		for _, id := range ids {
+		for _, id := range vectors.All {
 			blk, ref := passes[webaudio.EngineBlock][id], passes[webaudio.EngineReference][id]
 			for i, off := range passOffsets {
 				if !sameFingerprint(blk[i], ref[i]) {

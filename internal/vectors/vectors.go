@@ -63,20 +63,12 @@ func (id ID) String() string {
 	case FM:
 		return "FM"
 	}
-	if name, ok := extendedString(id); ok {
-		return name
-	}
 	return fmt.Sprintf("ID(%d)", int(id))
 }
 
 // ParseID resolves a vector name (as printed by String) back to its ID.
 func ParseID(s string) (ID, error) {
 	for _, id := range All {
-		if id.String() == s {
-			return id, nil
-		}
-	}
-	for _, id := range Extended {
 		if id.String() == s {
 			return id, nil
 		}
@@ -325,8 +317,8 @@ type liveGraph struct {
 }
 
 // buildLiveGraph wires the graph of live-context vector id on rt: the FFT
-// vector (paper Fig. 2) or, for the hybrid family and the extension
-// vectors, the vector's signal stage feeding the Fig. 6 tail.
+// vector (paper Fig. 2) or, for the hybrid family, the vector's signal
+// stage feeding the Fig. 6 tail.
 func buildLiveGraph(rt *webaudio.RealtimeSim, id ID) (*liveGraph, error) {
 	var g *liveGraph
 	if id == FFT {
@@ -336,13 +328,7 @@ func buildLiveGraph(rt *webaudio.RealtimeSim, id ID) (*liveGraph, error) {
 		}
 		g = &liveGraph{analyser: an}
 	} else {
-		var signal webaudio.Node
-		var err error
-		if _, ext := extendedString(id); ext {
-			signal, err = buildExtendedSignal(rt, id)
-		} else {
-			signal, err = buildHybridSignal(rt, id)
-		}
+		signal, err := buildHybridSignal(rt, id)
 		if err != nil {
 			return nil, err
 		}

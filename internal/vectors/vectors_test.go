@@ -22,8 +22,11 @@ func TestIDStringAndParse(t *testing.T) {
 			t.Errorf("ParseID(%q) = %v, %v", s, back, err)
 		}
 	}
-	if _, err := ParseID("bogus"); err == nil {
-		t.Error("ParseID accepted bogus name")
+	// Biquad Sweep and Shaper are not among the paper's seven.
+	for _, name := range []string{"bogus", "Biquad Sweep", "Shaper"} {
+		if _, err := ParseID(name); err == nil {
+			t.Errorf("ParseID accepted %q", name)
+		}
 	}
 	if s := ID(99).String(); s != "ID(99)" {
 		t.Errorf("unknown ID string = %q", s)

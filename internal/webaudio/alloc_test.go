@@ -6,8 +6,8 @@ import "testing"
 // allocations per render quantum: after RenderQuanta has compiled the render
 // program and the lazy per-node state (wavetables, makeup gain) exists,
 // advancing the clock must not touch the heap. The graph deliberately spans
-// the kernel set — k-rate and modulated gain, biquad, compressor, analyser —
-// so a new kernel that allocates shows up here as a regression.
+// the kernel set — k-rate and modulated gain, compressor, analyser — so a
+// new kernel that allocates shows up here as a regression.
 func TestBlockRenderZeroAlloc(t *testing.T) {
 	prev := SetDefaultEngine(EngineBlock)
 	defer SetDefaultEngine(prev)
@@ -23,12 +23,8 @@ func TestBlockRenderZeroAlloc(t *testing.T) {
 	ConnectParam(mod, am.Gain) // audio-rate param → blockSample path
 	Connect(carrier, am)
 
-	bq := ctx.NewBiquadFilter(Lowpass)
-	bq.Frequency.SetValue(8000)
-	Connect(am, bq)
-
 	dc := ctx.NewDynamicsCompressor()
-	Connect(bq, dc)
+	Connect(am, dc)
 
 	an, err := ctx.NewAnalyser(2048)
 	if err != nil {

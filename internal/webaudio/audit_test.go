@@ -6,18 +6,15 @@ import (
 	"testing"
 )
 
-// auditGraph builds the FFT-vector-shaped chain (oscillator → biquad →
-// compressor → gain → destination) on a fresh context with the given
-// engine.
+// auditGraph builds an oscillator → compressor → gain → destination chain
+// on a fresh context with the given engine.
 func auditGraph(e Engine) *Context {
 	c := NewContext(44100, DefaultTraits())
 	c.SetEngine(e)
 	osc := c.NewOscillator(Triangle, 10000)
-	bq := c.NewBiquadFilter(Lowpass)
 	comp := c.NewDynamicsCompressor()
 	g := c.NewGain(0.5)
-	Connect(osc, bq)
-	Connect(bq, comp)
+	Connect(osc, comp)
 	Connect(comp, g)
 	Connect(g, c.Destination())
 	osc.Start(0)

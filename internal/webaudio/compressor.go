@@ -33,11 +33,11 @@ type DynamicsCompressorNode struct {
 // NewDynamicsCompressor creates a compressor with spec defaults.
 func (c *Context) NewDynamicsCompressor() *DynamicsCompressorNode {
 	d := &DynamicsCompressorNode{nodeBase: nodeBase{ctx: c, label: "compressor"}}
-	d.Threshold = newParam(c, "threshold", -24, -100, 0)
-	d.Knee = newParam(c, "knee", 30, 0, 40)
-	d.Ratio = newParam(c, "ratio", 12, 1, 20)
-	d.Attack = newParam(c, "attack", 0.003, 0, 1)
-	d.Release = newParam(c, "release", 0.25, 0, 1)
+	d.Threshold = newParam(c, -24, -100, 0)
+	d.Knee = newParam(c, 30, 0, 40)
+	d.Ratio = newParam(c, 12, 1, 20)
+	d.Attack = newParam(c, 0.003, 0, 1)
+	d.Release = newParam(c, 0.25, 0, 1)
 	n := c.traits.CompressorPreDelay
 	if n < 0 {
 		n = 0
@@ -69,16 +69,16 @@ func (d *DynamicsCompressorNode) curveDB(x, threshold, knee, ratio float64) floa
 	}
 }
 
-func (d *DynamicsCompressorNode) process(frameTime int64) {
+func (d *DynamicsCompressorNode) process(_ int64) {
 	tr := d.ctx.traits
 	k := tr.Kernel
 	sr := d.ctx.sampleRate
 
-	threshold := d.Threshold.sampleAt(frameTime, 0)
-	knee := d.Knee.sampleAt(frameTime, 0)
-	ratio := d.Ratio.sampleAt(frameTime, 0)
-	attack := d.Attack.sampleAt(frameTime, 0)
-	release := d.Release.sampleAt(frameTime, 0)
+	threshold := d.Threshold.sampleAt(0)
+	knee := d.Knee.sampleAt(0)
+	ratio := d.Ratio.sampleAt(0)
+	attack := d.Attack.sampleAt(0)
+	release := d.Release.sampleAt(0)
 
 	// One-pole detector coefficients via the kernel's exp.
 	aAtt := 1.0
@@ -137,15 +137,15 @@ func (d *DynamicsCompressorNode) process(frameTime int64) {
 // operations as process's: it samples the parameters at the quantum's first
 // frame, derives the detector's attack and release coefficients through the
 // kernel's Exp and, on the first quantum rendered, fixes the makeup gain.
-func (d *DynamicsCompressorNode) blockPreamble(frameTime int64) (threshold, knee, ratio, aAtt, aRel float64) {
+func (d *DynamicsCompressorNode) blockPreamble() (threshold, knee, ratio, aAtt, aRel float64) {
 	k := d.ctx.traits.Kernel
 	sr := d.ctx.sampleRate
 
-	threshold = d.Threshold.sampleAt(frameTime, 0)
-	knee = d.Knee.sampleAt(frameTime, 0)
-	ratio = d.Ratio.sampleAt(frameTime, 0)
-	attack := d.Attack.sampleAt(frameTime, 0)
-	release := d.Release.sampleAt(frameTime, 0)
+	threshold = d.Threshold.sampleAt(0)
+	knee = d.Knee.sampleAt(0)
+	ratio = d.Ratio.sampleAt(0)
+	attack := d.Attack.sampleAt(0)
+	release := d.Release.sampleAt(0)
 
 	aAtt = 1.0
 	if attack > 0 {
@@ -173,10 +173,10 @@ func (d *DynamicsCompressorNode) blockPreamble(frameTime int64) (threshold, knee
 // preamble and per-sample envelope/gain recurrence as process, but over the
 // pre-mixed block with the detector state held in locals. The kernel Log/Pow
 // calls per sample are the fingerprint surface and stay untouched.
-func (d *DynamicsCompressorNode) processBlock(frameTime int64, xs *[RenderQuantum]float64) {
+func (d *DynamicsCompressorNode) processBlock(_ int64, xs *[RenderQuantum]float64) {
 	tr := d.ctx.traits
 	k := tr.Kernel
-	threshold, knee, ratio, aAtt, aRel := d.blockPreamble(frameTime)
+	threshold, knee, ratio, aAtt, aRel := d.blockPreamble()
 
 	// Hoisted gain-computer constants: each expression below reproduces
 	// the corresponding curveDB subterm with the identical operation
@@ -245,8 +245,8 @@ func (d *DynamicsCompressorNode) processBlock(frameTime int64, xs *[RenderQuantu
 // computer and its kernel Log/Pow calls. Every later quantum therefore
 // renders bit-identically to a full render. The output is silence, and
 // Reduction keeps its last value.
-func (d *DynamicsCompressorNode) processUnobserved(frameTime int64, xs *[RenderQuantum]float64) {
-	_, _, _, aAtt, aRel := d.blockPreamble(frameTime)
+func (d *DynamicsCompressorNode) processUnobserved(xs *[RenderQuantum]float64) {
+	_, _, _, aAtt, aRel := d.blockPreamble()
 	env := d.env
 	delay := d.delay
 	delayPos := d.delayPos

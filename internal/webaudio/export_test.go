@@ -5,6 +5,10 @@ import "fmt"
 // Test-only accessors: the tests drive and observe node behavior through
 // these, and no program needs them.
 
+// SetValue sets the intrinsic value immediately (the `param.value = x`
+// form).
+func (p *AudioParam) SetValue(v float64) { p.value = p.clamp(v) }
+
 // Stop schedules the end of sound production at time t (seconds).
 func (o *OscillatorNode) Stop(t float64) { o.stopTime = t }
 

@@ -13,17 +13,17 @@ type GainNode struct {
 // NewGain creates a gain node with the given initial gain.
 func (c *Context) NewGain(gain float64) *GainNode {
 	g := &GainNode{nodeBase: nodeBase{ctx: c, label: "gain"}}
-	g.Gain = newParam(c, "gain", gain, 0, 0) // unclamped, per spec
+	g.Gain = newParam(c, gain, 0, 0) // unclamped, per spec
 	c.register(g)
 	return g
 }
 
 func (g *GainNode) params() []*AudioParam { return []*AudioParam{g.Gain} }
 
-func (g *GainNode) process(frameTime int64) {
+func (g *GainNode) process(_ int64) {
 	tr := g.ctx.traits
 	for i := 0; i < RenderQuantum; i++ {
-		g.output[i] = tr.round32(g.sumInputs(i) * g.Gain.sampleAt(frameTime, i))
+		g.output[i] = tr.round32(g.sumInputs(i) * g.Gain.sampleAt(i))
 	}
 }
 
@@ -31,7 +31,7 @@ func (g *GainNode) process(frameTime int64) {
 // the param is k-rate (every fingerprinting vector's mute and depth gains),
 // or a block multiply against the param's sampled block (the AM vector's
 // modulated carrier gain).
-func (g *GainNode) processBlock(frameTime int64, in *[RenderQuantum]float64) {
+func (g *GainNode) processBlock(_ int64, in *[RenderQuantum]float64) {
 	flush := g.ctx.traits.FlushDenormals
 	if g.Gain.isKRate() {
 		gv := g.Gain.constValue()
@@ -41,7 +41,7 @@ func (g *GainNode) processBlock(frameTime int64, in *[RenderQuantum]float64) {
 		return
 	}
 	p := &g.ctx.scratch.param
-	g.Gain.blockSample(frameTime, p)
+	g.Gain.blockSample(p)
 	for i := 0; i < RenderQuantum; i++ {
 		g.output[i] = flushRound(flush, in[i]*p[i])
 	}

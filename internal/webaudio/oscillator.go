@@ -64,8 +64,6 @@ type OscillatorNode struct {
 	// Frequency is the oscillator frequency in Hz (audio-rate modulable —
 	// the FM vector's modulation input).
 	Frequency *AudioParam
-	// Detune offsets the frequency in cents.
-	Detune *AudioParam
 
 	typ       OscillatorType
 	wave      *PeriodicWave
@@ -83,8 +81,7 @@ func (c *Context) NewOscillator(typ OscillatorType, freqHz float64) *OscillatorN
 		nodeBase: nodeBase{ctx: c, label: "oscillator:" + typ.String()},
 		typ:      typ,
 	}
-	o.Frequency = newParam(c, "frequency", freqHz, -c.sampleRate/2, c.sampleRate/2)
-	o.Detune = newParam(c, "detune", 0, -153600, 153600)
+	o.Frequency = newParam(c, freqHz, -c.sampleRate/2, c.sampleRate/2)
 	o.stopTime = math.Inf(1)
 	c.register(o)
 	return o
@@ -105,7 +102,7 @@ func (o *OscillatorNode) Start(t float64) {
 }
 
 func (o *OscillatorNode) params() []*AudioParam {
-	return []*AudioParam{o.Frequency, o.Detune}
+	return []*AudioParam{o.Frequency}
 }
 
 // buildTable resolves the band-limited wavetable for the oscillator's
@@ -122,13 +119,12 @@ func (o *OscillatorNode) buildTable() {
 }
 
 // processBlock is the oscillator's wavetable-read block kernel. The k-rate
-// fast path — no automation and no modulators on Frequency/Detune, the
-// whole quantum inside [start, stop) — folds the frequency to a constant
-// and runs a tight table-read loop. Anything else (FM modulation, ramps,
-// start/stop straddling the block) takes the per-sample reference loop,
-// which is bit-identical by definition.
+// fast path — no modulators on Frequency, the whole quantum inside
+// [start, stop) — folds the frequency to a constant and runs a tight
+// table-read loop. Anything else (FM modulation, start/stop straddling the
+// block) takes the per-sample reference loop, which is bit-identical by
+// definition.
 func (o *OscillatorNode) processBlock(frameTime int64, _ *[RenderQuantum]float64) {
-	tr := o.ctx.traits
 	if o.table == nil {
 		o.buildTable()
 	}
@@ -137,58 +133,39 @@ func (o *OscillatorNode) processBlock(frameTime int64, _ *[RenderQuantum]float64
 	// whether the gate is constant across the quantum.
 	t0 := float64(frameTime) / sr
 	tLast := (float64(frameTime) + RenderQuantum - 1) / sr
-	if !(o.started && t0 >= o.startTime && tLast < o.stopTime) ||
-		!o.Frequency.isKRate() || !o.Detune.isKRate() {
+	if !(o.started && t0 >= o.startTime && tLast < o.stopTime) || !o.Frequency.isKRate() {
 		o.process(frameTime)
 		return
 	}
-	freq := o.Frequency.constValue()
-	if det := o.Detune.constValue(); det != 0 {
-		freq *= tr.Kernel.Pow(2, det/1200)
-	}
-	inc := freq / sr
+	inc := o.Frequency.constValue() / sr
 	// The table always has tableSize+1 entries (guard sample), and the
 	// phase wrap keeps phase in [0, 1), so idx ∈ [0, tableSize). The
 	// fixed-size array view plus the mask (a no-op for in-range idx) lets
 	// the compiler drop both bounds checks from the read loop.
 	tbl := (*[tableSize + 1]float32)(o.table)
 	phase := o.phase
-	flush := tr.FlushDenormals
-	if inc >= -0.5 && inc <= 0.5 {
-		// With |inc| ≤ 0.5 and phase ∈ [0, 1), phase+inc ∈ [-0.5, 1.5),
-		// so Floor is exactly -1, 0, or 1 and the conditional ±1 wrap
-		// computes the identical float64. The interpolated sample is
-		// already a float32, so the reference's float64 round trip
-		// through round32 is the identity and only the denormal flush
-		// remains. Both shortcuts keep the serial phase recurrence off
-		// the Floor call's latency.
-		for i := 0; i < RenderQuantum; i++ {
-			pos := phase * tableSize
-			idx := int(pos) & (tableSize - 1)
-			frac := float32(pos - float64(idx))
-			s := tbl[idx] + (tbl[idx+1]-tbl[idx])*frac
-			if flush && s != 0 && s < 1.1754944e-38 && s > -1.1754944e-38 {
-				s = 0
-			}
-			o.output[i] = s
-			phase += inc
-			if phase >= 1 {
-				phase--
-			} else if phase < 0 {
-				phase++
-			}
+	flush := o.ctx.traits.FlushDenormals
+	// The frequency param clamps to ±sr/2, so |inc| ≤ 0.5. With phase ∈
+	// [0, 1), phase+inc ∈ [-0.5, 1.5), so Floor is exactly -1, 0, or 1 and
+	// the conditional ±1 wrap computes the identical float64. The
+	// interpolated sample is already a float32, so the reference's float64
+	// round trip through round32 is the identity and only the denormal
+	// flush remains. Both shortcuts keep the serial phase recurrence off
+	// the Floor call's latency.
+	for i := 0; i < RenderQuantum; i++ {
+		pos := phase * tableSize
+		idx := int(pos) & (tableSize - 1)
+		frac := float32(pos - float64(idx))
+		s := tbl[idx] + (tbl[idx+1]-tbl[idx])*frac
+		if flush && s != 0 && s < 1.1754944e-38 && s > -1.1754944e-38 {
+			s = 0
 		}
-	} else {
-		// Detune can scale the frequency past Nyquist, where the wrap can
-		// cross more than one cycle — keep the reference Floor there.
-		for i := 0; i < RenderQuantum; i++ {
-			pos := phase * tableSize
-			idx := int(pos) & (tableSize - 1)
-			frac := float32(pos - float64(idx))
-			s := tbl[idx] + (tbl[idx+1]-tbl[idx])*frac
-			o.output[i] = flushRound(flush, float64(s))
-			phase += inc
-			phase -= math.Floor(phase)
+		o.output[i] = s
+		phase += inc
+		if phase >= 1 {
+			phase--
+		} else if phase < 0 {
+			phase++
 		}
 	}
 	o.phase = phase
@@ -206,10 +183,7 @@ func (o *OscillatorNode) process(frameTime int64) {
 			o.output[i] = 0
 			continue
 		}
-		freq := o.Frequency.sampleAt(frameTime, i)
-		if det := o.Detune.sampleAt(frameTime, i); det != 0 {
-			freq *= tr.Kernel.Pow(2, det/1200)
-		}
+		freq := o.Frequency.sampleAt(i)
 		// Table lookup with linear interpolation (float32 arithmetic, as in
 		// the vectorized table readers real engines ship).
 		pos := o.phase * tableSize

@@ -68,7 +68,7 @@ func (p *renderProgram) run(c *Context, unobserved bool) {
 			mixInto(&c.scratch.mix, op.srcs, mix32)
 		}
 		if unobserved && op.comp != nil {
-			op.comp.processUnobserved(frame, &c.scratch.mix)
+			op.comp.processUnobserved(&c.scratch.mix)
 		} else {
 			op.node.processBlock(frame, &c.scratch.mix)
 		}

@@ -243,42 +243,6 @@ func TestGainScalesAndMutes(t *testing.T) {
 	}
 }
 
-func TestParamAutomation(t *testing.T) {
-	ctx := defaultCtx()
-	p := newParam(ctx, "test", 1, 0, 0)
-	p.SetValueAtTime(2, 0.5)
-	p.SetValueAtTime(4, 1.0)
-	cases := []struct{ t, want float64 }{
-		{0, 1},
-		{0.49, 1},
-		{0.5, 2},
-		{0.75, 2},
-		{1.0, 4},
-		{2.0, 4},
-	}
-	for _, c := range cases {
-		if got := p.automatedValue(c.t); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("automatedValue(%g) = %g, want %g", c.t, got, c.want)
-		}
-	}
-}
-
-func TestExponentialRamp(t *testing.T) {
-	ctx := defaultCtx()
-	p := newParam(ctx, "test", 1, 0, 0)
-	p.SetValueAtTime(1, 0)
-	p.ExponentialRampToValueAtTime(100, 1)
-	if got := p.automatedValue(0.5); math.Abs(got-10) > 1e-9 {
-		t.Errorf("exponential midpoint = %g, want 10", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("exponential ramp to 0 did not panic")
-		}
-	}()
-	p.ExponentialRampToValueAtTime(0, 2)
-}
-
 // TestAMModulationSidebands: connecting a modulator into a gain param must
 // produce carrier±modulator sidebands — i.e. real ring/amplitude modulation.
 func TestAMModulationSidebands(t *testing.T) {
@@ -672,29 +636,6 @@ func TestMixPrecisionMatters(t *testing.T) {
 	}
 	if same {
 		t.Error("mix precision had no effect")
-	}
-}
-
-func TestDetuneShiftsFrequency(t *testing.T) {
-	ctx := defaultCtx()
-	osc := ctx.NewOscillator(Sine, 10000)
-	osc.Detune.SetValue(1200) // +1 octave
-	an, _ := ctx.NewAnalyser(2048)
-	Connect(osc, an)
-	Connect(an, ctx.Destination())
-	osc.Start(0)
-	_ = ctx.RenderQuanta(32)
-	freq := make([]float32, an.FrequencyBinCount())
-	_ = an.GetFloatFrequencyData(freq)
-	peakBin := 0
-	for k, v := range freq {
-		if v > freq[peakBin] {
-			peakBin = k
-		}
-	}
-	wantBin := 20000 * 2048 / testRate
-	if peakBin < wantBin-2 || peakBin > wantBin+2 {
-		t.Errorf("detuned peak at bin %d, want ≈ %d", peakBin, wantBin)
 	}
 }
 
