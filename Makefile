@@ -23,17 +23,19 @@ test-short:
 
 # The concurrency contracts at high -count under the race detector:
 # read-after-Sync, refresh-in-flight, concurrent engine and router reads,
-# verify read-your-writes, watch hook delivery and render-cache
-# singleflight; then fpdiag's heap diff repeated in one process, which
-# holds only if each bundle's heap profile shows the heap at capture time
-# (~30 s wall on 2 vCPU).
+# verify read-your-writes, watch hook delivery, and one render per
+# (stack, vector) under parallel study and evolved-population workers
+# (each stack has one owning worker, so no key renders twice); then
+# fpdiag's heap diff repeated in one process, which holds only if each
+# bundle's heap profile shows the heap at capture time (~45 s wall on
+# 2 vCPU).
 stress:
 	$(GO) test -race -count=200 -run 'TestStreamingAutoAMIRefresh|TestSyncObservesBatchHooks' ./internal/streaming/
 	$(GO) test -race -count=50 -run 'TestEngineConcurrentReads' ./internal/streaming/
 	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestRouterConcurrentReads|TestStoresAllConcurrentAppends|TestVerifiersEnrollReadYourWrites' ./internal/shard/
 	$(GO) test -race -count=50 -run 'TestEnrollReadYourWrites' ./internal/verify/
 	$(GO) test -race -count=50 -run 'TestHookDeliveredBeforeSync' ./internal/watch/
-	$(GO) test -race -count=50 -run 'TestCacheSingleflight' ./internal/vectors/
+	$(GO) test -race -count=5 -run 'TestParallelRenderSingleflight|TestBuildEvolvedRenderBill' ./internal/study/
 	$(GO) test -count=5 -run TestFpdiagListShowDiff ./cmd/fpdiag/
 
 # Everything CI should gate on: build, vet/gofmt, the stress target, the

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -120,6 +121,16 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 		seeds[i] = seedRng.Int63()
 	}
 
+	// Render every participant's records before any submission starts:
+	// only this goroutine uses the render cache.
+	records := make([][]collectserver.FPRecord, len(devices))
+	for i, d := range devices {
+		var err error
+		if records[i], err = renderRecords(cache, jitter, d, *iterations, seeds[i]); err != nil {
+			return fmt.Errorf("participant %s: %w", d.ID, err)
+		}
+	}
+
 	sem := make(chan struct{}, max(1, *parallel))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -142,7 +153,10 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 				sp.SetAttr("user", d.ID)
 				pctx = obs.ContextWithSpan(ctx, sp)
 			}
-			err := runParticipant(pctx, client, cache, jitter, d, *iterations, seeds[i])
+			sess, err := client.StartSession(pctx, d.ID, d.UserAgent())
+			if err == nil {
+				err = sess.SubmitChunked(pctx, records[i], 128)
+			}
 			if sp != nil {
 				sp.SetAttr("failed", err != nil)
 				sp.End()
@@ -187,38 +201,45 @@ func reportTelemetry(logger *log.Logger, client *collectclient.Client, participa
 		float64(tel.Requests)/secs, float64(participants)/secs, float64(participants)/secs/float64(workers))
 }
 
-// runParticipant performs one device's full study visit: consent, render,
-// submit in batches.
-func runParticipant(ctx context.Context, client *collectclient.Client, cache *vectors.Cache,
-	jitter *platform.JitterModel, d *platform.Device, iterations int, seed int64) error {
+// renderRecords renders one device's records, iteration-major: its capture
+// offsets drawn in the study's order, then, as a study user does, one cache
+// lookup per vector for that vector's distinct offsets.
+func renderRecords(cache *vectors.Cache, jitter *platform.JitterModel, d *platform.Device,
+	iterations int, seed int64) ([]collectserver.FPRecord, error) {
 
-	sess, err := client.StartSession(ctx, d.ID, d.UserAgent())
-	if err != nil {
-		return err
-	}
-	runner := vectors.NewRunner(d.AudioTraits(), d.SampleRate)
-	stack := d.AudioStackKey()
+	nv := len(vectors.All)
 	rng := rand.New(rand.NewSource(seed))
-
-	recs := make([]collectserver.FPRecord, 0, iterations*len(vectors.All))
-	for it := 0; it < iterations; it++ {
-		for _, v := range vectors.All {
-			off := jitter.Offset(rng, d.Load, v)
-			fp, err := cache.Run(stack, runner, v, off)
-			if err != nil {
-				return fmt.Errorf("render %v: %w", v, err)
+	recs := make([]collectserver.FPRecord, iterations*nv)
+	offs := make([]int, len(recs))
+	for i := range recs {
+		v := vectors.All[i%nv]
+		offs[i] = jitter.Offset(rng, d.Load, v)
+		recs[i] = collectserver.FPRecord{Vector: v.String(), Iteration: i / nv}
+		if i < nv && v == vectors.DC {
+			recs[i].Surfaces = map[string]string{
+				study.SurfaceCanvas:   d.CanvasFingerprint(),
+				study.SurfaceFonts:    d.FontsFingerprint(),
+				study.SurfaceMathJS:   d.MathJSFingerprint(),
+				study.SurfacePlatform: d.Platform(),
 			}
-			rec := collectserver.FPRecord{Vector: v.String(), Iteration: it, Hash: fp.Hash, Sum: fp.Sum}
-			if it == 0 && v == vectors.DC {
-				rec.Surfaces = map[string]string{
-					study.SurfaceCanvas:   d.CanvasFingerprint(),
-					study.SurfaceFonts:    d.FontsFingerprint(),
-					study.SurfaceMathJS:   d.MathJSFingerprint(),
-					study.SurfacePlatform: d.Platform(),
-				}
-			}
-			recs = append(recs, rec)
 		}
 	}
-	return sess.SubmitChunked(ctx, recs, 128)
+	runner := vectors.NewRunner(d.AudioTraits(), d.SampleRate)
+	for vi, v := range vectors.All {
+		var need []int
+		for i := vi; i < len(offs); i += nv {
+			need = append(need, offs[i])
+		}
+		slices.Sort(need)
+		need = slices.Compact(need)
+		fps, err := cache.RunOffsets(d.AudioStackKey(), runner, v, need)
+		if err != nil {
+			return nil, fmt.Errorf("render %v: %w", v, err)
+		}
+		for i := vi; i < len(offs); i += nv {
+			j, _ := slices.BinarySearch(need, offs[i])
+			recs[i].Hash, recs[i].Sum = fps[j].Hash, fps[j].Sum
+		}
+	}
+	return recs, nil
 }

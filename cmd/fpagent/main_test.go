@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/collectserver"
 	"repro/internal/storage"
+	"repro/internal/study"
+	"repro/internal/vectors"
 )
 
 // startCollector runs an in-process collection backend for the agent to
@@ -107,5 +109,49 @@ func TestRunIdempotencyDisabled(t *testing.T) {
 	}
 	if got := st.Count(); got != 7 {
 		t.Errorf("stored %d records, want 7", got)
+	}
+}
+
+// TestRunMatchesStudy: every stored record carries the hash the study
+// simulation gives the same (user, vector, iteration) at the same seed, so
+// a collected campaign and a simulated one are the same dataset.
+func TestRunMatchesStudy(t *testing.T) {
+	ts, st := startCollector(t)
+	var logs bytes.Buffer
+	if err := run(context.Background(), []string{
+		"-server", ts.URL,
+		"-users", "6",
+		"-iterations", "3",
+		"-seed", "11",
+	}, &logs); err != nil {
+		t.Fatalf("run: %v\n%s", err, logs.String())
+	}
+	ds, err := study.RunContext(context.Background(), study.Config{Seed: 11, Users: 6, Iterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := st.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 6 * 3 * len(vectors.All); len(recs) != want {
+		t.Fatalf("stored %d records, want %d", len(recs), want)
+	}
+	user := map[string]int{}
+	for i, id := range ds.Users {
+		user[id] = i
+	}
+	for _, r := range recs {
+		v, err := vectors.ParseID(r.Vector)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, ok := user[r.UserID]
+		if !ok {
+			t.Fatalf("record for unknown user %q", r.UserID)
+		}
+		if want := ds.Obs[v][u][r.Iteration]; r.Hash != want {
+			t.Errorf("user %s %v iteration %d: hash %s, study has %s", r.UserID, v, r.Iteration, r.Hash, want)
+		}
 	}
 }

@@ -72,17 +72,22 @@ func run(runCtx context.Context, args []string, outw, errw io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	orphans, why := []string{"verify-epochs", "verify-samples", "verify-enroll", "verify-out"}, "requires"
+	if *vSweep {
+		// The sweep returns before the campaigns, which read these.
+		orphans, why = []string{"iterations", "followup-users", "followup-seed", "out", "followup-out",
+			"checkpoint", "ablation", "evolution-users", "trace-json", "trace", "progress", "shadow",
+			"shadow-out"}, "has no effect with"
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range orphans {
+		if set[name] {
+			return fmt.Errorf("-%s %s -verify-sweep", name, why)
+		}
+	}
 	if *shadowOut != "" && *shadow <= 0 {
 		return errors.New("-shadow-out requires -shadow")
-	}
-	if !*vSweep {
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		for _, name := range []string{"verify-epochs", "verify-samples", "verify-enroll", "verify-out"} {
-			if set[name] {
-				return fmt.Errorf("-%s requires -verify-sweep", name)
-			}
-		}
 	}
 	logger := log.New(errw, "fpstudy ", log.LstdFlags|log.Lmsgprefix)
 
@@ -125,19 +130,19 @@ func run(runCtx context.Context, args []string, outw, errw io.Writer) error {
 		logger.Printf("telemetry export to %s", *export)
 	}
 
+	if *vSweep {
+		return runVerifySweep(outw, logger, verifySweepOpts{
+			seed: *seed, users: *users, epochs: *vEpochs,
+			samples: *vSamples, enroll: *vEnroll, out: *vOut,
+		})
+	}
+
 	root := obs.NewTrace("fpstudy")
 	ctx := obs.ContextWithSpan(runCtx, root)
 
 	// One render cache across both campaigns: platform classes shared
 	// between the main and follow-up mixes render once for the whole run.
 	renderCache := vectors.NewCache()
-
-	if *vSweep {
-		return runVerifySweep(outw, logger, renderCache, verifySweepOpts{
-			seed: *seed, users: *users, epochs: *vEpochs,
-			samples: *vSamples, enroll: *vEnroll, out: *vOut,
-		})
-	}
 
 	var auditor *vectors.ShadowAuditor
 	if *shadow > 0 {
@@ -241,7 +246,7 @@ type verifySweepOpts struct {
 // sweep the verification threshold over genuine and impostor trials, print
 // the FAR/FRR operating curve with its equal-error-rate point, and
 // optionally persist the calibration for `fpserver -verify-calibration`.
-func runVerifySweep(outw io.Writer, logger *log.Logger, cache *vectors.Cache, o verifySweepOpts) error {
+func runVerifySweep(outw io.Writer, logger *log.Logger, o verifySweepOpts) error {
 	start := time.Now()
 	logger.Printf("verify sweep: %d users × %d epochs × %d samples × %d vectors, enrolling %d epochs",
 		o.users, o.epochs, o.samples, len(vectors.All), o.enroll)
@@ -250,7 +255,6 @@ func runVerifySweep(outw io.Writer, logger *log.Logger, cache *vectors.Cache, o 
 			Seed: o.seed, Users: o.users, Epochs: o.epochs, SamplesPerEpoch: o.samples,
 			Vectors:     vectors.All,
 			Churn:       population.DefaultChurn(),
-			RenderCache: cache,
 			Parallelism: 8,
 		},
 		EnrollEpochs: o.enroll,

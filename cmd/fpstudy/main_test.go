@@ -138,6 +138,19 @@ func TestRunRejectsOrphanFlags(t *testing.T) {
 		{[]string{"-verify-samples", "1"}, "-verify-samples requires -verify-sweep"},
 		{[]string{"-verify-enroll", "2"}, "-verify-enroll requires -verify-sweep"},
 		{[]string{"-verify-out", "cal.json"}, "-verify-out requires -verify-sweep"},
+		{[]string{"-verify-sweep", "-iterations", "5"}, "-iterations has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-followup-users", "0"}, "-followup-users has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-followup-seed", "7"}, "-followup-seed has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-out", "main.ndjson"}, "-out has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-followup-out", "f.ndjson"}, "-followup-out has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-checkpoint", "ckpt"}, "-checkpoint has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-ablation=false"}, "-ablation has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-evolution-users", "0"}, "-evolution-users has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-trace-json", "trace.json"}, "-trace-json has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-trace"}, "-trace has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-progress"}, "-progress has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-shadow", "2"}, "-shadow has no effect with -verify-sweep"},
+		{[]string{"-verify-sweep", "-shadow-out", "audit.json"}, "-shadow-out has no effect with -verify-sweep"},
 	} {
 		var stdout, logs bytes.Buffer
 		err := run(context.Background(), tc.args, &stdout, &logs)

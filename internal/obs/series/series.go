@@ -2,11 +2,11 @@
 // in-process time-series store that snapshots every metric of an obs
 // registry on a fixed tick into bounded ring buffers. Where /metrics is a
 // point-in-time scrape, the series store answers "what did this counter do
-// over the last ten minutes?" — the question the watch layer's EWMA rules,
-// a bench-regression bisect, or a fleet roll-up actually asks. Memory is
-// bounded three ways: a fixed point capacity per series, a cap on the
-// total series count, and histogram bucket samples excluded by default
-// (the highest-cardinality expansion of a scrape).
+// over the last ten minutes?" — the question the query route's dashboards
+// and the diag bundles' metric windows ask. Memory is bounded three ways: a
+// fixed point capacity per series, a cap on the total series count, and
+// histogram bucket samples excluded by default (the highest-cardinality
+// expansion of a scrape).
 package series
 
 import (

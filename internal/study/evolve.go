@@ -3,6 +3,7 @@ package study
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/platform"
 	"repro/internal/population"
@@ -35,12 +36,18 @@ type EvolvedConfig struct {
 	// Churn is the upgrade model applied between epochs. The zero value
 	// upgrades nothing.
 	Churn population.ChurnModel
-	// RenderCache, when non-nil, shares renders with other studies in the
-	// process (cost scales with distinct audio stacks, not users).
-	RenderCache *vectors.Cache
-	// Parallelism bounds concurrent per-user workers (0 = serial). Results
-	// are scheduling-independent: every user's randomness is pre-seeded.
+	// Parallelism bounds worker goroutines; 0 = GOMAXPROCS. Results are
+	// scheduling-independent: every draw is made before anything renders.
 	Parallelism int
+}
+
+// evolvedStack is one audio stack's share of an evolved build: the runner of
+// its first (user, epoch) and, per vector, the offsets its (user, epoch)s
+// drew (sorted and distinct once rendered) and their fingerprints.
+type evolvedStack struct {
+	runner  *vectors.Runner
+	offsets [][]int
+	fps     [][]vectors.Fingerprint
 }
 
 // EvolvedDataset is a time-evolving observation set.
@@ -63,8 +70,10 @@ type EvolvedDataset struct {
 }
 
 // BuildEvolved renders the evolved dataset. Each user is driven by its own
-// pre-derived rng (churn draws and jitter draws both), so the output is
-// bit-identical regardless of Parallelism.
+// pre-derived rng (churn draws and jitter draws both), and every draw is
+// made before anything renders, so the output is bit-identical regardless
+// of Parallelism. Each distinct (audio stack, vector) renders in one pass,
+// whatever the number of users and epochs on the stack.
 func BuildEvolved(cfg EvolvedConfig) (*EvolvedDataset, error) {
 	if cfg.Users <= 0 || cfg.Epochs < 1 {
 		return nil, fmt.Errorf("study: need ≥1 user and ≥1 epoch (got %d, %d)",
@@ -80,10 +89,6 @@ func BuildEvolved(cfg EvolvedConfig) (*EvolvedDataset, error) {
 
 	devs := population.Sample(population.Config{Seed: cfg.Seed, N: cfg.Users})
 	jitter := platform.DefaultJitter()
-	cache := cfg.RenderCache
-	if cache == nil {
-		cache = vectors.NewCache()
-	}
 
 	ev := &EvolvedDataset{
 		Users:           make([]string, len(devs)),
@@ -92,9 +97,6 @@ func BuildEvolved(cfg EvolvedConfig) (*EvolvedDataset, error) {
 		Vectors:         vecs,
 		Obs:             make(map[vectors.ID][][][]string, len(vecs)),
 		Events:          make([][]population.ChurnEvent, cfg.Epochs),
-	}
-	for i, d := range devs {
-		ev.Users[i] = d.ID
 	}
 	for _, v := range vecs {
 		epochs := make([][][]string, cfg.Epochs)
@@ -107,50 +109,79 @@ func BuildEvolved(cfg EvolvedConfig) (*EvolvedDataset, error) {
 		ev.Events[e] = make([]population.ChurnEvent, len(devs))
 	}
 
-	// Pre-derive per-user seeds so worker scheduling cannot reorder draws.
+	// Pre-derive per-user seeds so each user's draws are its own.
 	seedRng := rand.New(rand.NewSource(cfg.Seed ^ 0x45564f4c56)) // "EVOLV"
 	userSeeds := make([]int64, len(devs))
 	for i := range userSeeds {
 		userSeeds[i] = seedRng.Int63()
 	}
 
-	if err := runAll(len(devs), cfg.Parallelism, func(u int) error {
-		d := devs[u]
+	// Draw every churn step and capture offset before anything renders,
+	// each user from its own rng in the order it has always drawn: per
+	// epoch the churn step, then each vector's samples. Rendering consumes
+	// no randomness, so every draw stays as it was.
+	ns := cfg.SamplesPerEpoch
+	plan := map[string]*evolvedStack{}
+	var order []string                                // stacks in order of first appearance
+	at := make([]*evolvedStack, len(devs)*cfg.Epochs) // [user*Epochs+epoch]
+	offsets := make([][]int, len(devs)*cfg.Epochs)    // [user*Epochs+epoch][vi*ns+sample]
+	for u, d := range devs {
+		ev.Users[u] = d.ID
 		rng := rand.New(rand.NewSource(userSeeds[u]))
 		for e := 0; e < cfg.Epochs; e++ {
 			if e > 0 {
-				ev.Events[e][u] = cfg.Churn.Step(rng, d)
-			}
-			runner := vectors.NewRunner(d.AudioTraits(), d.SampleRate)
-			stack := d.AudioStackKey()
-			for _, v := range vecs {
-				samples := make([]string, cfg.SamplesPerEpoch)
-				for s := range samples {
-					fp, err := cache.Run(stack, runner, v, jitter.Offset(rng, d.Load, v))
-					if err != nil {
-						return err
-					}
-					samples[s] = fp.Hash
+				evt := cfg.Churn.Step(rng, d)
+				ev.Events[e][u] = evt
+				if evt.BrowserUpgrade {
+					ev.Upgrades++
 				}
-				ev.Obs[v][e][u] = samples
+				if evt.OSUpgrade {
+					ev.OSUpgrades++
+				}
+				if evt.StackShift {
+					ev.FingerprintShifts++
+				}
 			}
+			stack := d.AudioStackKey()
+			st := plan[stack]
+			if st == nil {
+				st = &evolvedStack{runner: vectors.NewRunner(d.AudioTraits(), d.SampleRate),
+					offsets: make([][]int, len(vecs)), fps: make([][]vectors.Fingerprint, len(vecs))}
+				plan[stack] = st
+				order = append(order, stack)
+			}
+			offs := make([]int, len(vecs)*ns)
+			for i := range offs {
+				offs[i] = jitter.Offset(rng, d.Load, vecs[i/ns])
+				st.offsets[i/ns] = append(st.offsets[i/ns], offs[i])
+			}
+			at[u*cfg.Epochs+e], offsets[u*cfg.Epochs+e] = st, offs
 		}
-		return nil
+	}
+
+	// Render each (stack, vector) pass once: one worker owns each pass.
+	cache := vectors.NewCache()
+	if err := runAll(len(order)*len(vecs), cfg.Parallelism, func(i int) error {
+		stack, vi := order[i/len(vecs)], i%len(vecs)
+		st := plan[stack]
+		slices.Sort(st.offsets[vi])
+		st.offsets[vi] = slices.Compact(st.offsets[vi])
+		fps, err := cache.RunOffsets(stack, st.runner, vecs[vi], st.offsets[vi])
+		st.fps[vi] = fps
+		return err
 	}); err != nil {
 		return nil, err
 	}
 
-	for _, epoch := range ev.Events {
-		for _, evt := range epoch {
-			if evt.BrowserUpgrade {
-				ev.Upgrades++
+	for k, st := range at {
+		u, e := k/cfg.Epochs, k%cfg.Epochs
+		for vi, v := range vecs {
+			samples := make([]string, ns)
+			for s := range samples {
+				j, _ := slices.BinarySearch(st.offsets[vi], offsets[k][vi*ns+s])
+				samples[s] = st.fps[vi][j].Hash
 			}
-			if evt.OSUpgrade {
-				ev.OSUpgrades++
-			}
-			if evt.StackShift {
-				ev.FingerprintShifts++
-			}
+			ev.Obs[v][e][u] = samples
 		}
 	}
 	return ev, nil

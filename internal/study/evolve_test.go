@@ -2,11 +2,14 @@ package study
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/platform"
 	"repro/internal/population"
 	"repro/internal/vectors"
+	"repro/internal/webaudio"
 )
 
 // TestBuildEvolvedDeterminism: same seed ⇒ byte-identical dataset,
@@ -50,6 +53,107 @@ func TestBuildEvolvedDeterminism(t *testing.T) {
 	}
 	if d.Fingerprint() == a.Fingerprint() {
 		t.Error("different seeds produced identical datasets")
+	}
+}
+
+// TestBuildEvolvedPinned pins one evolved dataset byte for byte, at two
+// worker counts: 200 users, six epochs of two samples of all seven vectors
+// under the default churn (nine stack shifts).
+func TestBuildEvolvedPinned(t *testing.T) {
+	const want = "00946a166bf5e5a3f261620b3b9fa08ac9791f39e9318c1240ba64e083397cd0"
+	for _, par := range []int{1, 8} {
+		ev, err := BuildEvolved(EvolvedConfig{
+			Seed: 42, Users: 200, Epochs: 6, SamplesPerEpoch: 2,
+			Vectors:     vectors.All,
+			Churn:       population.DefaultChurn(),
+			Parallelism: par,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ev.Fingerprint(); got != want {
+			t.Errorf("parallelism %d: fingerprint %s, want %s", par, got, want)
+		}
+		if ev.FingerprintShifts != 9 {
+			t.Errorf("parallelism %d: %d stack shifts, want 9", par, ev.FingerprintShifts)
+		}
+	}
+}
+
+// TestBuildEvolvedRenderBill pins an evolved build's render bill to its
+// draws: one audio context per distinct (stack, vector) over every user
+// and epoch, and per pass the quanta TestRenderPassCounts derives from the
+// largest offset drawn, at any parallelism. DC, FFT and Hybrid cover the
+// three ways a pass's quanta are counted. The expected counts come from
+// redrawing churn and offsets here, independently of the build's plan.
+func TestBuildEvolvedRenderBill(t *testing.T) {
+	cfg := EvolvedConfig{
+		Seed: 42, Users: 60, Epochs: 6, SamplesPerEpoch: 2,
+		Vectors: []vectors.ID{vectors.DC, vectors.FFT, vectors.Hybrid},
+		Churn:   population.DefaultChurn(),
+	}
+	type pass struct {
+		stack string
+		v     vectors.ID
+	}
+	maxOffset := map[pass]int{}
+	jitter := platform.DefaultJitter()
+	seeds := rand.New(rand.NewSource(cfg.Seed ^ 0x45564f4c56))
+	shifted := false
+	for _, d := range population.Sample(population.Config{Seed: cfg.Seed, N: cfg.Users}) {
+		rng := rand.New(rand.NewSource(seeds.Int63()))
+		for e := 0; e < cfg.Epochs; e++ {
+			if e > 0 && cfg.Churn.Step(rng, d).StackShift {
+				shifted = true
+			}
+			for _, v := range cfg.Vectors {
+				for s := 0; s < cfg.SamplesPerEpoch; s++ {
+					off := jitter.Offset(rng, d.Load, v)
+					if off >= 32 {
+						t.Fatalf("jitter drew offset %d; the expected bill assumes offsets below 32", off)
+					}
+					k := pass{d.AudioStackKey(), v}
+					if m, ok := maxOffset[k]; !ok || off > m {
+						maxOffset[k] = off
+					}
+				}
+			}
+		}
+	}
+	if !shifted {
+		t.Fatal("no stack shift drawn; the bill would not cover a stack reached by churn")
+	}
+	wantContexts, wantQuanta, wantHinted := int64(len(maxOffset)), int64(0), int64(0)
+	for k, m := range maxOffset {
+		switch k.v {
+		case vectors.DC:
+			wantQuanta += 40
+			wantHinted += 35
+		case vectors.FFT:
+			wantQuanta += 96 + int64(m)
+		default:
+			wantQuanta += 96 + int64(m)
+			wantHinted += 96 + int64(m) - 32
+		}
+	}
+
+	for _, par := range []int{1, 8} {
+		c := cfg
+		c.Parallelism = par
+		before := webaudio.Stats()
+		if _, err := BuildEvolved(c); err != nil {
+			t.Fatal(err)
+		}
+		after := webaudio.Stats()
+		if got := after.Contexts - before.Contexts; got != wantContexts {
+			t.Errorf("parallelism %d: %d contexts, want %d (one per stack × vector)", par, got, wantContexts)
+		}
+		if got := after.Quanta - before.Quanta; got != wantQuanta {
+			t.Errorf("parallelism %d: %d quanta, want %d", par, got, wantQuanta)
+		}
+		if got := after.UnobservedQuanta - before.UnobservedQuanta; got != wantHinted {
+			t.Errorf("parallelism %d: %d hinted quanta, want %d", par, got, wantHinted)
+		}
 	}
 }
 

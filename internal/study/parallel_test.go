@@ -127,9 +127,9 @@ func TestRunAllStopsAfterError(t *testing.T) {
 }
 
 // TestParallelRenderSingleflight: under a parallel run with a shared cache,
-// concurrent misses on the same (stack, vector, offset) key must collapse to
-// one render — every cache miss corresponds to exactly one memoized entry —
-// and the dataset must be bit-identical to a serial run.
+// every (stack, vector, offset) key renders once — every cache miss
+// corresponds to exactly one memoized entry — because each stack has one
+// owning worker, and the dataset must be bit-identical to a serial run.
 func TestParallelRenderSingleflight(t *testing.T) {
 	cfg := Config{Seed: 5, Users: 60, Iterations: 6}
 
@@ -152,7 +152,7 @@ func TestParallelRenderSingleflight(t *testing.T) {
 	}
 	st := cache.Stats()
 	if st.Misses != int64(cache.Len()) {
-		t.Errorf("misses (%d) != entries (%d): duplicate renders slipped past singleflight",
+		t.Errorf("misses (%d) != entries (%d): two workers rendered one key",
 			st.Misses, cache.Len())
 	}
 	if st.Hits == 0 {

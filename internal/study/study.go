@@ -233,22 +233,26 @@ func run(ctx context.Context, cfg Config, vs []vectors.ID) (*Dataset, error) {
 		cache = vectors.NewCache()
 	}
 	plan := planRenders(ds, jitter, userSeeds, resumed)
-	if err := runAll(len(devs), cfg.Parallelism, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !resumed[i] {
-			if err := runUser(ds, cache, plan, i); err != nil {
+	// Each worker owns whole audio stacks, so no two workers ask the cache
+	// for one key: a stack's first user renders its passes, the rest hit.
+	if err := runAll(len(plan.stackUsers), cfg.Parallelism, func(s int) error {
+		for _, i := range plan.stackUsers[s] {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if ckpt != nil {
-				if err := ckpt.append(entryFor(ds, i)); err != nil {
-					return fmt.Errorf("study: checkpoint user %s: %w", ds.Users[i], err)
+			if !resumed[i] {
+				if err := runUser(ds, cache, plan, i); err != nil {
+					return err
+				}
+				if ckpt != nil {
+					if err := ckpt.append(entryFor(ds, i)); err != nil {
+						return fmt.Errorf("study: checkpoint user %s: %w", ds.Users[i], err)
+					}
 				}
 			}
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(int(done.Add(1)), len(devs))
+			if cfg.Progress != nil {
+				cfg.Progress(int(done.Add(1)), len(devs))
+			}
 		}
 		return nil
 	}); err != nil {
@@ -259,7 +263,6 @@ func run(ctx context.Context, cfg Config, vs []vectors.ID) (*Dataset, error) {
 	renderSpan.SetAttr("distinct_renders", cst.Entries)
 	renderSpan.SetAttr("cache_hits", int(cst.Hits))
 	renderSpan.SetAttr("cache_misses", int(cst.Misses))
-	renderSpan.SetAttr("cache_singleflight_waits", int(cst.Waits))
 	renderSpan.End()
 
 	ds.Parallelism = cfg.Parallelism
@@ -278,23 +281,33 @@ type renderPlan struct {
 	// need maps an audio-stack key to the sorted distinct offsets its
 	// users drew, per vector index.
 	need map[string][][]int
+	// stackUsers groups all user indices, resumed ones included, by stack,
+	// in order of first appearance.
+	stackUsers [][]int
 }
 
-// planRenders draws the capture offsets of every user still to render, in
-// the order users render them, and collects the offsets each (stack,
-// vector) needs. Rendering consumes no randomness, so drawing up front
-// leaves every draw as it was, and each user can ask the cache for its
-// stack's whole list: the first user of a stack renders each vector once,
-// in one pass, for every later user. It draws every vector's offsets even
-// when the run renders only some: each user's draws interleave all seven
-// vectors, so skipping one would shift the offsets of the vectors after it.
+// planRenders draws the capture offsets of every user still to render,
+// each from the user's own seed, collects the offsets each (stack, vector)
+// needs, and groups the users by stack. Rendering consumes no randomness,
+// so drawing up front leaves every draw as it was, and each user can ask
+// the cache for its stack's whole list: the first user of a stack renders
+// each vector once, in one pass, for every later user. It draws every
+// vector's offsets even when the run renders only some: each user's draws
+// interleave all seven vectors, so skipping one would shift the offsets of
+// the vectors after it.
 func planRenders(ds *Dataset, jitter *platform.JitterModel, userSeeds []int64, resumed []bool) *renderPlan {
 	p := &renderPlan{offsets: make([][]int, len(ds.Devices)), need: map[string][][]int{}}
+	group := map[string]int{}
 	for i, d := range ds.Devices {
+		stack := d.AudioStackKey()
+		if _, ok := group[stack]; !ok {
+			group[stack] = len(p.stackUsers)
+			p.stackUsers = append(p.stackUsers, nil)
+		}
+		p.stackUsers[group[stack]] = append(p.stackUsers[group[stack]], i)
 		if resumed[i] {
 			continue
 		}
-		stack := d.AudioStackKey()
 		need := p.need[stack]
 		if need == nil {
 			need = make([][]int, len(vectors.All))

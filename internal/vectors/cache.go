@@ -7,30 +7,25 @@ import (
 
 // Cache memoizes fingerprints by (audio-stack key, vector, capture offset).
 // Rendering is bit-deterministic given those three inputs (asserted by the
-// engine's tests), so memoization is exact. A miss renders every offset
-// the lookup still needs in one render pass (Runner.RunOffsets), so a
-// study over thousands of users runs one pass per distinct (platform
-// class, vector) whose users ask for all their offsets at once, turning an
+// engine's tests), so memoization is exact. A lookup renders every offset
+// it finds missing in one render pass (Runner.RunOffsets), so a study over
+// thousands of users runs one pass per distinct (platform class, vector)
+// whose users ask for all their offsets at once, turning an
 // O(users × iterations) rendering bill into O(platform classes) passes and
 // O(platform classes × offsets) captures. Safe for concurrent use.
 //
-// Misses are deduplicated singleflight-style, per offset: under one lock a
-// lookup takes what is memoized, registers as its own every offset neither
-// memoized nor in flight, renders those in one pass, and then waits for the
-// offsets other goroutines are rendering. When N goroutines miss on the
-// same key concurrently (the common case in a parallel study sweep, where
-// every worker meets the same few dozen platform classes), exactly one
-// renders each offset and the rest wait for its result. Without this,
-// raising study.Config.Parallelism multiplies redundant renders instead of
-// throughput.
+// The cache does not deduplicate concurrent misses: a render runs outside
+// the lock, so two goroutines missing the same key both render it and store
+// the same fingerprint. That is correct, only wasted work. Callers keep a
+// pass from rendering twice by ownership instead: the study gives each
+// worker whole audio stacks, and the evolved-population builder gives each
+// worker whole (stack, vector) passes, so no two goroutines ask for one key.
 type Cache struct {
-	mu       sync.Mutex
-	m        map[cacheKey]Fingerprint
-	inflight map[cacheKey]inflightSlot
+	mu sync.Mutex
+	m  map[cacheKey]Fingerprint
 
 	hits   atomic.Int64
 	misses atomic.Int64
-	waits  atomic.Int64
 
 	// shadow, when set, samples this cache's miss-path renders through the
 	// lockstep engine audit. Hung off the cache because the miss path is
@@ -44,30 +39,10 @@ type cacheKey struct {
 	offset int
 }
 
-// inflightCall is one in-progress render pass other goroutines can wait
-// on: offsets are the captures it renders, fps its results aligned with
-// them once done is closed.
-type inflightCall struct {
-	done    chan struct{}
-	offsets []int
-	fps     []Fingerprint
-	err     error
-}
-
-// inflightSlot locates one in-flight offset: the pass rendering it and its
-// position in that pass.
-type inflightSlot struct {
-	call *inflightCall
-	i    int
-}
-
 // NewCache returns an empty cache. It is unbounded: a study's key set is
 // its platform classes × vectors × offsets, a few thousand entries.
 func NewCache() *Cache {
-	return &Cache{
-		m:        make(map[cacheKey]Fingerprint),
-		inflight: make(map[cacheKey]inflightSlot),
-	}
+	return &Cache{m: make(map[cacheKey]Fingerprint)}
 }
 
 // Len reports the number of memoized renders.
@@ -82,42 +57,27 @@ func (c *Cache) Len() int {
 type CacheStats struct {
 	// Hits counts fingerprints served from the memo map.
 	Hits int64
-	// Misses counts fingerprints the lookup rendered itself.
+	// Misses counts fingerprints the lookup rendered.
 	Misses int64
-	// Waits counts fingerprints taken from another goroutine's
-	// in-progress render instead of rendered again.
-	Waits int64
 	// Entries is the current number of memoized renders.
 	Entries int
 }
 
-// HitRatio returns the fraction of lookups that avoided a render (hits and
-// singleflight waits over all lookups), or 0 before any lookup.
+// HitRatio returns the fraction of lookups served from the memo map, or 0
+// before any lookup.
 func (s CacheStats) HitRatio() float64 {
-	total := s.Hits + s.Waits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits+s.Waits) / float64(total)
+	return hitRatio(s.Hits, s.Misses)
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	entries := len(c.m)
-	c.mu.Unlock()
-	return CacheStats{
-		Hits:    c.hits.Load(),
-		Misses:  c.misses.Load(),
-		Waits:   c.waits.Load(),
-		Entries: entries,
-	}
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: c.Len()}
 }
 
 // SetShadow attaches a shadow auditor that samples this cache's miss-path
 // renders through the lockstep engine comparison (nil detaches). Audits run
-// synchronously inside the singleflight, so the 1-in-N sampling rate is the
-// latency control.
+// synchronously in the lookup that rendered, so the 1-in-N sampling rate is
+// the latency control.
 func (c *Cache) SetShadow(a *ShadowAuditor) { c.shadow.Store(a) }
 
 // Run returns the fingerprint for (stackKey, id, offset), rendering through
@@ -131,10 +91,10 @@ func (c *Cache) Run(stackKey string, r *Runner, id ID, offset int) (Fingerprint,
 }
 
 // RunOffsets returns the fingerprints for (stackKey, id, o), one per o in
-// offsets (ascending) and aligned with them. The offsets neither memoized
-// nor in flight render through r in one pass; the rest are taken from the
-// memo map or waited for. stackKey must uniquely identify r's traits: two
-// runners with different traits must never share a key.
+// offsets (ascending, distinct) and aligned with them. The offsets not
+// memoized render through r in one pass; the rest come from the memo map.
+// stackKey must uniquely identify r's traits: two runners with different
+// traits must never share a key.
 func (c *Cache) RunOffsets(stackKey string, r *Runner, id ID, offsets []int) ([]Fingerprint, error) {
 	return c.do(stackKey, id, offsets, func(missing []int) ([]Fingerprint, error) {
 		fps, err := r.RunOffsets(id, missing)
@@ -149,70 +109,45 @@ func (c *Cache) RunOffsets(stackKey string, r *Runner, id ID, offsets []int) ([]
 	})
 }
 
-// do is the one miss path. Under one lock it takes every memoized offset,
-// notes the ones in flight, and registers the rest as its own pass; it
-// then calls render once with those offsets (in request order) and
-// afterwards waits for the offsets other goroutines are rendering. render
-// must return one fingerprint per offset it is given. Errors are returned
-// to every waiter but never cached — a later lookup retries the render.
+// do is the one lookup path. Under the lock it takes every memoized
+// offset; it then calls render once with the rest (in request order), and
+// memoizes what render returns. render must return one fingerprint per
+// offset it is given. Errors are returned but never cached: a later lookup
+// retries the render.
 func (c *Cache) do(stackKey string, id ID, offsets []int, render func(missing []int) ([]Fingerprint, error)) ([]Fingerprint, error) {
 	key := func(off int) cacheKey { return cacheKey{stack: stackKey, vector: id, offset: off} }
 	out := make([]Fingerprint, len(offsets))
-	slots := make([]inflightSlot, len(offsets)) // nil call: served from the memo
-	var own *inflightCall
-	var hits, waits int64
+	var missing, at []int // offsets to render and their positions in out
 	c.mu.Lock()
 	for i, off := range offsets {
-		k := key(off)
-		if fp, ok := c.m[k]; ok {
+		if fp, ok := c.m[key(off)]; ok {
 			out[i] = fp
-			hits++
 			continue
 		}
-		slot, ok := c.inflight[k]
-		if ok {
-			waits++
-		} else {
-			if own == nil {
-				own = &inflightCall{done: make(chan struct{})}
-			}
-			slot = inflightSlot{call: own, i: len(own.offsets)}
-			c.inflight[k] = slot
-			own.offsets = append(own.offsets, off)
-		}
-		slots[i] = slot
+		missing = append(missing, off)
+		at = append(at, i)
 	}
 	c.mu.Unlock()
+	hits := int64(len(offsets) - len(missing))
 	c.hits.Add(hits)
 	mCacheHits.Add(hits)
-	c.waits.Add(waits)
-	mCacheWaits.Add(waits)
-
-	if own != nil {
-		c.misses.Add(int64(len(own.offsets)))
-		mCacheMisses.Add(int64(len(own.offsets)))
-		own.fps, own.err = render(own.offsets)
-
-		c.mu.Lock()
-		for j, off := range own.offsets {
-			k := key(off)
-			delete(c.inflight, k)
-			if own.err == nil {
-				c.m[k] = own.fps[j]
-			}
-		}
-		c.mu.Unlock()
-		close(own.done)
+	if len(missing) == 0 {
+		return out, nil
 	}
-	for i, slot := range slots {
-		if slot.call == nil {
-			continue
-		}
-		<-slot.call.done
-		if slot.call.err != nil {
-			return nil, slot.call.err
-		}
-		out[i] = slot.call.fps[slot.i]
+
+	c.misses.Add(int64(len(missing)))
+	mCacheMisses.Add(int64(len(missing)))
+	fps, err := render(missing)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	for j, off := range missing {
+		c.m[key(off)] = fps[j]
+	}
+	c.mu.Unlock()
+	for j, i := range at {
+		out[i] = fps[j]
 	}
 	return out, nil
 }

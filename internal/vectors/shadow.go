@@ -18,8 +18,8 @@ import (
 // deterministic 1-in-N sample of cache-miss renders through BOTH engines in
 // lockstep and comparing every node's output down to the Float32bits. A
 // divergence is attributed to a specific compiled op, quantum and sample,
-// exported as a counter the watch layer alerts on, and retained in a bounded
-// ring of flight records (Summary).
+// counted on vectors_render_divergence_total, and retained in a bounded ring
+// of flight records (Summary).
 
 // FlightRecord is one confirmed engine divergence with everything needed to
 // reproduce it: the platform-class key, the vector and capture state, and

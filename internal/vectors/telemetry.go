@@ -9,14 +9,12 @@ import (
 // Per-vector render telemetry on the shared registry: how many render
 // passes each vector ran, how long a pass takes end to end (graph build +
 // quanta + every capture's hash), and how the memoization cache behaves.
-// Label cardinality is bounded by the vector set (9 names).
+// Label cardinality is bounded by the vector set (seven names).
 var (
 	mCacheHits = obs.Default.Counter("vectors_cache_hits_total",
 		"memoized fingerprint renders served from cache", nil)
 	mCacheMisses = obs.Default.Counter("vectors_cache_misses_total",
 		"fingerprint renders that had to run the engine", nil)
-	mCacheWaits = obs.Default.Counter("vectors_cache_singleflight_waits_total",
-		"fingerprints taken from an in-progress render instead of rendered again", nil)
 )
 
 func init() {
@@ -27,7 +25,7 @@ func init() {
 	obs.Default.GaugeFunc("vectors_cache_hit_ratio",
 		"fraction of cache lookups served without rendering", nil,
 		func() float64 {
-			return hitRatio(mCacheHits.Value()+mCacheWaits.Value(), mCacheMisses.Value())
+			return hitRatio(mCacheHits.Value(), mCacheMisses.Value())
 		})
 }
 

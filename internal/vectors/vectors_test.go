@@ -143,11 +143,6 @@ func TestTraitsSeparateVectors(t *testing.T) {
 			affects: []ID{DC, Hybrid},
 		},
 		{
-			name:    "phaseOffset",
-			mutate:  func(tr *webaudio.Traits) { tr.OscillatorPhaseOffset = 1e-4 },
-			affects: All,
-		},
-		{
 			name:    "fftKernel",
 			mutate:  func(tr *webaudio.Traits) { tr.FFTKernel = mathx.Perturbed(mathx.Libm, "fft-alt", 3e-7) },
 			affects: FFTBased,

@@ -17,8 +17,8 @@ import (
 
 // diffTraitsPool are the trait corners the differential test sweeps:
 // the reference config, the float32-mixing/fdlibm stack, a LUT kernel with
-// denormal flushing, a compressor/oscillator perturbation variant, and a
-// split FFT kernel.
+// denormal flushing, a compressor perturbation variant, and a split FFT
+// kernel.
 func diffTraitsPool() []Traits {
 	mix32 := DefaultTraits()
 	mix32.Kernel = mathx.Fdlib
@@ -31,7 +31,6 @@ func diffTraitsPool() []Traits {
 	perturbed := DefaultTraits()
 	perturbed.CompressorKneeEps = 3.1e-7
 	perturbed.CompressorPreDelay = 262
-	perturbed.OscillatorPhaseOffset = 1.9e-6
 
 	splitFFT := DefaultTraits()
 	splitFFT.FFTKernel = mathx.Poly7

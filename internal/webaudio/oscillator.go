@@ -114,8 +114,7 @@ func (o *OscillatorNode) buildTable() {
 	if f0 == 0 {
 		f0 = 440
 	}
-	o.table = wavetableFor(o.ctx.traits.Kernel, o.typ, o.wave,
-		f0, o.ctx.sampleRate, o.ctx.traits.OscillatorPhaseOffset)
+	o.table = wavetableFor(o.ctx.traits.Kernel, o.typ, o.wave, f0, o.ctx.sampleRate)
 }
 
 // processBlock is the oscillator's wavetable-read block kernel. The k-rate

@@ -48,9 +48,6 @@ type Traits struct {
 	// CompressorPreDelay is the compressor's look-ahead in frames. Real
 	// implementations use ~6ms; variants differ by a few frames.
 	CompressorPreDelay int
-	// OscillatorPhaseOffset is a tiny initial phase bias (radians)
-	// representing wavetable alignment differences between engines.
-	OscillatorPhaseOffset float64
 	// Farble, if non-nil, enables Brave-style read-point randomization:
 	// every script-readable buffer is perturbed by session-keyed noise (the
 	// §4 mitigation). Rendering itself is unaffected.

@@ -9,7 +9,7 @@ import (
 )
 
 // Oscillator wavetables are a pure function of (kernel, waveform, nominal
-// frequency, sample rate, phase offset, custom coefficients): the Fourier
+// frequency, sample rate, custom coefficients): the Fourier
 // summation below costs ~tableSize·maxHarm kernel sines, which for short
 // fingerprint renders rivals the render itself. Like the analyser's FFT
 // plans (fftplan.go), tables are therefore cached process-wide: a
@@ -21,16 +21,16 @@ import (
 var wavetables sync.Map // string → []float32
 
 // wavetableKey canonically identifies every input of buildWavetable:
-// "name|type|f0|rate|phase" with the floats as hex bit patterns, then for
+// "name|type|f0|rate" with the floats as hex bit patterns, then for
 // a custom wave "|normalization" and ",re"… ";" ",im"…. It appends with
 // strconv rather than fmt, whose buffer pool makes the allocation count
 // vary under the race detector.
-func wavetableKey(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, sampleRate, phaseOff float64) string {
+func wavetableKey(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, sampleRate float64) string {
 	b := make([]byte, 0, 64)
 	b = append(b, k.Name()...)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(typ), 10)
-	for _, v := range [...]float64{f0, sampleRate, phaseOff} {
+	for _, v := range [...]float64{f0, sampleRate} {
 		b = append(b, '|')
 		b = strconv.AppendUint(b, math.Float64bits(v), 16)
 	}
@@ -55,7 +55,7 @@ func wavetableKey(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, sa
 // OscillatorNode, hoisted so its output can be shared. The returned slice
 // has tableSize+1 entries (guard sample for interpolation) and is
 // read-only.
-func buildWavetable(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, sampleRate, phaseOff float64) []float32 {
+func buildWavetable(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, sampleRate float64) []float32 {
 	nyquist := sampleRate / 2
 	maxHarm := int(nyquist / f0)
 	if maxHarm < 1 {
@@ -112,7 +112,7 @@ func buildWavetable(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, 
 
 	tbl := make([]float64, tableSize)
 	for i := 0; i < tableSize; i++ {
-		phi := 2*math.Pi*float64(i)/tableSize + phaseOff
+		phi := 2 * math.Pi * float64(i) / tableSize
 		var v float64
 		for h := 1; h < len(real); h++ {
 			hphi := float64(h) * phi
@@ -151,12 +151,12 @@ func buildWavetable(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, 
 // wavetableFor returns the cached table for the given synthesis inputs,
 // building it on first use. Concurrent first calls may both build;
 // LoadOrStore keeps one (both are bit-identical).
-func wavetableFor(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, sampleRate, phaseOff float64) []float32 {
-	key := wavetableKey(k, typ, wave, f0, sampleRate, phaseOff)
+func wavetableFor(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, sampleRate float64) []float32 {
+	key := wavetableKey(k, typ, wave, f0, sampleRate)
 	if t, ok := wavetables.Load(key); ok {
 		return t.([]float32)
 	}
-	tbl := buildWavetable(k, typ, wave, f0, sampleRate, phaseOff)
+	tbl := buildWavetable(k, typ, wave, f0, sampleRate)
 	actual, _ := wavetables.LoadOrStore(key, tbl)
 	return actual.([]float32)
 }
