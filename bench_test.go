@@ -297,7 +297,6 @@ func BenchmarkKernelOscillator(b *testing.B) {
 	benchEngines(b, func(b *testing.B) {
 		benchRenderGraph(b, func(ctx *webaudio.Context) {
 			osc := ctx.NewOscillator(webaudio.Triangle, 10000)
-			osc.Start(0)
 			webaudio.Connect(osc, ctx.Destination())
 		})
 	})
@@ -309,7 +308,6 @@ func BenchmarkKernelCompressor(b *testing.B) {
 	benchEngines(b, func(b *testing.B) {
 		benchRenderGraph(b, func(ctx *webaudio.Context) {
 			osc := ctx.NewOscillator(webaudio.Triangle, 10000)
-			osc.Start(0)
 			dc := ctx.NewDynamicsCompressor()
 			webaudio.Connect(osc, dc)
 			webaudio.Connect(dc, ctx.Destination())
@@ -325,7 +323,6 @@ func BenchmarkKernelDestinationMix(b *testing.B) {
 		benchRenderGraph(b, func(ctx *webaudio.Context) {
 			for _, f := range []float64{4000, 6000, 8000, 10000} {
 				osc := ctx.NewOscillator(webaudio.Sine, f)
-				osc.Start(0)
 				webaudio.Connect(osc, ctx.Destination())
 			}
 		})
@@ -338,9 +335,7 @@ func BenchmarkKernelAMGain(b *testing.B) {
 	benchEngines(b, func(b *testing.B) {
 		benchRenderGraph(b, func(ctx *webaudio.Context) {
 			carrier := ctx.NewOscillator(webaudio.Sine, 10000)
-			carrier.Start(0)
 			mod := ctx.NewOscillator(webaudio.Sine, 50)
-			mod.Start(0)
 			am := ctx.NewGain(0.5)
 			webaudio.ConnectParam(mod, am.Gain)
 			webaudio.Connect(carrier, am)
@@ -378,7 +373,6 @@ func BenchmarkAnalyserFFTSizes(b *testing.B) {
 			}
 			webaudio.Connect(osc, an)
 			webaudio.Connect(an, ctx.Destination())
-			osc.Start(0)
 			if err := ctx.RenderQuanta(size / webaudio.RenderQuantum * 2); err != nil {
 				b.Fatal(err)
 			}

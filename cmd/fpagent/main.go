@@ -12,6 +12,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,12 +55,18 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 		followUp    = fs.Bool("followup", false, "use the §5 follow-up demographic mix")
 		idempotency = fs.Bool("idempotency", true, "attach idempotency keys so retried submissions never double-store")
 		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive failures before the circuit breaker opens (0 disables)")
-		brkCooldown = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open circuit breaker fails fast")
+		brkCooldown = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open circuit breaker fails fast (with -breaker-threshold > 0)")
 		faults      = fs.String("faults", "", "fault-injection spec for chaos rehearsal, e.g. \"seed=7,drop=0.05,delay=0.1:10ms,http500=0.05\"")
 		export      = fs.String("export", "", "write telemetry (per-participant trace spans + periodic metrics snapshots) to this NDJSON file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// The cooldown qualifies the breaker; without one it would be ignored.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["breaker-cooldown"] && *brkThresh <= 0 {
+		return errors.New("-breaker-cooldown requires -breaker-threshold > 0")
 	}
 	logger := log.New(errw, "fpagent ", log.LstdFlags|log.Lmsgprefix)
 

@@ -93,6 +93,27 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOrphanCooldown: -breaker-cooldown without a breaker is an
+// error, returned before anything is rendered or submitted.
+func TestRunRejectsOrphanCooldown(t *testing.T) {
+	ts, st := startCollector(t)
+	for _, args := range [][]string{
+		{"-breaker-cooldown", "1s"},
+		{"-breaker-threshold", "0", "-breaker-cooldown", "1s"},
+	} {
+		var logs bytes.Buffer
+		err := run(context.Background(), append([]string{
+			"-server", ts.URL, "-users", "1", "-iterations", "1",
+		}, args...), &logs)
+		if err == nil || !strings.Contains(err.Error(), "-breaker-cooldown requires -breaker-threshold") {
+			t.Errorf("%v: err = %v, want -breaker-cooldown requires -breaker-threshold", args, err)
+		}
+	}
+	if n := st.Count(); n != 0 {
+		t.Errorf("%d records stored after rejected flags, want 0", n)
+	}
+}
+
 // TestRunIdempotencyDisabled: the -idempotency=false escape hatch still
 // completes a clean (fault-free) run.
 func TestRunIdempotencyDisabled(t *testing.T) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -82,7 +83,7 @@ func TestRunDiagSmoke(t *testing.T) {
 
 // TestDiagFlagValidation pins -diag-cpu-seconds requiring -diag.
 func TestDiagFlagValidation(t *testing.T) {
-	err := run(t.Context(), []string{
+	err := run(context.Background(), []string{
 		"-addr", "127.0.0.1:0",
 		"-store", filepath.Join(t.TempDir(), "fp.ndjson"),
 		"-diag-cpu-seconds", "1",

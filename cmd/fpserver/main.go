@@ -105,6 +105,26 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// A flag that only qualifies another is an error without it, caught
+	// before anything starts or the store opens.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, q := range []struct {
+		name, requires string
+		on             bool
+	}{
+		{"series-interval", "series", *seriesFlag},
+		{"series-capacity", "series", *seriesFlag},
+		{"verify-threshold", "verify", *verifyFlag},
+		{"verify-calibration", "verify", *verifyFlag},
+		{"diag-dir", "diag", *diagFlag},
+		{"diag-cpu-seconds", "diag", *diagFlag},
+		{"diag-cooldown", "diag", *diagFlag},
+	} {
+		if set[q.name] && !q.on {
+			return fmt.Errorf("-%s requires -%s", q.name, q.requires)
+		}
+	}
 	logger := log.New(errw, "fpserver ", log.LstdFlags|log.Lmsgprefix)
 
 	// The runtime sampler is always on: runtime_* gauges cost one
@@ -265,8 +285,6 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 		st := verifier.Stats()
 		logger.Printf("verify plane (%d shard(s)) enrolled %d users from %d records in %v, threshold %.2f",
 			*shards, st.Users, len(history), time.Since(start).Round(time.Millisecond), st.Threshold)
-	} else if *verifyThr != 0 || *verifyCal != "" {
-		return errors.New("-verify-threshold/-verify-calibration require -verify")
 	}
 
 	var mon *watch.Monitor
@@ -306,8 +324,6 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 			mon.SetTransitionHook(capt.OnTransition)
 		}
 		logger.Printf("diag bundles to %s (cooldown %v, cpu %ds)", *diagDir, *diagCool, *diagCPU)
-	} else if *diagCPU != 0 {
-		return errors.New("-diag-cpu-seconds requires -diag")
 	}
 
 	srvCfg := collectserver.Config{

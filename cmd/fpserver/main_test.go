@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -282,6 +285,38 @@ func TestRunShardsFlagErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-shards", "2", "-watch"}, &logs); err == nil {
 		t.Error("-shards 2 -watch accepted")
+	}
+}
+
+// TestRunRejectsOrphanFlags: a flag that only qualifies another is an
+// error without it, returned before the store is opened or anything is
+// served. The context bounds a run that would serve instead.
+func TestRunRejectsOrphanFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-series-interval", "1s"}, "-series-interval requires -series"},
+		{[]string{"-series-capacity", "5"}, "-series-capacity requires -series"},
+		{[]string{"-series=false", "-series-capacity", "5"}, "-series-capacity requires -series"},
+		{[]string{"-verify-threshold", "0.5"}, "-verify-threshold requires -verify"},
+		{[]string{"-verify-calibration", "cal.json"}, "-verify-calibration requires -verify"},
+		{[]string{"-diag-dir", "bundles"}, "-diag-dir requires -diag"},
+		{[]string{"-diag-cpu-seconds", "1"}, "-diag-cpu-seconds requires -diag"},
+		{[]string{"-diag-cooldown", "1m"}, "-diag-cooldown requires -diag"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			store := filepath.Join(t.TempDir(), "fp.ndjson")
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			args := append([]string{"-addr", "127.0.0.1:0", "-store", store}, tc.args...)
+			if err := run(ctx, args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want %q", err, tc.want)
+			}
+			if _, err := os.Stat(store); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("store file after a rejected flag: stat err = %v, want not exist", err)
+			}
+		})
 	}
 }
 

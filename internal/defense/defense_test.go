@@ -70,7 +70,6 @@ func TestFarbleAmplitudeInaudible(t *testing.T) {
 		oc := webaudio.NewOfflineContext(4096, 44100, tr)
 		osc := oc.NewOscillator(webaudio.Sine, 440)
 		webaudio.Connect(osc, oc.Destination())
-		osc.Start(0)
 		buf, err := oc.StartRendering()
 		if err != nil {
 			t.Fatal(err)

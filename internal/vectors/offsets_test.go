@@ -36,7 +36,6 @@ func scriptDC(t *testing.T, traits webaudio.Traits) vectors.Fingerprint {
 	comp := oc.NewDynamicsCompressor()
 	webaudio.Connect(osc, comp)
 	webaudio.Connect(comp, oc.Destination())
-	osc.Start(0)
 	buf, err := oc.StartRendering()
 	if err != nil {
 		t.Fatal(err)

@@ -293,13 +293,13 @@ func (r *Runner) runDC() (Fingerprint, error) {
 }
 
 // buildDCGraph wires the Fig. 1 graph (triangle oscillator →
-// DynamicsCompressor → destination) on ctx and starts the source.
+// DynamicsCompressor → destination) on ctx. The oscillator sounds from
+// frame 0, as the script's start(0) has it.
 func buildDCGraph(ctx *webaudio.Context) {
 	osc := ctx.NewOscillator(webaudio.Triangle, toneHz)
 	comp := ctx.NewDynamicsCompressor()
 	webaudio.Connect(osc, comp)
 	webaudio.Connect(comp, ctx.Destination())
-	osc.Start(0)
 }
 
 // liveGraph is one live-context vector's graph and its capture taps, built
@@ -379,7 +379,6 @@ func buildFFTGraph(rt *webaudio.RealtimeSim) (*webaudio.AnalyserNode, error) {
 	webaudio.Connect(an, sp)
 	webaudio.Connect(sp, mute)
 	webaudio.Connect(mute, rt.Destination())
-	osc.Start(0)
 	return an, nil
 }
 
@@ -404,8 +403,8 @@ func buildHybridTail(rt *webaudio.RealtimeSim, signal webaudio.Node) (*liveGraph
 	webaudio.Connect(sp, mute)
 	webaudio.Connect(mute, rt.Destination())
 	g := &liveGraph{analyser: an, lastBuf: make([]float32, spBufferSize)}
-	sp.OnAudioProcess = func(e webaudio.AudioProcessEvent) {
-		copy(g.lastBuf, e.InputBuffer)
+	sp.OnAudioProcess = func(inputBuffer []float32) {
+		copy(g.lastBuf, inputBuffer)
 	}
 	return g, nil
 }
@@ -446,14 +445,11 @@ func buildHybridSignal(rt *webaudio.RealtimeSim, id ID) (webaudio.Node, error) {
 
 	switch id {
 	case Hybrid:
-		osc := rt.NewOscillator(webaudio.Triangle, toneHz)
-		osc.Start(0)
-		signal = osc
+		signal = rt.NewOscillator(webaudio.Triangle, toneHz)
 
 	case CustomSignal:
 		osc := rt.NewOscillator(webaudio.Custom, toneHz)
 		osc.SetPeriodicWave(customWaveCoefficients())
-		osc.Start(0)
 		signal = osc
 
 	case MergedSignals:
@@ -467,9 +463,7 @@ func buildHybridSignal(rt *webaudio.RealtimeSim, id ID) (webaudio.Node, error) {
 			{webaudio.Triangle, 10000},
 			{webaudio.Sawtooth, 22000},
 		} {
-			o := rt.NewOscillator(src.typ, src.freq)
-			o.Start(0)
-			webaudio.Connect(o, merger)
+			webaudio.Connect(rt.NewOscillator(src.typ, src.freq), merger)
 		}
 		signal = merger
 
@@ -477,7 +471,6 @@ func buildHybridSignal(rt *webaudio.RealtimeSim, id ID) (webaudio.Node, error) {
 		// Carriers through unit gains whose gain params are modulated by a
 		// 440 Hz sine scaled by a depth gain of 60 (Fig. 8's "Gain = 60").
 		mod := rt.NewOscillator(webaudio.Sine, 440)
-		mod.Start(0)
 		depth := rt.NewGain(60)
 		webaudio.Connect(mod, depth)
 		mix := rt.NewChannelMerger()
@@ -489,7 +482,6 @@ func buildHybridSignal(rt *webaudio.RealtimeSim, id ID) (webaudio.Node, error) {
 			{webaudio.Square, 1880},
 		} {
 			o := rt.NewOscillator(src.typ, src.freq)
-			o.Start(0)
 			carrier := rt.NewGain(1) // Fig. 8's "Carrier Gain = 1"
 			webaudio.ConnectParam(depth, carrier.Gain)
 			webaudio.Connect(o, carrier)
@@ -499,7 +491,6 @@ func buildHybridSignal(rt *webaudio.RealtimeSim, id ID) (webaudio.Node, error) {
 
 	case FM:
 		mod := rt.NewOscillator(webaudio.Sine, 440)
-		mod.Start(0)
 		depth := rt.NewGain(60)
 		webaudio.Connect(mod, depth)
 		mix := rt.NewChannelMerger()
@@ -512,7 +503,6 @@ func buildHybridSignal(rt *webaudio.RealtimeSim, id ID) (webaudio.Node, error) {
 		} {
 			o := rt.NewOscillator(src.typ, src.freq)
 			webaudio.ConnectParam(depth, o.Frequency)
-			o.Start(0)
 			webaudio.Connect(o, mix)
 		}
 		signal = mix

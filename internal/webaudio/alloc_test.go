@@ -4,7 +4,7 @@ import "testing"
 
 // TestBlockRenderZeroAlloc pins the steady-state block engine at zero
 // allocations per render quantum: after RenderQuanta has compiled the render
-// program and the lazy per-node state (wavetables, makeup gain) exists,
+// program and the lazy per-node state (wavetables) exists,
 // advancing the clock must not touch the heap. The graph deliberately spans
 // the kernel set — k-rate and modulated gain, compressor, analyser — so a
 // new kernel that allocates shows up here as a regression.
@@ -15,9 +15,7 @@ func TestBlockRenderZeroAlloc(t *testing.T) {
 	ctx := NewContext(44100, DefaultTraits())
 
 	carrier := ctx.NewOscillator(Triangle, 10000)
-	carrier.Start(0)
 	mod := ctx.NewOscillator(Sine, 50)
-	mod.Start(0)
 
 	am := ctx.NewGain(0.5)
 	ConnectParam(mod, am.Gain) // audio-rate param → blockSample path
@@ -33,8 +31,7 @@ func TestBlockRenderZeroAlloc(t *testing.T) {
 	Connect(dc, an)
 	Connect(an, ctx.Destination())
 
-	// Warm up: compiles the render program, builds wavetables and the
-	// compressor makeup gain.
+	// Warm up: compiles the render program and builds wavetables.
 	if err := ctx.RenderQuanta(2); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}

@@ -67,7 +67,7 @@ func (c *Context) NewAnalyser(fftSize int) (*AnalyserNode, error) {
 // fills.
 func (a *AnalyserNode) FrequencyBinCount() int { return a.fftSize / 2 }
 
-func (a *AnalyserNode) process(frameTime int64) {
+func (a *AnalyserNode) process() {
 	tr := a.ctx.traits
 	mask := a.fftSize - 1 // fftSize is a power of two
 	for i := 0; i < RenderQuantum; i++ {
@@ -83,7 +83,7 @@ func (a *AnalyserNode) process(frameTime int64) {
 
 // processBlock is the analyser block kernel: pass-through round plus the
 // ring-buffer capture, over the pre-mixed block.
-func (a *AnalyserNode) processBlock(_ int64, in *[RenderQuantum]float64) {
+func (a *AnalyserNode) processBlock(in *[RenderQuantum]float64) {
 	flush := a.ctx.traits.FlushDenormals
 	mask := a.fftSize - 1
 	ringPos := a.ringPos

@@ -16,7 +16,6 @@ func renderedAnalyser(t testing.TB, fftSize int) *AnalyserNode {
 	}
 	Connect(osc, an)
 	Connect(an, ctx.Destination())
-	osc.Start(0)
 	if err := ctx.RenderQuanta(fftSize / RenderQuantum * 2); err != nil {
 		t.Fatal(err)
 	}

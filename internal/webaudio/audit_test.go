@@ -17,7 +17,6 @@ func auditGraph(e Engine) *Context {
 	Connect(osc, comp)
 	Connect(comp, g)
 	Connect(g, c.Destination())
-	osc.Start(0)
 	return c
 }
 

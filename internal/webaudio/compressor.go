@@ -2,42 +2,61 @@ package webaudio
 
 import "math"
 
-// DynamicsCompressorNode implements the Web Audio dynamics compressor with
-// its spec defaults: threshold −24 dB, knee 30 dB, ratio 12:1, attack 3 ms,
-// release 250 ms, plus automatic makeup gain and a short look-ahead
+// The compressor's settings: the Web Audio spec defaults, which no
+// fingerprinting vector changes.
+const (
+	compThreshold = -24   // dB above which compression starts
+	compKnee      = 30    // dB width of the soft transition region
+	compRatio     = 12    // input-dB change per output-dB change
+	compAttack    = 0.003 // seconds
+	compRelease   = 0.25  // seconds
+)
+
+// DynamicsCompressorNode implements the Web Audio dynamics compressor at
+// its spec defaults (threshold −24 dB, knee 30 dB, ratio 12:1, attack 3 ms,
+// release 250 ms), plus automatic makeup gain and a short look-ahead
 // pre-delay. The gain computer's soft-knee polynomial and the attack/release
 // exponentials run through the platform math kernel, and the knee
 // coefficient carries a trait-level perturbation — together these are the
 // cross-platform differences the DC fingerprinting vector harvests.
+//
+// The settings are constants, so the detector's attack and release
+// coefficients and the makeup gain are computed once, in
+// NewDynamicsCompressor.
 type DynamicsCompressorNode struct {
 	nodeBase
-	// Threshold in dB above which compression starts. Default −24.
-	Threshold *AudioParam
-	// Knee width in dB of the soft transition region. Default 30.
-	Knee *AudioParam
-	// Ratio of input-dB change to output-dB change. Default 12.
-	Ratio *AudioParam
-	// Attack time in seconds. Default 0.003.
-	Attack *AudioParam
-	// Release time in seconds. Default 0.25.
-	Release *AudioParam
 
+	aAtt, aRel float64   // one-pole detector coefficients
+	makeup     float64   // automatic makeup gain (linear)
 	env        float64   // detector envelope (linear)
-	reduction  float64   // last gain reduction in dB (the .reduction attribute)
 	delay      []float32 // look-ahead delay line
 	delayPos   int
-	makeup     float64
-	haveMakeup bool
 }
 
 // NewDynamicsCompressor creates a compressor with spec defaults.
 func (c *Context) NewDynamicsCompressor() *DynamicsCompressorNode {
 	d := &DynamicsCompressorNode{nodeBase: nodeBase{ctx: c, label: "compressor"}}
-	d.Threshold = newParam(c, -24, -100, 0)
-	d.Knee = newParam(c, 30, 0, 40)
-	d.Ratio = newParam(c, 12, 1, 20)
-	d.Attack = newParam(c, 0.003, 0, 1)
-	d.Release = newParam(c, 0.25, 0, 1)
+	k := c.traits.Kernel
+	sr := c.sampleRate
+
+	// float64 locals rather than the constants themselves, here and in
+	// curveDB and processBlock: every expression below must round after
+	// each float64 operation, and the compiler would evaluate a constant
+	// expression such as 1/compRatio-1 exactly and round it once, which
+	// can move the last bit.
+	attack, release := float64(compAttack), float64(compRelease)
+
+	// One-pole detector coefficients via the kernel's exp.
+	d.aAtt = 1 - k.Exp(-1/(sr*attack))
+	d.aRel = 1 - k.Exp(-1/(sr*release))
+
+	// Makeup per Blink: (1 / curve(0dB)_linear)^0.6.
+	fullLin := k.Pow(10, d.curveDB(0)/20)
+	d.makeup = 1
+	if fullLin > 0 {
+		d.makeup = k.Pow(1/fullLin, 0.6)
+	}
+
 	n := c.traits.CompressorPreDelay
 	if n < 0 {
 		n = 0
@@ -47,20 +66,17 @@ func (c *Context) NewDynamicsCompressor() *DynamicsCompressorNode {
 	return d
 }
 
-func (d *DynamicsCompressorNode) params() []*AudioParam {
-	return []*AudioParam{d.Threshold, d.Knee, d.Ratio, d.Attack, d.Release}
-}
-
 // curveDB maps an input level (dB) to the compressed output level (dB):
 // identity below threshold, a quadratic soft knee across [T, T+K], constant
 // slope 1/R above. kneeEps perturbs the knee interpolation the way
 // different implementations' polynomial fits differ.
-func (d *DynamicsCompressorNode) curveDB(x, threshold, knee, ratio float64) float64 {
+func (d *DynamicsCompressorNode) curveDB(x float64) float64 {
 	kneeEps := d.ctx.traits.CompressorKneeEps
+	threshold, knee, ratio := float64(compThreshold), float64(compKnee), float64(compRatio)
 	switch {
 	case x < threshold:
 		return x
-	case knee > 0 && x < threshold+knee:
+	case x < threshold+knee:
 		t := x - threshold
 		return x + (1/ratio-1)*t*t/(2*knee)*(1+kneeEps)
 	default:
@@ -69,47 +85,18 @@ func (d *DynamicsCompressorNode) curveDB(x, threshold, knee, ratio float64) floa
 	}
 }
 
-func (d *DynamicsCompressorNode) process(_ int64) {
+func (d *DynamicsCompressorNode) process() {
 	tr := d.ctx.traits
 	k := tr.Kernel
-	sr := d.ctx.sampleRate
-
-	threshold := d.Threshold.sampleAt(0)
-	knee := d.Knee.sampleAt(0)
-	ratio := d.Ratio.sampleAt(0)
-	attack := d.Attack.sampleAt(0)
-	release := d.Release.sampleAt(0)
-
-	// One-pole detector coefficients via the kernel's exp.
-	aAtt := 1.0
-	if attack > 0 {
-		aAtt = 1 - k.Exp(-1/(sr*attack))
-	}
-	aRel := 1.0
-	if release > 0 {
-		aRel = 1 - k.Exp(-1/(sr*release))
-	}
-
-	if !d.haveMakeup {
-		// Makeup per Blink: (1 / curve(0dB)_linear)^0.6.
-		fullDB := d.curveDB(0, threshold, knee, ratio)
-		fullLin := k.Pow(10, fullDB/20)
-		if fullLin > 0 {
-			d.makeup = k.Pow(1/fullLin, 0.6)
-		} else {
-			d.makeup = 1
-		}
-		d.haveMakeup = true
-	}
 
 	for i := 0; i < RenderQuantum; i++ {
 		in := d.sumInputs(i)
 
 		// Detector: envelope of |x|.
 		a := math.Abs(in)
-		coeff := aRel
+		coeff := d.aRel
 		if a > d.env {
-			coeff = aAtt
+			coeff = d.aAtt
 		}
 		d.env += (a - d.env) * coeff
 
@@ -117,10 +104,9 @@ func (d *DynamicsCompressorNode) process(_ int64) {
 		var gainDB float64
 		if d.env > 1e-10 {
 			levelDB := 20 * (k.Log(d.env) / math.Ln10)
-			outDB := d.curveDB(levelDB, threshold, knee, ratio)
+			outDB := d.curveDB(levelDB)
 			gainDB = outDB - levelDB
 		}
-		d.reduction = gainDB
 		gainLin := k.Pow(10, gainDB/20) * d.makeup
 
 		// Look-ahead: gain computed from the present, applied to the
@@ -133,50 +119,14 @@ func (d *DynamicsCompressorNode) process(_ int64) {
 	}
 }
 
-// blockPreamble is the per-quantum set-up of both block kernels, the same
-// operations as process's: it samples the parameters at the quantum's first
-// frame, derives the detector's attack and release coefficients through the
-// kernel's Exp and, on the first quantum rendered, fixes the makeup gain.
-func (d *DynamicsCompressorNode) blockPreamble() (threshold, knee, ratio, aAtt, aRel float64) {
-	k := d.ctx.traits.Kernel
-	sr := d.ctx.sampleRate
-
-	threshold = d.Threshold.sampleAt(0)
-	knee = d.Knee.sampleAt(0)
-	ratio = d.Ratio.sampleAt(0)
-	attack := d.Attack.sampleAt(0)
-	release := d.Release.sampleAt(0)
-
-	aAtt = 1.0
-	if attack > 0 {
-		aAtt = 1 - k.Exp(-1/(sr*attack))
-	}
-	aRel = 1.0
-	if release > 0 {
-		aRel = 1 - k.Exp(-1/(sr*release))
-	}
-
-	if !d.haveMakeup {
-		fullDB := d.curveDB(0, threshold, knee, ratio)
-		fullLin := k.Pow(10, fullDB/20)
-		if fullLin > 0 {
-			d.makeup = k.Pow(1/fullLin, 0.6)
-		} else {
-			d.makeup = 1
-		}
-		d.haveMakeup = true
-	}
-	return threshold, knee, ratio, aAtt, aRel
-}
-
-// processBlock is the compressor block kernel: same per-quantum coefficient
-// preamble and per-sample envelope/gain recurrence as process, but over the
-// pre-mixed block with the detector state held in locals. The kernel Log/Pow
-// calls per sample are the fingerprint surface and stay untouched.
-func (d *DynamicsCompressorNode) processBlock(_ int64, xs *[RenderQuantum]float64) {
+// processBlock is the compressor block kernel: the same per-sample
+// envelope/gain recurrence as process, but over the pre-mixed block with
+// the detector state held in locals. The kernel Log/Pow calls per sample
+// are the fingerprint surface and stay untouched.
+func (d *DynamicsCompressorNode) processBlock(xs *[RenderQuantum]float64) {
 	tr := d.ctx.traits
 	k := tr.Kernel
-	threshold, knee, ratio, aAtt, aRel := d.blockPreamble()
+	threshold, knee, ratio := float64(compThreshold), float64(compKnee), float64(compRatio)
 
 	// Hoisted gain-computer constants: each expression below reproduces
 	// the corresponding curveDB subterm with the identical operation
@@ -189,12 +139,12 @@ func (d *DynamicsCompressorNode) processBlock(_ int64, xs *[RenderQuantum]float6
 	kneeEnd := threshold + knee + (1/ratio-1)*knee/2*(1+kneeEps)
 
 	flush := tr.FlushDenormals
+	aAtt, aRel := d.aAtt, d.aRel
 	env := d.env
 	delay := d.delay
 	delayPos := d.delayPos
 	delayLen := len(delay)
 	makeup := d.makeup
-	gainDB := 0.0
 	for i := 0; i < RenderQuantum; i++ {
 		in := xs[i]
 
@@ -205,14 +155,14 @@ func (d *DynamicsCompressorNode) processBlock(_ int64, xs *[RenderQuantum]float6
 		}
 		env += (a - env) * coeff
 
-		gainDB = 0
+		gainDB := 0.0
 		if env > 1e-10 {
 			levelDB := 20 * (k.Log(env) / math.Ln10)
 			var outDB float64
 			switch {
 			case levelDB < threshold:
 				outDB = levelDB
-			case knee > 0 && levelDB < kneeTop:
+			case levelDB < kneeTop:
 				t := levelDB - threshold
 				outDB = levelDB + rInv*t*t/knee2*ke1
 			default:
@@ -235,7 +185,6 @@ func (d *DynamicsCompressorNode) processBlock(_ int64, xs *[RenderQuantum]float6
 	}
 	d.env = env
 	d.delayPos = delayPos
-	d.reduction = gainDB
 }
 
 // processUnobserved is the compressor's kernel for quanta rendered under
@@ -243,10 +192,9 @@ func (d *DynamicsCompressorNode) processBlock(_ int64, xs *[RenderQuantum]float6
 // line are feed-forward from the input and never read the gain, so it
 // advances them with processBlock's exact operations and skips the gain
 // computer and its kernel Log/Pow calls. Every later quantum therefore
-// renders bit-identically to a full render. The output is silence, and
-// Reduction keeps its last value.
+// renders bit-identically to a full render. The output is silence.
 func (d *DynamicsCompressorNode) processUnobserved(xs *[RenderQuantum]float64) {
-	_, _, _, aAtt, aRel := d.blockPreamble()
+	aAtt, aRel := d.aAtt, d.aRel
 	env := d.env
 	delay := d.delay
 	delayPos := d.delayPos

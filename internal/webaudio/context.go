@@ -49,15 +49,15 @@ func (c *Context) RenderQuanta(n int) error { return c.render(n, false) }
 
 // RenderUnobserved advances the graph clock by n render quanta, on the
 // caller's promise that nothing reads those quanta's outputs or anything
-// built from them: a buffer that records them, a downstream node's memory
-// of them, the compressor's Reduction. Every other piece of node state
-// advances exactly as under RenderQuanta, so every later output that does
-// not depend on a hinted output renders as it would have. The block engine
-// uses the promise to skip work only hinted outputs depend on: the
-// compressor runs only its envelope detector and look-ahead delay line,
-// neither of which reads its gain, and writes silence. The reference
-// engine ignores the hint and renders in full, so it stays the oracle the
-// hinted render is checked against.
+// built from them: a buffer that records them, or a downstream node's
+// memory of them. Every other piece of node state advances exactly as
+// under RenderQuanta, so every later output that does not depend on a
+// hinted output renders as it would have. The block engine uses the
+// promise to skip work only hinted outputs depend on: the compressor runs
+// only its envelope detector and look-ahead delay line, neither of which
+// reads its gain, and writes silence. The reference engine ignores the
+// hint and renders in full, so it stays the oracle the hinted render is
+// checked against.
 func (c *Context) RenderUnobserved(n int) error { return c.render(n, true) }
 
 // render is RenderQuanta and RenderUnobserved: unobserved selects the
@@ -75,7 +75,7 @@ func (c *Context) render(n int, unobserved bool) error {
 	if c.engine == EngineReference {
 		for q := 0; q < n; q++ {
 			for _, node := range c.order {
-				node.process(c.frame)
+				node.process()
 			}
 			c.frame += RenderQuantum
 		}
@@ -106,7 +106,7 @@ type DestinationNode struct {
 	recorded []float32
 }
 
-func (d *DestinationNode) process(frameTime int64) {
+func (d *DestinationNode) process() {
 	tr := d.ctx.traits
 	for i := 0; i < RenderQuantum; i++ {
 		d.output[i] = tr.round32(d.sumInputs(i))
@@ -117,7 +117,7 @@ func (d *DestinationNode) process(frameTime int64) {
 }
 
 // processBlock is the destination's mix/round block kernel.
-func (d *DestinationNode) processBlock(_ int64, in *[RenderQuantum]float64) {
+func (d *DestinationNode) processBlock(in *[RenderQuantum]float64) {
 	flush := d.ctx.traits.FlushDenormals
 	for i := 0; i < RenderQuantum; i++ {
 		d.output[i] = flushRound(flush, in[i])

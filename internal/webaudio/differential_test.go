@@ -12,8 +12,8 @@ import (
 // The block engine's correctness contract is bit-identity with the
 // per-sample reference engine: not "close", the same float32s. This file
 // enforces it the property-testing way — seeded random graphs covering
-// every node type, audio-rate modulation of gain and frequency, and
-// start/stop edges, rendered by both engines and compared bit for bit.
+// every node type and audio-rate modulation of gain and frequency,
+// rendered by both engines and compared bit for bit.
 
 // diffTraitsPool are the trait corners the differential test sweeps:
 // the reference config, the float32-mixing/fdlibm stack, a LUT kernel with
@@ -52,8 +52,7 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 	t.Helper()
 	g := &diffGraph{}
 
-	// Sources: 1-3 standard or custom-wave oscillators, with random start
-	// times and optional stops that straddle quantum boundaries.
+	// Sources: 1-3 standard or custom-wave oscillators.
 	nSrc := 1 + rng.Intn(3)
 	sources := make([]Node, 0, nSrc)
 	for s := 0; s < nSrc; s++ {
@@ -67,30 +66,20 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 			o := ctx.NewOscillator(typ, freq)
 			if rng.Intn(3) == 0 { // FM: modulator through a depth gain into the frequency
 				mod := ctx.NewOscillator(Sine, 20+500*rng.Float64())
-				mod.Start(0.004 * rng.Float64())
 				depth := ctx.NewGain(10 + 200*rng.Float64())
 				Connect(mod, depth)
 				ConnectParam(depth, o.Frequency)
 			}
-			o.Start(0.004 * rng.Float64())
-			if rng.Intn(2) == 0 {
-				o.Stop(0.005 + 0.010*rng.Float64())
-			}
 			sources = append(sources, o)
 		case 2: // custom periodic wave
 			n := 2 + rng.Intn(6)
-			w := &PeriodicWave{
-				Real:                 make([]float64, n),
-				Imag:                 make([]float64, n),
-				DisableNormalization: rng.Intn(4) == 0,
-			}
+			w := &PeriodicWave{Real: make([]float64, n), Imag: make([]float64, n)}
 			for h := 1; h < n; h++ {
 				w.Real[h] = rng.Float64()*2 - 1
 				w.Imag[h] = rng.Float64()*2 - 1
 			}
 			o := ctx.NewOscillator(Sine, 300+2000*rng.Float64())
 			o.SetPeriodicWave(w)
-			o.Start(0.004 * rng.Float64())
 			sources = append(sources, o)
 		}
 	}
@@ -125,17 +114,11 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 			gn := ctx.NewGain(0.2 + rng.Float64())
 			if rng.Intn(2) == 0 { // AM: modulator oscillator into the param
 				mod := ctx.NewOscillator(Sine, 20+100*rng.Float64())
-				mod.Start(0)
 				ConnectParam(mod, gn.Gain)
 			}
 			connectHead(gn)
 		case 1: // compressor
-			dc := ctx.NewDynamicsCompressor()
-			if rng.Intn(2) == 0 {
-				dc.Threshold.SetValue(-40 + 20*rng.Float64())
-				dc.Ratio.SetValue(4 + 12*rng.Float64())
-			}
-			connectHead(dc)
+			connectHead(ctx.NewDynamicsCompressor())
 		}
 	}
 
@@ -154,8 +137,8 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 		if err != nil {
 			t.Fatalf("NewScriptProcessor: %v", err)
 		}
-		sp.OnAudioProcess = func(ev AudioProcessEvent) {
-			g.spEvents = append(g.spEvents, append([]float32(nil), ev.InputBuffer...))
+		sp.OnAudioProcess = func(inputBuffer []float32) {
+			g.spEvents = append(g.spEvents, append([]float32(nil), inputBuffer...))
 		}
 		connectHead(sp)
 	}

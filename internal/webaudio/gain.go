@@ -20,7 +20,7 @@ func (c *Context) NewGain(gain float64) *GainNode {
 
 func (g *GainNode) params() []*AudioParam { return []*AudioParam{g.Gain} }
 
-func (g *GainNode) process(_ int64) {
+func (g *GainNode) process() {
 	tr := g.ctx.traits
 	for i := 0; i < RenderQuantum; i++ {
 		g.output[i] = tr.round32(g.sumInputs(i) * g.Gain.sampleAt(i))
@@ -31,7 +31,7 @@ func (g *GainNode) process(_ int64) {
 // the param is k-rate (every fingerprinting vector's mute and depth gains),
 // or a block multiply against the param's sampled block (the AM vector's
 // modulated carrier gain).
-func (g *GainNode) processBlock(_ int64, in *[RenderQuantum]float64) {
+func (g *GainNode) processBlock(in *[RenderQuantum]float64) {
 	flush := g.ctx.traits.FlushDenormals
 	if g.Gain.isKRate() {
 		gv := g.Gain.constValue()
@@ -64,7 +64,7 @@ func (c *Context) NewChannelMerger() *ChannelMergerNode {
 	return m
 }
 
-func (m *ChannelMergerNode) process(frameTime int64) {
+func (m *ChannelMergerNode) process() {
 	tr := m.ctx.traits
 	for i := 0; i < RenderQuantum; i++ {
 		m.output[i] = tr.round32(m.sumInputs(i))
@@ -73,7 +73,7 @@ func (m *ChannelMergerNode) process(frameTime int64) {
 
 // processBlock rounds the pre-mixed block — the merger's whole job is the
 // trait-precision sum the program driver already performed.
-func (m *ChannelMergerNode) processBlock(_ int64, in *[RenderQuantum]float64) {
+func (m *ChannelMergerNode) processBlock(in *[RenderQuantum]float64) {
 	flush := m.ctx.traits.FlushDenormals
 	for i := 0; i < RenderQuantum; i++ {
 		m.output[i] = flushRound(flush, in[i])

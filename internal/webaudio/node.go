@@ -7,18 +7,20 @@ import "fmt"
 const RenderQuantum = 128
 
 // Node is one audio-graph vertex. Nodes are created through a Context and
-// process one render quantum at a time under the context's clock.
+// process one render quantum at a time, in the graph's topological order.
+// No node reads the context's clock: every source sounds from frame 0, so
+// a node's own state says where in the render it is.
 type Node interface {
 	// base returns the embedded node bookkeeping. Implemented by nodeBase.
 	base() *nodeBase
 	// process renders the node's next quantum into base().output. Inputs
 	// are guaranteed to have been processed for the same quantum.
-	process(frameTime int64)
+	process()
 	// processBlock is process's block kernel (program.go): it renders the
 	// same quantum, bit for bit, given the pre-mixed input block (the
 	// sumInputs result for every frame of the quantum). Nodes without
 	// audio inputs receive the scratch untouched and must ignore it.
-	processBlock(frameTime int64, in *[RenderQuantum]float64)
+	processBlock(in *[RenderQuantum]float64)
 }
 
 // nodeBase carries graph wiring and the node's mono output buffer.

@@ -40,14 +40,12 @@ func (t OscillatorType) String() string {
 }
 
 // PeriodicWave holds Fourier coefficients for a custom waveform, mirroring
-// BaseAudioContext.createPeriodicWave(real, imag). Index 0 is the DC term
-// (ignored, per spec); index k is the k-th harmonic.
+// BaseAudioContext.createPeriodicWave(real, imag) with its default
+// normalization: the waveform is scaled to a peak of 1. Index 0 is the DC
+// term (ignored, per spec); index k is the k-th harmonic.
 type PeriodicWave struct {
 	Real []float64
 	Imag []float64
-	// DisableNormalization mirrors the constructor option; the default
-	// (false) scales the waveform to a peak of 1.
-	DisableNormalization bool
 }
 
 // tableSize is the oscillator wavetable resolution. Blink uses 4096 for its
@@ -58,31 +56,29 @@ const tableSize = 4096
 // table is built by Fourier summation through the platform's math kernel
 // (band-limited below Nyquist), then read with linear interpolation. This is
 // the same architecture real engines use, and it is why oscillator output
-// carries platform identity.
+// carries platform identity. An oscillator sounds from frame 0 and never
+// stops, as every fingerprinting vector's oscillator does (start(0), no
+// stop).
 type OscillatorNode struct {
 	nodeBase
 	// Frequency is the oscillator frequency in Hz (audio-rate modulable —
 	// the FM vector's modulation input).
 	Frequency *AudioParam
 
-	typ       OscillatorType
-	wave      *PeriodicWave
-	table     []float32
-	phase     float64 // position in cycles, [0, 1)
-	startTime float64
-	stopTime  float64
-	started   bool
+	typ   OscillatorType
+	wave  *PeriodicWave
+	table []float32
+	phase float64 // position in cycles, [0, 1)
 }
 
 // NewOscillator creates an oscillator of the given shape. For Custom, set
-// the wave with SetPeriodicWave before starting.
+// the wave with SetPeriodicWave before the first render.
 func (c *Context) NewOscillator(typ OscillatorType, freqHz float64) *OscillatorNode {
 	o := &OscillatorNode{
 		nodeBase: nodeBase{ctx: c, label: "oscillator:" + typ.String()},
 		typ:      typ,
 	}
 	o.Frequency = newParam(c, freqHz, -c.sampleRate/2, c.sampleRate/2)
-	o.stopTime = math.Inf(1)
 	c.register(o)
 	return o
 }
@@ -93,12 +89,6 @@ func (o *OscillatorNode) SetPeriodicWave(w *PeriodicWave) {
 	o.wave = w
 	o.table = nil // rebuild lazily
 	o.base().label = "oscillator:custom"
-}
-
-// Start schedules sound production from time t (seconds).
-func (o *OscillatorNode) Start(t float64) {
-	o.started = true
-	o.startTime = t
 }
 
 func (o *OscillatorNode) params() []*AudioParam {
@@ -118,25 +108,19 @@ func (o *OscillatorNode) buildTable() {
 }
 
 // processBlock is the oscillator's wavetable-read block kernel. The k-rate
-// fast path — no modulators on Frequency, the whole quantum inside
-// [start, stop) — folds the frequency to a constant and runs a tight
-// table-read loop. Anything else (FM modulation, start/stop straddling the
-// block) takes the per-sample reference loop, which is bit-identical by
+// fast path — no modulators on Frequency — folds the frequency to a
+// constant and runs a tight table-read loop. A modulated frequency (FM)
+// takes the per-sample reference loop, which is bit-identical by
 // definition.
-func (o *OscillatorNode) processBlock(frameTime int64, _ *[RenderQuantum]float64) {
+func (o *OscillatorNode) processBlock(_ *[RenderQuantum]float64) {
+	if !o.Frequency.isKRate() {
+		o.process()
+		return
+	}
 	if o.table == nil {
 		o.buildTable()
 	}
-	sr := o.ctx.sampleRate
-	// t is nondecreasing in the in-quantum index, so block-edge times decide
-	// whether the gate is constant across the quantum.
-	t0 := float64(frameTime) / sr
-	tLast := (float64(frameTime) + RenderQuantum - 1) / sr
-	if !(o.started && t0 >= o.startTime && tLast < o.stopTime) || !o.Frequency.isKRate() {
-		o.process(frameTime)
-		return
-	}
-	inc := o.Frequency.constValue() / sr
+	inc := o.Frequency.constValue() / o.ctx.sampleRate
 	// The table always has tableSize+1 entries (guard sample), and the
 	// phase wrap keeps phase in [0, 1), so idx ∈ [0, tableSize). The
 	// fixed-size array view plus the mask (a no-op for in-range idx) lets
@@ -170,18 +154,13 @@ func (o *OscillatorNode) processBlock(frameTime int64, _ *[RenderQuantum]float64
 	o.phase = phase
 }
 
-func (o *OscillatorNode) process(frameTime int64) {
+func (o *OscillatorNode) process() {
 	tr := o.ctx.traits
 	if o.table == nil {
 		o.buildTable()
 	}
 	sr := o.ctx.sampleRate
 	for i := 0; i < RenderQuantum; i++ {
-		t := (float64(frameTime) + float64(i)) / sr
-		if !o.started || t < o.startTime || t >= o.stopTime {
-			o.output[i] = 0
-			continue
-		}
 		freq := o.Frequency.sampleAt(i)
 		// Table lookup with linear interpolation (float32 arithmetic, as in
 		// the vectorized table readers real engines ship).

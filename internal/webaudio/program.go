@@ -59,7 +59,6 @@ func (c *Context) compileProgram() {
 // run renders one quantum through the compiled program; unobserved runs
 // the compressors' hinted kernel (Context.RenderUnobserved).
 func (p *renderProgram) run(c *Context, unobserved bool) {
-	frame := c.frame
 	mix32 := c.traits.MixPrecision == Mix32
 	fault := blockFaultHook.Load()
 	for i := range p.ops {
@@ -70,7 +69,7 @@ func (p *renderProgram) run(c *Context, unobserved bool) {
 		if unobserved && op.comp != nil {
 			op.comp.processUnobserved(&c.scratch.mix)
 		} else {
-			op.node.processBlock(frame, &c.scratch.mix)
+			op.node.processBlock(&c.scratch.mix)
 		}
 		if fault != nil {
 			fault.apply(op.node)

@@ -13,20 +13,10 @@ type ScriptProcessorNode struct {
 	bufferSize int
 	buf        []float32
 	fill       int
-	// OnAudioProcess, if non-nil, receives each completed input buffer. The
-	// slice is reused between events; callees must copy what they keep.
-	OnAudioProcess func(event AudioProcessEvent)
-	events         int
-}
-
-// AudioProcessEvent is the payload delivered to OnAudioProcess.
-type AudioProcessEvent struct {
-	// InputBuffer holds bufferSize input frames (reused between events).
-	InputBuffer []float32
-	// PlaybackTime is the context time of the buffer start, seconds.
-	PlaybackTime float64
-	// EventIndex counts delivered events, starting at 0.
-	EventIndex int
+	// OnAudioProcess, if non-nil, receives each completed input buffer of
+	// bufferSize frames. The slice is reused between events; callees must
+	// copy what they keep.
+	OnAudioProcess func(inputBuffer []float32)
 }
 
 // NewScriptProcessor creates a script processor. bufferSize must be a power
@@ -44,7 +34,7 @@ func (c *Context) NewScriptProcessor(bufferSize int) (*ScriptProcessorNode, erro
 	return s, nil
 }
 
-func (s *ScriptProcessorNode) process(frameTime int64) {
+func (s *ScriptProcessorNode) process() {
 	tr := s.ctx.traits
 	for i := 0; i < RenderQuantum; i++ {
 		v := tr.round32(s.sumInputs(i))
@@ -54,23 +44,16 @@ func (s *ScriptProcessorNode) process(frameTime int64) {
 		if s.fill == s.bufferSize {
 			s.fill = 0
 			if s.OnAudioProcess != nil {
-				start := frameTime + int64(i) + 1 - int64(s.bufferSize)
 				tr.Farble.farbleInPlace(s.buf)
-				s.OnAudioProcess(AudioProcessEvent{
-					InputBuffer:  s.buf,
-					PlaybackTime: float64(start) / s.ctx.sampleRate,
-					EventIndex:   s.events,
-				})
+				s.OnAudioProcess(s.buf)
 			}
-			s.events++
 		}
 	}
 }
 
 // processBlock is the script-processor block kernel: the same pass-through,
-// accumulate, and event-dispatch logic over the pre-mixed block. Event
-// timing is unchanged because bufferSize is a multiple of RenderQuantum.
-func (s *ScriptProcessorNode) processBlock(frameTime int64, in *[RenderQuantum]float64) {
+// accumulate, and event-dispatch logic over the pre-mixed block.
+func (s *ScriptProcessorNode) processBlock(in *[RenderQuantum]float64) {
 	tr := s.ctx.traits
 	flush := tr.FlushDenormals
 	for i := 0; i < RenderQuantum; i++ {
@@ -81,15 +64,9 @@ func (s *ScriptProcessorNode) processBlock(frameTime int64, in *[RenderQuantum]f
 		if s.fill == s.bufferSize {
 			s.fill = 0
 			if s.OnAudioProcess != nil {
-				start := frameTime + int64(i) + 1 - int64(s.bufferSize)
 				tr.Farble.farbleInPlace(s.buf)
-				s.OnAudioProcess(AudioProcessEvent{
-					InputBuffer:  s.buf,
-					PlaybackTime: float64(start) / s.ctx.sampleRate,
-					EventIndex:   s.events,
-				})
+				s.OnAudioProcess(s.buf)
 			}
-			s.events++
 		}
 	}
 }

@@ -11,9 +11,7 @@ import (
 // releases, into a DynamicsCompressor into the destination.
 func buildHintGraph(ctx *Context) *DynamicsCompressorNode {
 	carrier := ctx.NewOscillator(Triangle, 10000)
-	carrier.Start(0)
 	mod := ctx.NewOscillator(Sine, 40)
-	mod.Start(0)
 	am := ctx.NewGain(0.5)
 	ConnectParam(mod, am.Gain)
 	Connect(carrier, am)
@@ -30,8 +28,8 @@ func buildHintGraph(ctx *Context) *DynamicsCompressorNode {
 // same quantum, which ignores the hint. The hint counter sees only the
 // block engine's hinted quanta.
 func TestRenderUnobservedMatchesFullRender(t *testing.T) {
-	// Hinted runs, full runs, alternating: the makeup gain is fixed on a
-	// hinted first quantum, and the detector crosses several hinted spans.
+	// Hinted runs, full runs, alternating: the first quantum is hinted,
+	// and the detector crosses several hinted spans.
 	spans := []struct {
 		hinted bool
 		n      int

@@ -67,7 +67,6 @@ func TestGainLinearity(t *testing.T) {
 		gain := ctx.NewGain(g)
 		Connect(osc, gain)
 		Connect(gain, ctx.Destination())
-		osc.Start(0)
 		buf, err := ctx.RenderFrames(4096)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +93,6 @@ func TestAnalyserAgreesWithGoertzel(t *testing.T) {
 	an, _ := ctx.NewAnalyser(2048)
 	Connect(osc, an)
 	Connect(an, ctx.Destination())
-	osc.Start(0)
 	_ = ctx.RenderQuanta(64)
 	spec := make([]float32, an.FrequencyBinCount())
 	_ = an.GetFloatFrequencyData(spec)
@@ -128,7 +126,6 @@ func TestCompressorMonotonicity(t *testing.T) {
 		Connect(osc, pre)
 		Connect(pre, comp)
 		Connect(comp, ctx.Destination())
-		osc.Start(0)
 		buf, err := ctx.RenderFrames(testRate / 2)
 		if err != nil {
 			t.Fatal(err)

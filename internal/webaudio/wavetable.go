@@ -22,7 +22,7 @@ var wavetables sync.Map // string → []float32
 
 // wavetableKey canonically identifies every input of buildWavetable:
 // "name|type|f0|rate" with the floats as hex bit patterns, then for
-// a custom wave "|normalization" and ",re"… ";" ",im"…. It appends with
+// a custom wave ",re"… ";" ",im"…. It appends with
 // strconv rather than fmt, whose buffer pool makes the allocation count
 // vary under the race detector.
 func wavetableKey(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, sampleRate float64) string {
@@ -35,8 +35,6 @@ func wavetableKey(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, sa
 		b = strconv.AppendUint(b, math.Float64bits(v), 16)
 	}
 	if typ == Custom && wave != nil {
-		b = append(b, '|')
-		b = strconv.AppendBool(b, wave.DisableNormalization)
 		for _, v := range wave.Real {
 			b = append(b, ',')
 			b = strconv.AppendUint(b, math.Float64bits(v), 16)
@@ -122,22 +120,18 @@ func buildWavetable(k mathx.Kernel, typ OscillatorType, wave *PeriodicWave, f0, 
 		tbl[i] = v
 	}
 
-	normalize := true
-	if typ == Custom && wave.DisableNormalization {
-		normalize = false
-	}
-	if normalize {
-		var peak float64
-		for _, v := range tbl {
-			if a := math.Abs(v); a > peak {
-				peak = a
-			}
+	// Normalize to a peak of 1, as the PeriodicWave constructor does by
+	// default and the spec's built-in waveforms always are.
+	var peak float64
+	for _, v := range tbl {
+		if a := math.Abs(v); a > peak {
+			peak = a
 		}
-		if peak > 0 {
-			inv := 1 / peak
-			for i := range tbl {
-				tbl[i] *= inv
-			}
+	}
+	if peak > 0 {
+		inv := 1 / peak
+		for i := range tbl {
+			tbl[i] *= inv
 		}
 	}
 	out := make([]float32, tableSize+1)
