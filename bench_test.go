@@ -359,31 +359,3 @@ func BenchmarkRenderVectors(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkAnalyserFFTSizes: analyser capture cost across fftSize choices —
-// why fingerprint scripts settled on 2048.
-func BenchmarkAnalyserFFTSizes(b *testing.B) {
-	for _, size := range []int{512, 2048, 8192} {
-		b.Run(fmt.Sprintf("fft%d", size), func(b *testing.B) {
-			ctx := webaudio.NewContext(44100, webaudio.DefaultTraits())
-			osc := ctx.NewOscillator(webaudio.Triangle, 10000)
-			an, err := ctx.NewAnalyser(size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			webaudio.Connect(osc, an)
-			webaudio.Connect(an, ctx.Destination())
-			if err := ctx.RenderQuanta(size / webaudio.RenderQuantum * 2); err != nil {
-				b.Fatal(err)
-			}
-			out := make([]float32, an.FrequencyBinCount())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := an.GetFloatFrequencyData(out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

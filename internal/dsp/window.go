@@ -3,7 +3,7 @@ package dsp
 import "math"
 
 // BlackmanWindow returns the n-point Blackman window the Web Audio spec
-// mandates for AnalyserNode smoothing-over-time analysis:
+// mandates for AnalyserNode frequency analysis:
 //
 //	w[i] = a0 − a1 cos(2πi/N) + a2 cos(4πi/N),  a = (0.42, 0.5, 0.08)
 //

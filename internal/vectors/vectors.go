@@ -148,10 +148,8 @@ const (
 	// captureBaseQuanta is the nominal observation point of the live-context
 	// vectors: the third ScriptProcessor event (3 × 4096 frames / 128).
 	captureBaseQuanta = 96
-	fftSize           = 2048
-	spBufferSize      = 4096
 	// spQuanta is the ScriptProcessor buffer length in render quanta.
-	spQuanta = spBufferSize / webaudio.RenderQuantum
+	spQuanta = webaudio.ScriptProcessorBufferSize / webaudio.RenderQuantum
 )
 
 // Run executes vector id at one capture offset: RunOffsets with a single
@@ -217,9 +215,7 @@ func (r *Runner) renderPass(id ID, offsets []int) ([]Fingerprint, error) {
 		if err := rt.CaptureAfter(captureBaseQuanta, off); err != nil {
 			return nil, err
 		}
-		if fps[i], err = r.capture(g, id); err != nil {
-			return nil, err
-		}
+		fps[i] = g.capture(id)
 	}
 	return fps, nil
 }
@@ -303,16 +299,16 @@ func buildDCGraph(ctx *webaudio.Context) {
 }
 
 // liveGraph is one live-context vector's graph and its capture taps, built
-// once per render pass. freq and data are the pass's spectrum and byte
-// buffers, reused by every capture, so a capture allocates only its
-// digest.
+// once per render pass. freq, the spectrum, is held in the graph itself
+// and data is the pass's byte buffer; every capture reuses both, so a
+// capture allocates only its digest.
 type liveGraph struct {
 	analyser *webaudio.AnalyserNode
 	// lastBuf retains the script processor's latest input buffer (the
 	// compressor output) for the Fig. 6 tail; nil for FFT, which hashes
 	// the spectrum alone.
 	lastBuf []float32
-	freq    []float32
+	freq    [webaudio.FrequencyBinCount]float32
 	data    []byte
 }
 
@@ -322,91 +318,69 @@ type liveGraph struct {
 func buildLiveGraph(rt *webaudio.RealtimeSim, id ID) (*liveGraph, error) {
 	var g *liveGraph
 	if id == FFT {
-		an, err := buildFFTGraph(rt)
-		if err != nil {
-			return nil, err
-		}
-		g = &liveGraph{analyser: an}
+		g = &liveGraph{analyser: buildFFTGraph(rt)}
 	} else {
 		signal, err := buildHybridSignal(rt, id)
 		if err != nil {
 			return nil, err
 		}
-		if g, err = buildHybridTail(rt, signal); err != nil {
-			return nil, err
-		}
+		g = buildHybridTail(rt, signal)
 	}
-	g.freq = make([]float32, g.analyser.FrequencyBinCount())
 	g.data = make([]byte, 0, 4*(len(g.freq)+len(g.lastBuf)))
 	return g, nil
 }
 
-// capture fingerprints g at the current render point exactly as the first
-// capture of a fresh context would: the analyser's smoothing is reset
-// first, so earlier captures of the pass leave no trace. The FFT vector
-// (paper Fig. 2) hashes getFloatFrequencyData output read from inside an
+// capture fingerprints g at the current render point. A spectrum read
+// keeps no state, so it equals the first capture of a fresh context and
+// earlier captures of the pass leave no trace. The FFT vector (paper
+// Fig. 2) hashes getFloatFrequencyData output read from inside an
 // audioprocess callback; the Fig. 6 tail hashes the spectrum and the
 // retained compressor buffer together, the FFT and DC halves of the hybrid
 // family.
-func (r *Runner) capture(g *liveGraph, id ID) (Fingerprint, error) {
-	g.analyser.ResetSmoothing()
-	if err := g.analyser.GetFloatFrequencyData(g.freq); err != nil {
-		return Fingerprint{}, err
-	}
-	g.data = dsp.AppendFloat32Bytes(g.data[:0], g.freq)
-	sum := sumFinite(g.freq)
+func (g *liveGraph) capture(id ID) Fingerprint {
+	g.analyser.GetFloatFrequencyData(&g.freq)
+	g.data = dsp.AppendFloat32Bytes(g.data[:0], g.freq[:])
+	sum := sumFinite(g.freq[:])
 	if g.lastBuf != nil {
 		g.data = dsp.AppendFloat32Bytes(g.data, g.lastBuf)
 		sum += dsp.SumAbs(g.lastBuf)
 	}
-	return Fingerprint{Vector: id, Hash: hashBytes(g.data), Sum: sum}, nil
+	return Fingerprint{Vector: id, Hash: hashBytes(g.data), Sum: sum}
 }
 
 // buildFFTGraph wires the Fig. 2 graph (triangle oscillator → Analyser →
 // ScriptProcessor → Gain(0) → destination) and returns the analyser tap.
-func buildFFTGraph(rt *webaudio.RealtimeSim) (*webaudio.AnalyserNode, error) {
+func buildFFTGraph(rt *webaudio.RealtimeSim) *webaudio.AnalyserNode {
 	osc := rt.NewOscillator(webaudio.Triangle, toneHz)
-	an, err := rt.NewAnalyser(fftSize)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := rt.NewScriptProcessor(spBufferSize)
-	if err != nil {
-		return nil, err
-	}
+	an := rt.NewAnalyser()
+	sp := rt.NewScriptProcessor()
 	mute := rt.NewGain(0)
 	webaudio.Connect(osc, an)
 	webaudio.Connect(an, sp)
 	webaudio.Connect(sp, mute)
 	webaudio.Connect(mute, rt.Destination())
-	return an, nil
+	return an
 }
 
 // buildHybridTail wires signal → Analyser → DynamicsCompressor →
 // ScriptProcessor → Gain(0) → destination (paper Fig. 6) and returns the
 // taps the fingerprint reads: the analyser, and the script processor's
 // retained copy of the last compressor output buffer.
-func buildHybridTail(rt *webaudio.RealtimeSim, signal webaudio.Node) (*liveGraph, error) {
-	an, err := rt.NewAnalyser(fftSize)
-	if err != nil {
-		return nil, err
-	}
+func buildHybridTail(rt *webaudio.RealtimeSim, signal webaudio.Node) *liveGraph {
+	an := rt.NewAnalyser()
 	comp := rt.NewDynamicsCompressor()
-	sp, err := rt.NewScriptProcessor(spBufferSize)
-	if err != nil {
-		return nil, err
-	}
+	sp := rt.NewScriptProcessor()
 	mute := rt.NewGain(0)
 	webaudio.Connect(signal, an)
 	webaudio.Connect(an, comp)
 	webaudio.Connect(comp, sp)
 	webaudio.Connect(sp, mute)
 	webaudio.Connect(mute, rt.Destination())
-	g := &liveGraph{analyser: an, lastBuf: make([]float32, spBufferSize)}
+	g := &liveGraph{analyser: an, lastBuf: make([]float32, webaudio.ScriptProcessorBufferSize)}
 	sp.OnAudioProcess = func(inputBuffer []float32) {
 		copy(g.lastBuf, inputBuffer)
 	}
-	return g, nil
+	return g
 }
 
 // customWaveCoefficients are the fixed 12-element real/imag arrays of the

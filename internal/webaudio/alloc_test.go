@@ -24,10 +24,7 @@ func TestBlockRenderZeroAlloc(t *testing.T) {
 	dc := ctx.NewDynamicsCompressor()
 	Connect(am, dc)
 
-	an, err := ctx.NewAnalyser(2048)
-	if err != nil {
-		t.Fatalf("NewAnalyser: %v", err)
-	}
+	an := ctx.NewAnalyser()
 	Connect(dc, an)
 	Connect(an, ctx.Destination())
 

@@ -42,6 +42,7 @@ func diffTraitsPool() []Traits {
 // comparison needs beyond the destination recording.
 type diffGraph struct {
 	analyser *AnalyserNode
+	sp       *ScriptProcessorNode
 	spEvents [][]float32
 }
 
@@ -125,22 +126,15 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 	// Optional analysis tail: analyser and/or script processor before the
 	// destination, mirroring the real fingerprinting scripts.
 	if rng.Intn(2) == 0 {
-		an, err := ctx.NewAnalyser(512)
-		if err != nil {
-			t.Fatalf("NewAnalyser: %v", err)
-		}
-		connectHead(an)
-		g.analyser = an
+		g.analyser = ctx.NewAnalyser()
+		connectHead(g.analyser)
 	}
 	if rng.Intn(3) == 0 {
-		sp, err := ctx.NewScriptProcessor(512)
-		if err != nil {
-			t.Fatalf("NewScriptProcessor: %v", err)
-		}
-		sp.OnAudioProcess = func(inputBuffer []float32) {
+		g.sp = ctx.NewScriptProcessor()
+		g.sp.OnAudioProcess = func(inputBuffer []float32) {
 			g.spEvents = append(g.spEvents, append([]float32(nil), inputBuffer...))
 		}
-		connectHead(sp)
+		connectHead(g.sp)
 	}
 
 	connectHead(ctx.Destination())
@@ -149,18 +143,23 @@ func buildRandomGraph(t *testing.T, ctx *Context, rng *rand.Rand) *diffGraph {
 
 // TestEngineDifferential renders seeded random graphs with both engines and
 // requires bit-identical output: the rendered buffer, every script-processor
-// event buffer, and the analyser spectrum.
+// event buffer, and the analyser spectrum. The render spans two
+// script-processor buffers, so every script processor fires two events,
+// and the sweep fails if no seed fired one.
 func TestEngineDifferential(t *testing.T) {
 	seeds := 120
 	if testing.Short() {
 		seeds = 25
 	}
 	pool := diffTraitsPool()
-	const frames = 20 * RenderQuantum
+	const frames = 64 * RenderQuantum
+	const events = frames / ScriptProcessorBufferSize
+	ran, fired := 0, 0
 
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			ran++
 			tr := pool[seed%len(pool)]
 
 			ctxB := NewContext(44100, tr)
@@ -190,6 +189,10 @@ func TestEngineDifferential(t *testing.T) {
 				t.Fatalf("script processor events: block %d != reference %d",
 					len(gB.spEvents), len(gR.spEvents))
 			}
+			if gR.sp != nil && len(gR.spEvents) != events {
+				t.Fatalf("script processor fired %d events, want %d", len(gR.spEvents), events)
+			}
+			fired += len(gR.spEvents)
 			for e := range gR.spEvents {
 				for i := range gR.spEvents[e] {
 					if math.Float32bits(gB.spEvents[e][i]) != math.Float32bits(gR.spEvents[e][i]) {
@@ -200,14 +203,9 @@ func TestEngineDifferential(t *testing.T) {
 			}
 
 			if gB.analyser != nil {
-				specB := make([]float32, gB.analyser.FrequencyBinCount())
-				specR := make([]float32, gR.analyser.FrequencyBinCount())
-				if err := gB.analyser.GetFloatFrequencyData(specB); err != nil {
-					t.Fatalf("block spectrum: %v", err)
-				}
-				if err := gR.analyser.GetFloatFrequencyData(specR); err != nil {
-					t.Fatalf("reference spectrum: %v", err)
-				}
+				var specB, specR [FrequencyBinCount]float32
+				gB.analyser.GetFloatFrequencyData(&specB)
+				gR.analyser.GetFloatFrequencyData(&specR)
 				for i := range specR {
 					if math.Float32bits(specB[i]) != math.Float32bits(specR[i]) {
 						t.Fatalf("spectrum bin %d: block %v != reference %v", i, specB[i], specR[i])
@@ -215,5 +213,8 @@ func TestEngineDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+	if ran == seeds && fired == 0 {
+		t.Error("no seed fired a script-processor event")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // fftPlan bundles the precomputed, read-only state an AnalyserNode needs
-// for one (fftSize, kernel) combination: the FFT twiddle tables and the
-// Blackman window, both built through the kernel's sine. Plans are cached
+// for one kernel: the fftSize-point FFT twiddle tables and the Blackman
+// window, both built through the kernel's sine. Plans are cached
 // process-wide so every context simulating the same platform shares one
 // set of tables instead of recomputing ~1.5·fftSize kernel sines per
 // analyser — a study run touches the same few dozen platform classes over
@@ -20,25 +20,19 @@ type fftPlan struct {
 	window []float64
 }
 
-type fftPlanKey struct {
-	size   int
-	kernel string
-}
+var fftPlans sync.Map // kernel name → *fftPlan
 
-var fftPlans sync.Map // fftPlanKey → *fftPlan
-
-// planFor returns the cached plan for (size, kernel), building it on first
-// use. Concurrent first calls may both build; LoadOrStore keeps one.
-func planFor(size int, k mathx.Kernel) (*fftPlan, error) {
-	key := fftPlanKey{size: size, kernel: k.Name()}
-	if p, ok := fftPlans.Load(key); ok {
-		return p.(*fftPlan), nil
+// planFor returns the cached plan for kernel k, building it on first use.
+// Concurrent first calls may both build; LoadOrStore keeps one.
+func planFor(k mathx.Kernel) *fftPlan {
+	if p, ok := fftPlans.Load(k.Name()); ok {
+		return p.(*fftPlan)
 	}
-	fft, err := dsp.NewFFT(size, k.Sin)
+	fft, err := dsp.NewFFT(fftSize, k.Sin)
 	if err != nil {
-		return nil, err
+		panic(err) // fftSize is a power of two
 	}
-	p := &fftPlan{fft: fft, window: dsp.BlackmanWindow(size, k.Sin)}
-	actual, _ := fftPlans.LoadOrStore(key, p)
-	return actual.(*fftPlan), nil
+	p := &fftPlan{fft: fft, window: dsp.BlackmanWindow(fftSize, k.Sin)}
+	actual, _ := fftPlans.LoadOrStore(k.Name(), p)
+	return actual.(*fftPlan)
 }

@@ -1,37 +1,35 @@
 package webaudio
 
-import "fmt"
+// ScriptProcessorBufferSize is the script processor's buffer length in
+// frames, the size every fingerprint script builds.
+const ScriptProcessorBufferSize = 4096
 
 // ScriptProcessorNode buffers its input and invokes OnAudioProcess each time
-// bufferSize frames have accumulated, passing the input buffer — the
-// (deprecated but fingerprint-beloved) audio/main-thread bridge. The classic
-// FFT vector reads analyser data from inside this callback; in a live
-// browser, *which* callback invocation the script samples depends on
-// scheduling, which is where capture-offset fickleness enters.
+// ScriptProcessorBufferSize frames have accumulated, passing the input
+// buffer — the (deprecated but fingerprint-beloved) audio/main-thread
+// bridge. The classic FFT vector reads analyser data from inside this
+// callback; in a live browser, *which* callback invocation the script
+// samples depends on scheduling, which is where capture-offset fickleness
+// enters.
 type ScriptProcessorNode struct {
 	nodeBase
-	bufferSize int
-	buf        []float32
-	fill       int
+	buf  []float32
+	fill int
 	// OnAudioProcess, if non-nil, receives each completed input buffer of
-	// bufferSize frames. The slice is reused between events; callees must
-	// copy what they keep.
+	// ScriptProcessorBufferSize frames. The slice is reused between events;
+	// callees must copy what they keep.
 	OnAudioProcess func(inputBuffer []float32)
 }
 
-// NewScriptProcessor creates a script processor. bufferSize must be a power
-// of two in [256, 16384]; fingerprint scripts use 4096.
-func (c *Context) NewScriptProcessor(bufferSize int) (*ScriptProcessorNode, error) {
-	if bufferSize < 256 || bufferSize > 16384 || bufferSize&(bufferSize-1) != 0 {
-		return nil, fmt.Errorf("webaudio: invalid ScriptProcessor bufferSize %d", bufferSize)
-	}
+// NewScriptProcessor creates a script processor of
+// ScriptProcessorBufferSize frames.
+func (c *Context) NewScriptProcessor() *ScriptProcessorNode {
 	s := &ScriptProcessorNode{
-		nodeBase:   nodeBase{ctx: c, label: "scriptprocessor"},
-		bufferSize: bufferSize,
-		buf:        make([]float32, bufferSize),
+		nodeBase: nodeBase{ctx: c, label: "scriptprocessor"},
+		buf:      make([]float32, ScriptProcessorBufferSize),
 	}
 	c.register(s)
-	return s, nil
+	return s
 }
 
 func (s *ScriptProcessorNode) process() {
@@ -41,7 +39,7 @@ func (s *ScriptProcessorNode) process() {
 		s.output[i] = v // pass-through
 		s.buf[s.fill] = v
 		s.fill++
-		if s.fill == s.bufferSize {
+		if s.fill == ScriptProcessorBufferSize {
 			s.fill = 0
 			if s.OnAudioProcess != nil {
 				tr.Farble.farbleInPlace(s.buf)
@@ -61,7 +59,7 @@ func (s *ScriptProcessorNode) processBlock(in *[RenderQuantum]float64) {
 		s.output[i] = v
 		s.buf[s.fill] = v
 		s.fill++
-		if s.fill == s.bufferSize {
+		if s.fill == ScriptProcessorBufferSize {
 			s.fill = 0
 			if s.OnAudioProcess != nil {
 				tr.Farble.farbleInPlace(s.buf)

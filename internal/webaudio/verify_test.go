@@ -90,12 +90,12 @@ func TestAnalyserAgreesWithGoertzel(t *testing.T) {
 	const freq = 2500.0
 	ctx := defaultCtx()
 	osc := ctx.NewOscillator(Sine, freq)
-	an, _ := ctx.NewAnalyser(2048)
+	an := ctx.NewAnalyser()
 	Connect(osc, an)
 	Connect(an, ctx.Destination())
 	_ = ctx.RenderQuanta(64)
-	spec := make([]float32, an.FrequencyBinCount())
-	_ = an.GetFloatFrequencyData(spec)
+	var spec [FrequencyBinCount]float32
+	an.GetFloatFrequencyData(&spec)
 	peak := 0
 	for k, v := range spec {
 		if v > spec[peak] {

@@ -200,19 +200,14 @@ func TestAMModulationSidebands(t *testing.T) {
 	g := ctx.NewGain(1)
 	ConnectParam(mod, g.Gain)
 	Connect(carrier, g)
-	an, err := ctx.NewAnalyser(2048)
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := ctx.NewAnalyser()
 	Connect(g, an)
 	Connect(an, ctx.Destination())
 	if err := ctx.RenderQuanta(64); err != nil {
 		t.Fatal(err)
 	}
-	freq := make([]float32, an.FrequencyBinCount())
-	if err := an.GetFloatFrequencyData(freq); err != nil {
-		t.Fatal(err)
-	}
+	var freq [FrequencyBinCount]float32
+	an.GetFloatFrequencyData(&freq)
 	binHz := testRate / 2048.0
 	bin := func(hz float64) int { return int(hz/binHz + 0.5) }
 	carrierDb := freq[bin(10000)]
@@ -234,16 +229,14 @@ func TestFMModulationSpreadsSpectrum(t *testing.T) {
 	depth := ctx.NewGain(2000) // 2 kHz deviation
 	Connect(mod, depth)
 	ConnectParam(depth, carrier.Frequency)
-	an, _ := ctx.NewAnalyser(2048)
+	an := ctx.NewAnalyser()
 	Connect(carrier, an)
 	Connect(an, ctx.Destination())
 	if err := ctx.RenderQuanta(64); err != nil {
 		t.Fatal(err)
 	}
-	freq := make([]float32, an.FrequencyBinCount())
-	if err := an.GetFloatFrequencyData(freq); err != nil {
-		t.Fatal(err)
-	}
+	var freq [FrequencyBinCount]float32
+	an.GetFloatFrequencyData(&freq)
 	// Count bins within ±3 kHz of carrier that are above -60 dB.
 	binHz := testRate / 2048.0
 	lo, hi := int(7000/binHz), int(13000/binHz)
@@ -339,19 +332,14 @@ func TestCompressorPreDelayChangesOutput(t *testing.T) {
 func TestAnalyserPeakAtOscillatorFrequency(t *testing.T) {
 	ctx := defaultCtx()
 	osc := ctx.NewOscillator(Sine, 10000)
-	an, err := ctx.NewAnalyser(2048)
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := ctx.NewAnalyser()
 	Connect(osc, an)
 	Connect(an, ctx.Destination())
 	if err := ctx.RenderQuanta(32); err != nil {
 		t.Fatal(err)
 	}
-	freq := make([]float32, an.FrequencyBinCount())
-	if err := an.GetFloatFrequencyData(freq); err != nil {
-		t.Fatal(err)
-	}
+	var freq [FrequencyBinCount]float32
+	an.GetFloatFrequencyData(&freq)
 	peakBin := 0
 	for k, v := range freq {
 		if v > freq[peakBin] {
@@ -366,15 +354,13 @@ func TestAnalyserPeakAtOscillatorFrequency(t *testing.T) {
 
 func TestAnalyserSilenceIsNegInf(t *testing.T) {
 	ctx := defaultCtx()
-	an, _ := ctx.NewAnalyser(2048)
+	an := ctx.NewAnalyser()
 	Connect(an, ctx.Destination())
 	if err := ctx.RenderQuanta(20); err != nil {
 		t.Fatal(err)
 	}
-	freq := make([]float32, an.FrequencyBinCount())
-	if err := an.GetFloatFrequencyData(freq); err != nil {
-		t.Fatal(err)
-	}
+	var freq [FrequencyBinCount]float32
+	an.GetFloatFrequencyData(&freq)
 	for k, v := range freq {
 		if !math.IsInf(float64(v), -1) {
 			t.Fatalf("silent bin %d = %g, want -Inf", k, v)
@@ -382,50 +368,50 @@ func TestAnalyserSilenceIsNegInf(t *testing.T) {
 	}
 }
 
-func TestAnalyserSmoothingAcrossCalls(t *testing.T) {
-	ctx := defaultCtx()
-	osc := ctx.NewOscillator(Sawtooth, 2000)
-	an, _ := ctx.NewAnalyser(2048)
-	Connect(osc, an)
-	Connect(an, ctx.Destination())
-	_ = ctx.RenderQuanta(32)
-	a := make([]float32, an.FrequencyBinCount())
-	_ = an.GetFloatFrequencyData(a)
-	_ = ctx.RenderQuanta(1)
-	b := make([]float32, an.FrequencyBinCount())
-	_ = an.GetFloatFrequencyData(b)
-	diff := false
-	for k := range a {
-		if a[k] != b[k] {
-			diff = true
-			break
+// TestAnalyserReadIsStateless: a spectrum read leaves nothing behind, so a
+// second read, after more audio, equals bit for bit a fresh context's
+// single read at the same point. This is what lets a render pass capture
+// at several offsets as fresh runs would.
+func TestAnalyserReadIsStateless(t *testing.T) {
+	build := func() (*Context, *AnalyserNode) {
+		ctx := defaultCtx()
+		osc := ctx.NewOscillator(Sawtooth, 2000)
+		an := ctx.NewAnalyser()
+		Connect(osc, an)
+		Connect(an, ctx.Destination())
+		return ctx, an
+	}
+	render := func(ctx *Context, quanta int) {
+		if err := ctx.RenderQuanta(quanta); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !diff {
-		t.Error("successive captures identical despite new audio — smoothing state not advancing")
-	}
-}
+	ctx, an := build()
+	render(ctx, 32)
+	var first, second [FrequencyBinCount]float32
+	an.GetFloatFrequencyData(&first)
+	render(ctx, 7)
+	an.GetFloatFrequencyData(&second)
 
-func TestAnalyserRejectsBadSizes(t *testing.T) {
-	ctx := defaultCtx()
-	for _, n := range []int{0, 16, 100, 65536} {
-		if _, err := ctx.NewAnalyser(n); err == nil {
-			t.Errorf("NewAnalyser(%d) succeeded", n)
-		}
+	fresh, freshAn := build()
+	render(fresh, 39)
+	var want [FrequencyBinCount]float32
+	freshAn.GetFloatFrequencyData(&want)
+
+	if first == second {
+		t.Fatal("reads 7 quanta apart are identical; the test signal does not vary")
 	}
-	an, _ := ctx.NewAnalyser(2048)
-	if err := an.GetFloatFrequencyData(make([]float32, 10)); err == nil {
-		t.Error("short destination accepted")
+	for k := range want {
+		if math.Float32bits(second[k]) != math.Float32bits(want[k]) {
+			t.Fatalf("bin %d: second read %v, fresh read %v", k, second[k], want[k])
+		}
 	}
 }
 
 func TestScriptProcessorEventCadence(t *testing.T) {
 	ctx := defaultCtx()
 	osc := ctx.NewOscillator(Sine, 440)
-	sp, err := ctx.NewScriptProcessor(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := ctx.NewScriptProcessor()
 	events := 0
 	sp.OnAudioProcess = func(inputBuffer []float32) {
 		events++
@@ -441,9 +427,6 @@ func TestScriptProcessorEventCadence(t *testing.T) {
 	}
 	if events != 3 {
 		t.Fatalf("events fired %d, want 3", events)
-	}
-	if _, err := ctx.NewScriptProcessor(100); err == nil {
-		t.Error("bad buffer size accepted")
 	}
 }
 
@@ -474,14 +457,14 @@ func TestCycleDetection(t *testing.T) {
 // observing the analyser at different capture offsets yields different
 // spectra — the fickleness mechanism.
 func TestRealtimeCaptureOffsetMatters(t *testing.T) {
-	capture := func(offset int) []float32 {
+	capture := func(offset int) [FrequencyBinCount]float32 {
 		rt := NewRealtimeSim(testRate, DefaultTraits())
 		carrier := rt.NewOscillator(Triangle, 10000)
 		mod := rt.NewOscillator(Sine, 7)
 		depth := rt.NewGain(3000)
 		Connect(mod, depth)
 		ConnectParam(depth, carrier.Frequency)
-		an, _ := rt.NewAnalyser(2048)
+		an := rt.NewAnalyser()
 		Connect(carrier, an)
 		g := rt.NewGain(0)
 		Connect(an, g)
@@ -489,8 +472,8 @@ func TestRealtimeCaptureOffsetMatters(t *testing.T) {
 		if err := rt.CaptureAfter(40, offset); err != nil {
 			t.Fatal(err)
 		}
-		out := make([]float32, an.FrequencyBinCount())
-		_ = an.GetFloatFrequencyData(out)
+		var out [FrequencyBinCount]float32
+		an.GetFloatFrequencyData(&out)
 		return out
 	}
 	a, b := capture(0), capture(3)
@@ -618,13 +601,13 @@ func BenchmarkOfflineRenderOneSecond(b *testing.B) {
 func BenchmarkAnalyserCapture(b *testing.B) {
 	ctx := defaultCtx()
 	osc := ctx.NewOscillator(Triangle, 10000)
-	an, _ := ctx.NewAnalyser(2048)
+	an := ctx.NewAnalyser()
 	Connect(osc, an)
 	Connect(an, ctx.Destination())
 	_ = ctx.RenderQuanta(32)
-	out := make([]float32, an.FrequencyBinCount())
+	var out [FrequencyBinCount]float32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = an.GetFloatFrequencyData(out)
+		an.GetFloatFrequencyData(&out)
 	}
 }
