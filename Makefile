@@ -62,6 +62,7 @@ check: build vet stress
 	(cd cmd/fpbench && $(GO) vet ./... && $(GO) test ./...)
 	$(GO) run ./examples/tracker | grep -q 'returning visitors recognized'
 	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 10s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime 10s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitHandler -fuzztime 10s ./internal/collectserver/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzShardOf -fuzztime 10s ./internal/shard/
@@ -122,6 +123,7 @@ bench-verify:
 # Short fuzzing passes over the parsing/ingestion surfaces.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 20s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime 20s ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzSubmitHandler -fuzztime 20s ./internal/collectserver/
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 20s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzShardOf -fuzztime 20s ./internal/shard/

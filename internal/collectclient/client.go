@@ -81,25 +81,25 @@ func New(baseURL string, opts ...Option) *Client {
 }
 
 // contentKey derives an idempotency key from a scope (session token, user
-// ID) and a payload's JSON content. Content-derived keys mean ANY
+// ID) and a payload's JSON encoding. Content-derived keys mean ANY
 // resubmission of the same payload in the same scope — the in-request
 // retry loop, but also an agent-level retry after a garbled ack — carries
 // the same key, so the server can replay the original outcome instead of
 // acting twice.
-func contentKey(scope string, payload any) string {
+func contentKey(scope string, payload []byte) string {
 	h := sha256.New()
 	h.Write([]byte(scope))
 	h.Write([]byte{0})
-	b, _ := json.Marshal(payload)
-	h.Write(b)
+	h.Write(payload)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// idempotencyKey is the submission batch key. (Fingerprint records are
-// content-identified, so two identical batches in one session are by
-// definition the same batch.)
-func idempotencyKey(token string, records []collectserver.FPRecord) string {
-	return contentKey(token, records)
+// submitWire is collectserver.SubmitRequest with its records already
+// encoded, so that Submit hashes and sends the same bytes.
+type submitWire struct {
+	Token          string          `json:"token"`
+	Records        json.RawMessage `json:"records"`
+	IdempotencyKey string          `json:"idempotency_key,omitempty"`
 }
 
 // Session is an authorized collection session.
@@ -133,9 +133,15 @@ func (s *Session) Submit(ctx context.Context, records []collectserver.FPRecord) 
 	if len(records) == 0 {
 		return nil
 	}
-	req := collectserver.SubmitRequest{Token: s.Token, Records: records}
+	raw, err := json.Marshal(records)
+	if err != nil {
+		return fmt.Errorf("collectclient: submit: marshal records: %w", err)
+	}
+	req := submitWire{Token: s.Token, Records: raw}
 	if s.c.idempotency {
-		req.IdempotencyKey = idempotencyKey(s.Token, records)
+		// Fingerprint records are content-identified, so two identical
+		// batches in one session are by definition the same batch.
+		req.IdempotencyKey = contentKey(s.Token, raw)
 	}
 	var resp collectserver.SubmitResponse
 	if err := s.c.do(ctx, http.MethodPost, "/api/v1/fingerprints", req, &resp); err != nil {
@@ -377,7 +383,8 @@ func decodeBody(r io.Reader, out any) error {
 func (c *Client) Verify(ctx context.Context, userID string, samples []collectserver.VerifySample) (*verify.Decision, error) {
 	req := collectserver.VerifyRequest{UserID: userID, Samples: samples}
 	if c.idempotency {
-		req.IdempotencyKey = contentKey(userID, samples)
+		raw, _ := json.Marshal(samples) // strings only: it cannot fail
+		req.IdempotencyKey = contentKey(userID, raw)
 	}
 	var d verify.Decision
 	if err := c.do(ctx, http.MethodPost, "/api/v1/verify", req, &d); err != nil {

@@ -1,7 +1,11 @@
 package collectclient
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -234,6 +238,43 @@ func TestTelemetrySnapshot(t *testing.T) {
 	}
 	if f := bad.Telemetry().Failures; f != 1 {
 		t.Errorf("Failures = %d, want 1", f)
+	}
+}
+
+// TestSubmitWireBytes pins Submit's request body and idempotency key to
+// json.Marshal of collectserver.SubmitRequest, with the key hashed over
+// the records' own encoding.
+func TestSubmitWireBytes(t *testing.T) {
+	records := []collectserver.FPRecord{
+		{Vector: "DC", Iteration: 0, Hash: "aa"},
+		{Vector: "Hybrid", Iteration: 7, Hash: "0f1e", Sum: 35.10893253237009,
+			Surfaces: map[string]string{"fonts": "<a&b>", "canvas": "c\u2028\xff"}},
+		{Vector: "FM", Iteration: 1, Hash: "ff", Sum: -1e-7},
+	}
+	bodies := make(chan []byte, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		bodies <- body
+		io.WriteString(w, `{"accepted":3,"total_for_session":3}`)
+	}))
+	defer ts.Close()
+	const token = "tok<1>"
+	s := &Session{ID: "s1", Token: token, c: New(ts.URL, WithRetries(0))}
+	if err := s.Submit(context.Background(), records); err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := json.Marshal(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(append([]byte(token+"\x00"), encoded...))
+	want, err := json.Marshal(collectserver.SubmitRequest{Token: token, Records: records,
+		IdempotencyKey: hex.EncodeToString(sum[:16])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := <-bodies; !bytes.Equal(got, want) {
+		t.Errorf("request body\n got %s\nwant %s", got, want)
 	}
 }
 

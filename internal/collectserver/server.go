@@ -582,8 +582,8 @@ func validateHash(hash string) error {
 	if len(hash) == 0 || len(hash) > 128 {
 		return fmt.Errorf("hash length %d out of range", len(hash))
 	}
-	for _, c := range hash {
-		if !strings.ContainsRune("0123456789abcdef", c) {
+	for i := 0; i < len(hash); i++ {
+		if c := hash[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
 			return fmt.Errorf("hash is not lowercase hex")
 		}
 	}

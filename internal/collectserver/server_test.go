@@ -210,6 +210,31 @@ func TestSubmitRejectsBadInput(t *testing.T) {
 	}
 }
 
+func TestValidateHash(t *testing.T) {
+	const notHex = "hash is not lowercase hex"
+	for _, c := range []struct{ hash, err string }{
+		{"", "hash length 0 out of range"},
+		{"0123456789abcdef", ""},
+		{strings.Repeat("f", 128), ""},
+		{strings.Repeat("f", 129), "hash length 129 out of range"},
+		{"ABCDEF", notHex},
+		{"0a/", notHex}, // the bytes either side of 0-9 and a-f
+		{"0a:", notHex},
+		{"0a`", notHex},
+		{"0ag", notHex},
+		{"ab\u00e9", notHex},
+		{"ab\xff", notHex},
+	} {
+		got := ""
+		if err := validateHash(c.hash); err != nil {
+			got = err.Error()
+		}
+		if got != c.err {
+			t.Errorf("validateHash(%q) = %q, want %q", c.hash, got, c.err)
+		}
+	}
+}
+
 func TestAuxiliaryVectorNamesAccepted(t *testing.T) {
 	f := newFixture(t, nil)
 	tok := f.startSession(t, "u1")

@@ -149,8 +149,30 @@ func (ss *Stores) All() ([]storage.Record, error) {
 	}); err != nil {
 		return nil, err
 	}
-	all := slices.Concat(parts...)
-	slices.SortStableFunc(all, func(a, b storage.Record) int { return cmp.Compare(a.Seq, b.Seq) })
+	// Sort 16-byte keys by (Seq, position in the shard-order
+	// concatenation), which is the stable Seq order, and move each record
+	// once.
+	type key struct {
+		seq       int64
+		shard, at int32
+	}
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	keys := make([]key, 0, n)
+	for sh, p := range parts {
+		for i := range p {
+			keys = append(keys, key{p[i].Seq, int32(sh), int32(i)})
+		}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.shard, b.shard), cmp.Compare(a.at, b.at))
+	})
+	all := make([]storage.Record, n)
+	for i, k := range keys {
+		all[i] = parts[k.shard][k.at]
+	}
 	return all, nil
 }
 

@@ -20,7 +20,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -122,7 +121,7 @@ func parseLine(line []byte, rec *Record) bool {
 		mCorruptLines.Inc()
 		return false
 	}
-	if err := json.Unmarshal(payload, rec); err != nil {
+	if err := decodeRecord(payload, rec); err != nil {
 		mCorruptLines.Inc()
 		return false
 	}
@@ -135,9 +134,10 @@ type Store struct {
 	maxSeg  int64
 	durable bool
 
-	// mu serializes encoding, buffered writes, rotation and counters.
-	// fsync happens outside it (group commit via syncMu) so concurrent
-	// appenders are not convoyed behind the disk.
+	// mu serializes buffered writes, rotation and counters. Append
+	// encodes its batch before taking it, and fsync happens outside it
+	// (group commit via syncMu), so concurrent appenders are not convoyed
+	// behind the encoder or the disk.
 	mu         sync.Mutex
 	f          *os.File
 	w          *bufio.Writer
@@ -326,51 +326,56 @@ func (s *Store) Count() int {
 }
 
 // Append validates and persists records atomically with respect to other
-// Append calls. With SyncEveryAppend, the batch is durable on return;
-// concurrent batches share fsyncs (group commit), so appenders serialize
-// only on the in-memory write, not the disk flush.
+// Append calls. It encodes the whole batch before writing any of it, so a
+// record that fails to validate or encode leaves nothing on disk. With
+// SyncEveryAppend, the batch is durable on return; concurrent batches
+// share fsyncs (group commit), so appenders serialize only on the
+// in-memory write, not the disk flush.
 func (s *Store) Append(recs ...Record) error {
+	size := 0
 	for i := range recs {
 		if err := recs[i].Validate(); err != nil {
 			return err
 		}
+		size += lineSizeHint(&recs[i])
 	}
-	s.mu.Lock()
-	var bytes int64
-	var first []byte
+	buf := make([]byte, 0, size)
+	firstLen := 0
 	for i := range recs {
-		line, err := json.Marshal(&recs[i])
-		if err != nil {
-			s.mu.Unlock()
+		start := len(buf)
+		var err error
+		if buf, err = appendRecord(buf, &recs[i]); err != nil {
 			return fmt.Errorf("storage: marshal: %w", err)
 		}
-		line = appendCRC(line, line)
-		line = append(line, '\n')
+		buf = appendCRC(buf, buf[start:])
+		buf = append(buf, '\n')
 		if i == 0 {
-			first = line
+			firstLen = len(buf)
 		}
-		if _, err := s.w.Write(line); err != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("storage: write: %w", err)
-		}
-		bytes += int64(len(line))
-		s.maxSeq = max(s.maxSeq, recs[i].Seq)
+	}
+	s.mu.Lock()
+	if _, err := s.w.Write(buf); err != nil {
+		s.mu.Unlock()
+		return fmt.Errorf("storage: write: %w", err)
 	}
 	if err := s.w.Flush(); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("storage: flush: %w", err)
 	}
+	for i := range recs {
+		s.maxSeq = max(s.maxSeq, recs[i].Seq)
+	}
 	s.count += len(recs)
 	s.activeRecs += len(recs)
-	if s.tail != nil && first != nil {
+	if s.tail != nil && firstLen > 0 {
 		// The first line completed the unterminated line Open found: a
 		// scan now reads the two as one line.
 		var rec Record
-		merged := append(s.tail, first[:len(first)-1]...)
+		merged := append(s.tail, buf[:firstLen-1]...)
 		s.activeRecs += b2i(parseLine(merged, &rec)) - b2i(s.tailOK) - 1
 		s.tail = nil
 	}
-	s.segBytes += bytes
+	s.segBytes += int64(len(buf))
 	s.seq++
 	mySeq := s.seq
 	f := s.f
@@ -384,7 +389,7 @@ func (s *Store) Append(recs ...Record) error {
 
 	mAppendBatches.Inc()
 	mAppendRecords.Add(int64(len(recs)))
-	mAppendBytes.Add(bytes)
+	mAppendBytes.Add(int64(len(buf)))
 	if s.durable {
 		return s.syncTo(mySeq, f)
 	}
@@ -487,7 +492,7 @@ func (s *Store) All() ([]Record, error) {
 	if err := s.flush(); err != nil {
 		return nil, err
 	}
-	var out []Record
+	out := make([]Record, 0, s.Count())
 	err := s.scan(func(r Record) error { out = append(out, r); return nil })
 	return out, err
 }

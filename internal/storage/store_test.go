@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,6 +129,51 @@ this is not json
 	}
 }
 
+// TestFailedAppendWritesNothing checks that a batch with a record
+// json.Marshal refuses leaves no part of itself behind: not in Count, not
+// in All, not in the file a reopen reads.
+func TestFailedAppendWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fp.ndjson")
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, bad := range []func(*Record){
+		func(r *Record) { r.Sum = math.NaN() },
+		func(r *Record) { r.Sum = math.Inf(-1) },
+		func(r *Record) { r.ReceivedAt = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC) },
+		func(r *Record) { r.ReceivedAt = time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC) },
+	} {
+		r := rec("bad", 1)
+		bad(&r)
+		if err := s.Append(rec("leaked", 0), r); err == nil {
+			t.Fatalf("Append accepted %+v", r)
+		}
+	}
+	if err := s.Append(rec("u1", 0)); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := s.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Count() != 1 || len(recs) != 1 || recs[0].UserID != "u1" {
+		t.Fatalf("Count() = %d, All() = %+v; want only u1", s.Count(), recs)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Count() != 1 {
+		t.Errorf("reopened Count() = %d, want 1", s2.Count())
+	}
+}
+
 func TestConcurrentAppends(t *testing.T) {
 	s := tempStore(t, Options{})
 	var wg sync.WaitGroup
@@ -193,6 +239,29 @@ func BenchmarkAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Iteration = i
 		if err := s.Append(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendBatch appends the campaign's batch of 128 records with
+// a user agent (the storage.append layer, fsync off).
+func BenchmarkAppendBatch(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "fp.ndjson")
+	s, err := Open(path, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	batch := make([]Record, 128)
+	for i := range batch {
+		batch[i] = rec("user", i)
+		batch[i].UserAgent = "Mozilla/5.0 (X11; Linux x86_64) Gecko/20100101 Firefox/96.0"
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Append(batch...); err != nil {
 			b.Fatal(err)
 		}
 	}
