@@ -23,16 +23,16 @@ test-short:
 
 # The concurrency contracts at high -count under the race detector:
 # read-after-Sync, refresh-in-flight, concurrent engine and router reads,
-# verify read-your-writes, watch hook delivery, and one render per
-# (stack, vector) under parallel study and evolved-population workers
-# (each stack has one owning worker, so no key renders twice); then
-# fpdiag's heap diff repeated in one process, which holds only if each
-# bundle's heap profile shows the heap at capture time (~45 s wall on
-# 2 vCPU).
+# verify read-your-writes, the concurrent restart folds under reads, watch
+# hook delivery, and one render per (stack, vector) under parallel study
+# and evolved-population workers (each stack has one owning worker, so no
+# key renders twice); then fpdiag's heap diff repeated in one process,
+# which holds only if each bundle's heap profile shows the heap at capture
+# time (~45 s wall on 2 vCPU).
 stress:
 	$(GO) test -race -count=200 -run 'TestStreamingAutoAMIRefresh|TestSyncObservesBatchHooks' ./internal/streaming/
 	$(GO) test -race -count=50 -run 'TestEngineConcurrentReads' ./internal/streaming/
-	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestRouterConcurrentReads|TestStoresAllConcurrentAppends|TestVerifiersEnrollReadYourWrites' ./internal/shard/
+	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestRouterConcurrentReads|TestStoresAllConcurrentAppends|TestVerifiersEnrollReadYourWrites|TestRestartFoldsUnderReads' ./internal/shard/
 	$(GO) test -race -count=50 -run 'TestEnrollReadYourWrites' ./internal/verify/
 	$(GO) test -race -count=50 -run 'TestHookDeliveredBeforeSync' ./internal/watch/
 	$(GO) test -race -count=5 -run 'TestParallelRenderSingleflight|TestBuildEvolvedRenderBill' ./internal/study/
@@ -109,9 +109,12 @@ bench-stream:
 	@echo wrote BENCH_stream.json
 
 # Sharded-vs-single cost at the paper's 2093-user scale: per-record routing
-# overhead, the cold cross-shard merge, and the cached read (DESIGN.md §14).
+# overhead, the cold cross-shard merge, the cached read, and a four-shard
+# restart's storage half and whole (DESIGN.md §14). The committed
+# BENCH_shard.json is one run (-count 1) on a 2-vCPU Xeon (Go 1.24.0,
+# GOMAXPROCS 2).
 bench-shard:
-	$(GO) test -run '^$$' -bench BenchmarkShard -benchmem ./internal/shard/ | $(GO) run ./cmd/benchjson > BENCH_shard.json
+	$(GO) test -run '^$$' -bench 'BenchmarkShard|BenchmarkStores' -benchmem ./internal/shard/ | $(GO) run ./cmd/benchjson > BENCH_shard.json
 	@echo wrote BENCH_shard.json
 
 # Verification decision latency at enrolled-population scale: the serving

@@ -9,6 +9,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/streaming"
+	"repro/internal/verify"
 )
 
 // The sharded plane's cost model, at the paper's population scale: routing
@@ -124,6 +125,63 @@ func BenchmarkStoresOpenRecoverAll(b *testing.B) {
 		if len(all) != len(recs) {
 			b.Fatalf("All returned %d records, want %d", len(all), len(recs))
 		}
+		ss.Close()
+	}
+}
+
+// BenchmarkShardRestart measures a four-shard server's restart over the
+// 2093-user fixture, the layers of cmd/fpbench auth's setup_s: OpenStores,
+// Recover, All, Router.Bootstrap, All again and Verifiers.Enroll.
+func BenchmarkShardRestart(b *testing.B) {
+	const shards = 4
+	recs := paperRecords(b)
+	base := filepath.Join(b.TempDir(), "fp.ndjson")
+	ss, err := shard.OpenStores(base, shards, storage.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for next := 0; next < len(recs); next += 4096 {
+		if err := ss.Append(recs[next:min(next+4096, len(recs))]...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := ss.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ss, err := shard.OpenStores(base, shards, storage.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ss.Recover(); err != nil {
+			b.Fatal(err)
+		}
+		history, err := ss.All()
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt, err := shard.NewRouter(shard.Config{
+			Shards: shards,
+			Engine: streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt.Bootstrap(history)
+		if history, err = ss.All(); err != nil {
+			b.Fatal(err)
+		}
+		vs, err := shard.NewVerifiers(shards, verify.Config{Registry: obs.NewRegistry()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		vs.Enroll(history)
+		if got := vs.Stats().Records; got != int64(len(recs)) {
+			b.Fatalf("enrolled %d records, want %d", got, len(recs))
+		}
+		rt.Close()
 		ss.Close()
 	}
 }

@@ -98,20 +98,22 @@ func NewRouter(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// route splits recs into per-shard groups preserving stream order and
-// assigns global first-seen sequence numbers to new users. It returns the
-// groups and the total routed-record count after this batch.
+// route splits recs into per-shard groups preserving stream order (split:
+// a batch one shard owns is its group as is) and assigns global
+// first-seen sequence numbers to new users. It returns the groups and the
+// total routed-record count after this batch.
 func (r *Router) route(recs []storage.Record) ([][]storage.Record, int64) {
-	groups := make([][]storage.Record, len(r.engines))
+	groups := split(recs, len(r.engines))
 	r.mu.Lock()
 	for i := range recs {
 		uid := recs[i].UserID
+		if i > 0 && uid == recs[i-1].UserID {
+			continue
+		}
 		if _, ok := r.seqByUID[uid]; !ok {
 			r.seqByUID[uid] = r.nextSeq
 			r.nextSeq++
 		}
-		sh := Of(uid, len(r.engines))
-		groups[sh] = append(groups[sh], recs[i])
 	}
 	r.routed += int64(len(recs))
 	routed := r.routed
@@ -120,7 +122,10 @@ func (r *Router) route(recs []storage.Record) ([][]storage.Record, int64) {
 }
 
 // EnqueueContext routes a batch to the owning shards' queues, carrying the
-// caller's trace identity through to each shard engine's apply span.
+// caller's trace identity through to each shard engine's apply span. As
+// with streaming.Engine.EnqueueContext, the engines keep what they are
+// handed until they apply it, and a batch one shard owns is handed over
+// as recs itself, so the caller must not modify recs after the call.
 func (r *Router) EnqueueContext(ctx context.Context, recs []storage.Record) {
 	if len(recs) == 0 {
 		return
@@ -146,21 +151,25 @@ func (r *Router) EnqueueContext(ctx context.Context, recs []storage.Record) {
 	}
 }
 
-// Apply routes and folds a batch synchronously on the caller's goroutine
-// — the bootstrap/benchmark path, mirroring streaming.Engine.Apply.
+// Apply routes and folds a batch synchronously — the bootstrap/benchmark
+// path, mirroring streaming.Engine.Apply. The shards a batch reaches fold
+// their groups concurrently, one goroutine each (a batch one shard owns
+// folds on the caller's), and Apply returns once every shard has folded,
+// so readers then observe the whole batch.
 func (r *Router) Apply(recs []storage.Record) {
+	if len(recs) == 0 {
+		return
+	}
 	groups, _ := r.route(recs)
-	for sh, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
+	fold(groups, func(sh int, g []storage.Record) {
 		r.engines[sh].Apply(g)
 		r.met.ingest[sh].Add(int64(len(g)))
-	}
+	})
 }
 
 // Bootstrap replays records synchronously — the restart path, fed from
 // Stores.All()'s seq-ordered union — and refreshes AMI once at the end.
+// The shards fold concurrently, as in Apply.
 func (r *Router) Bootstrap(recs []storage.Record) {
 	r.Apply(recs)
 	r.RefreshAMI()

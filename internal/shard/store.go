@@ -23,7 +23,7 @@ import (
 // labels and the AMI matrix, so Stores stamps every appended record with
 // a monotone global sequence number (storage.Record.Seq, omitted from
 // JSON for unsharded stores) and All() returns the union of all shards
-// re-sorted by it — a bootstrap replay then registers users in exactly
+// merged in its order — a bootstrap replay then registers users in exactly
 // the order a single store would have.
 //
 // A cross-shard Append is not atomic: a crash between per-shard appends
@@ -106,25 +106,23 @@ func (ss *Stores) Shards() int { return len(ss.stores) }
 // Shard returns shard i's underlying store (recovery, tests, metrics).
 func (ss *Stores) Shard(i int) *storage.Store { return ss.stores[i] }
 
-// Append stamps each record with the next global sequence number, routes
-// it to its owning shard, and appends per shard. The input slice is not
-// mutated (handlers reuse it for the analytics enqueue).
+// Append stamps a copy of each record with the next global sequence
+// number, routes it to its owning shard, and appends per shard. A batch
+// one shard owns, such as a submission, is appended as that one copy.
+// The input slice is not mutated (handlers reuse it for the analytics
+// enqueue).
 func (ss *Stores) Append(recs ...storage.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	stamped := make([]storage.Record, len(recs))
-	copy(stamped, recs)
-	groups := make([][]storage.Record, len(ss.stores))
+	stamped := slices.Clone(recs)
 	ss.mu.Lock()
 	for i := range stamped {
 		stamped[i].Seq = ss.nextSeq
 		ss.nextSeq++
-		sh := Of(stamped[i].UserID, len(ss.stores))
-		groups[sh] = append(groups[sh], stamped[i])
 	}
 	ss.mu.Unlock()
-	for sh, g := range groups {
+	for sh, g := range split(stamped, len(ss.stores)) {
 		if len(g) == 0 {
 			continue
 		}
@@ -136,7 +134,7 @@ func (ss *Stores) Append(recs ...storage.Record) error {
 }
 
 // All returns every persisted record across all shards, read
-// concurrently when there are any, re-sorted into global arrival order by
+// concurrently when there are any, merged into global arrival order by
 // Seq (stable, so records sharing a Seq — only possible for pre-sharding
 // data — keep shard order). This is the bootstrap-replay order: feeding
 // it to an engine registers users exactly as the original submission
@@ -149,31 +147,36 @@ func (ss *Stores) All() ([]storage.Record, error) {
 	}); err != nil {
 		return nil, err
 	}
-	// Sort 16-byte keys by (Seq, position in the shard-order
-	// concatenation), which is the stable Seq order, and move each record
-	// once.
-	type key struct {
-		seq       int64
-		shard, at int32
-	}
+	return mergeBySeq(parts), nil
+}
+
+// mergeBySeq merges the shards' reads into the stable Seq order of their
+// shard-order concatenation, moving each record once. A shard's file is
+// in Seq order unless concurrent appends interleaved in it; only such a
+// read is stable-sorted first. On equal Seqs the lower shard goes first.
+func mergeBySeq(parts [][]storage.Record) []storage.Record {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
-	}
-	keys := make([]key, 0, n)
-	for sh, p := range parts {
-		for i := range p {
-			keys = append(keys, key{p[i].Seq, int32(sh), int32(i)})
+		for i := 1; i < len(p); i++ {
+			if p[i].Seq < p[i-1].Seq {
+				slices.SortStableFunc(p, func(a, b storage.Record) int { return cmp.Compare(a.Seq, b.Seq) })
+				break
+			}
 		}
 	}
-	slices.SortFunc(keys, func(a, b key) int {
-		return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.shard, b.shard), cmp.Compare(a.at, b.at))
-	})
-	all := make([]storage.Record, n)
-	for i, k := range keys {
-		all[i] = parts[k.shard][k.at]
+	all := make([]storage.Record, 0, n)
+	for len(all) < n {
+		next := -1
+		for i, p := range parts {
+			if len(p) > 0 && (next < 0 || p[0].Seq < parts[next][0].Seq) {
+				next = i
+			}
+		}
+		all = append(all, parts[next][0])
+		parts[next] = parts[next][1:]
 	}
-	return all, nil
+	return all
 }
 
 // WriteTo streams every shard's records shard-by-shard (each shard's

@@ -1,10 +1,13 @@
 package shard_test
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -149,5 +152,87 @@ func TestStoresAllConcurrentAppends(t *testing.T) {
 		if got[i].Seq != int64(i-7) {
 			t.Fatalf("record %d has seq %d, want %d", i, got[i].Seq, i-7)
 		}
+	}
+}
+
+// TestStoresAllMatchesKeySort holds All's merge to the sort it replaced:
+// (seq, shard, position) keys sorted, each record moved once. The shard
+// files are written directly: pre-sharding Seq-0 lines first, then lines
+// with preset Seqs, in order on one shard, locally out of order on two (as
+// concurrent appends leave them) and shuffled on the last.
+func TestStoresAllMatchesKeySort(t *testing.T) {
+	const shards = 4
+	base := filepath.Join(t.TempDir(), "fp.ndjson")
+	rng := rand.New(rand.NewSource(29))
+	seqs := rng.Perm(600)
+	for i := 0; i < shards; i++ {
+		var recs []storage.Record
+		for j := 0; j < 3; j++ {
+			recs = append(recs, stampRec(fmt.Sprintf("legacy%d", i), j))
+		}
+		var mine []storage.Record
+		for _, sq := range seqs {
+			if sq%shards == i {
+				r := stampRec(fmt.Sprintf("u%d", sq%37), sq)
+				r.Seq = int64(sq + 1)
+				mine = append(mine, r)
+			}
+		}
+		slices.SortFunc(mine, func(a, b storage.Record) int { return cmp.Compare(a.Seq, b.Seq) })
+		switch i {
+		case 1, 2:
+			for k := 0; k+1 < len(mine); k += 2 + rng.Intn(4) {
+				mine[k], mine[k+1] = mine[k+1], mine[k]
+			}
+		case 3:
+			rng.Shuffle(len(mine), func(a, b int) { mine[a], mine[b] = mine[b], mine[a] })
+		}
+		st, err := storage.Open(shard.StorePath(base, i), storage.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(append(recs, mine...)...); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ss, err := shard.OpenStores(base, shards, storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+
+	parts := make([][]storage.Record, shards)
+	type key struct {
+		seq       int64
+		shard, at int
+	}
+	var keys []key
+	for i := range parts {
+		if parts[i], err = ss.Shard(i).All(); err != nil {
+			t.Fatal(err)
+		}
+		for at, r := range parts[i] {
+			keys = append(keys, key{r.Seq, i, at})
+		}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.seq, b.seq), cmp.Compare(a.shard, b.shard), cmp.Compare(a.at, b.at))
+	})
+	want := make([]storage.Record, len(keys))
+	for i, k := range keys {
+		want[i] = parts[k.shard][k.at]
+	}
+	got, err := ss.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("All differs from the (seq, shard, position) sort over %d records", len(want))
+	}
+	if len(got) != 600+3*shards {
+		t.Fatalf("All returned %d records, want %d", len(got), 600+3*shards)
 	}
 }

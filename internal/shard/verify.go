@@ -41,23 +41,20 @@ func NewVerifiers(n int, cfg verify.Config) (*Verifiers, error) {
 	return v, nil
 }
 
-// Enroll routes each record to its user's owning shard. It is
-// read-your-writes like verify.Engine.Enroll: once Enroll returns, every
-// Verify that starts afterwards recognizes the enrolled hashes, so a
-// submission the server has acknowledged with 202 can be verified at once.
+// Enroll routes each record to its user's owning shard. The shards a batch
+// reaches enroll their groups concurrently, one goroutine each (a batch
+// one shard owns, such as a submission, enrolls on the caller's), and
+// Enroll returns once every shard has. It is read-your-writes like
+// verify.Engine.Enroll: once Enroll returns, every Verify that starts
+// afterwards recognizes the enrolled hashes, so a submission the server
+// has acknowledged with 202 can be verified at once.
 func (v *Verifiers) Enroll(recs []storage.Record) {
-	if len(v.engines) == 1 {
-		v.engines[0].Enroll(recs)
+	if len(recs) == 0 {
 		return
 	}
-	byShard := make(map[int][]storage.Record)
-	for _, rec := range recs {
-		s := Of(rec.UserID, len(v.engines))
-		byShard[s] = append(byShard[s], rec)
-	}
-	for s, part := range byShard {
-		v.engines[s].Enroll(part)
-	}
+	fold(split(recs, len(v.engines)), func(sh int, g []storage.Record) {
+		v.engines[sh].Enroll(g)
+	})
 }
 
 // Verify answers from the claimed user's owning shard.

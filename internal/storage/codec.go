@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"slices"
@@ -205,10 +206,22 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
+// A lineCache holds what one walk of a store file shares between the
+// records it decodes: every distinct string its canonical lines have
+// held, and the last received_at literal with its parsed time, which a
+// submission's records repeat. Records still own their Surfaces maps.
+// The zero value is ready to use; a walk keeps one for its lines and
+// drops it with them.
+type lineCache struct {
+	strs map[string]string
+	at   []byte
+	atT  time.Time
+}
+
 // decodeRecord fills r, which must be zero, as json.Unmarshal(payload, r)
 // does.
-func decodeRecord(payload []byte, r *Record) error {
-	if rec, ok := parseCanonical(payload); ok {
+func (c *lineCache) decodeRecord(payload []byte, r *Record) error {
+	if rec, ok := c.parseCanonical(payload); ok {
 		*r = rec
 		return nil
 	}
@@ -221,9 +234,9 @@ func decodeRecord(payload []byte, r *Record) error {
 // integers for the integer fields. It reports false for any other
 // payload. Every payload it accepts is valid JSON that json.Unmarshal
 // decodes to the same record.
-func parseCanonical(p []byte) (Record, bool) {
+func (c *lineCache) parseCanonical(p []byte) (Record, bool) {
 	var r Record
-	d := recordDecoder{p: p}
+	d := recordDecoder{p: p, c: c}
 	d.lit(`{"session_id":`)
 	r.SessionID = d.str()
 	d.lit(`,"user_id":`)
@@ -258,6 +271,7 @@ type recordDecoder struct {
 	p   []byte
 	i   int
 	bad bool
+	c   *lineCache
 }
 
 // opt consumes s if the payload continues with it.
@@ -291,32 +305,64 @@ func (d *recordDecoder) quoted() []byte {
 }
 
 // plain reports whether string content s reads as itself: no escape, no
-// control byte, valid UTF-8.
+// control byte, valid UTF-8. It tests eight bytes at a time: for a word
+// x, (x - 0x2020…) &^ x has a high bit set exactly when some byte of x
+// is below ' ', and (y - 0x0101…) &^ y exactly when some byte of y is
+// zero, which in y = x ^ 0x5c5c… is a backslash in x.
 func plain(s []byte) bool {
-	var high byte
-	for _, c := range s {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	var high uint64
+	i := 0
+	for ; len(s)-i >= 8; i += 8 {
+		x := binary.LittleEndian.Uint64(s[i:])
+		bs := x ^ '\\'*ones
+		if ((x-' '*ones)&^x|(bs-ones)&^bs)&highs != 0 {
+			return false
+		}
+		high |= x
+	}
+	for _, c := range s[i:] {
 		if c < ' ' || c == '\\' {
 			return false
 		}
-		high |= c
+		high |= uint64(c)
 	}
-	return high < utf8.RuneSelf || utf8.Valid(s)
+	return high&highs == 0 || utf8.Valid(s)
 }
 
+// str consumes a string literal and returns its content, the walk's copy
+// when an earlier line held the same bytes. The map index with a
+// converted key allocates nothing.
 func (d *recordDecoder) str() string {
 	q := d.quoted()
 	if d.bad {
 		return ""
 	}
-	return string(q[1 : len(q)-1])
+	b := q[1 : len(q)-1]
+	if s, ok := d.c.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if d.c.strs == nil {
+		d.c.strs = map[string]string{}
+	}
+	d.c.strs[s] = s
+	return s
 }
 
 // time decodes a string literal through time.Time's UnmarshalJSON, the
-// method json.Unmarshal calls with the same bytes.
+// method json.Unmarshal calls with the same bytes, or takes the walk's
+// last parsed time when the literal repeats it.
 func (d *recordDecoder) time(t *time.Time) {
 	q := d.quoted()
-	if !d.bad && t.UnmarshalJSON(q) != nil {
+	switch {
+	case d.bad:
+	case bytes.Equal(q, d.c.at):
+		*t = d.c.atT
+	case t.UnmarshalJSON(q) != nil:
 		d.bad = true
+	default:
+		d.c.at, d.c.atT = append(d.c.at[:0], q...), *t
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // storeScanCorpus returns every line of FuzzStoreScan's checked-in corpus,
@@ -194,11 +196,115 @@ func TestCanonicalLinesParseWithoutFallback(t *testing.T) {
 	}
 }
 
+// TestScanSharesStringsAsUnmarshalDecodes: every record a scan returns
+// equals json.Unmarshal's for its line, canonical or escaped, across
+// repeated and distinct strings and several receive times and zones; the
+// walk's records share each repeated string, and no two share a Surfaces
+// map.
+func TestScanSharesStringsAsUnmarshalDecodes(t *testing.T) {
+	at := time.Date(2021, 6, 1, 12, 0, 0, 0, time.UTC)
+	ats := []time.Time{at, at, at.Add(time.Second), at.In(time.FixedZone("", 2*3600)),
+		at.In(time.FixedZone("", 2*3600)), at.In(time.FixedZone("", -5*3600)), at, at.Add(time.Nanosecond)}
+	var file []byte
+	for i := 0; i < 40; i++ {
+		r := Record{SessionID: fmt.Sprintf("s%d", i/8), UserID: fmt.Sprintf("user-%d", i/4),
+			Vector: []string{"DC", "FFT", "Hybrid"}[i%3], Iteration: i, Hash: fmt.Sprintf("%064x", i%5),
+			Sum: float64(i%3) / 7, UserAgent: "Mozilla/5.0 (X11) Firefox/96.0",
+			Surfaces: map[string]string{"canvas": fmt.Sprintf("c%d", i%2), "fonts": "f"}, ReceivedAt: ats[i%len(ats)]}
+		switch i % 6 {
+		case 3:
+			r.UserAgent = `Opera <12> & "beta"` // escaped: the json.Unmarshal fallback
+		case 5:
+			r.Surfaces = nil
+		}
+		payload, err := appendRecord(nil, &r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file = append(appendCRC(append(file, payload...), payload), '\n')
+	}
+	// Legacy lines that only the fallback reads, holding strings the
+	// canonical lines hold too.
+	file = append(file, `{"user_id":"user-0","session_id":"s0","vector":"DC","iteration":1,"hash":"h",`+
+		`"received_at":"2021-06-01T12:00:00Z"}`+"\n"...)
+	file = append(file, `{"session_id":"s\u0030","user_id":"user-1","vector":"FFT","iteration":2,"hash":"h",`+
+		`"surfaces":{"canvas":"c0"},"received_at":"2021-06-01T14:00:00+02:00"}`+"\n"...)
+	path := filepath.Join(t.TempDir(), "fp.ndjson")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	got, err := s.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Record
+	for _, line := range bytes.Split(bytes.TrimSuffix(file, []byte("\n")), []byte("\n")) {
+		payload, _ := splitCRC(line)
+		var r Record
+		if err := json.Unmarshal(payload, &r); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan and json.Unmarshal differ:\n got %v\nwant %v", got, want)
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	if !same(got[0].UserID, got[2].UserID) || !same(got[0].Hash, got[5].Hash) || !same(got[1].UserAgent, got[38].UserAgent) ||
+		!same(got[0].Surfaces["fonts"], got[1].Surfaces["fonts"]) {
+		t.Error("a string the walk read before was allocated again")
+	}
+	got[0].Surfaces["canvas"] = "changed"
+	for i := 1; i < len(got); i++ {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("changing record 0's surfaces changed record %d to %v", i, got[i])
+		}
+	}
+}
+
+// TestPlainMatchesByteLoop holds plain's eight-bytes-at-a-time test to
+// the byte loop: each rejected byte, bytes beside the rejected ranges, a
+// valid multi-byte rune and invalid UTF-8, at every offset of strings of
+// 0 to 24 bytes.
+func TestPlainMatchesByteLoop(t *testing.T) {
+	byteLoop := func(s []byte) bool {
+		for _, c := range s {
+			if c < ' ' || c == '\\' {
+				return false
+			}
+		}
+		return utf8.Valid(s)
+	}
+	inserts := []string{"", "\x00", "\x1f", `\`, " ", "[", "]", "\x7f", "\x80", "\x9f", "\xa0", "\xdc",
+		"é", "✓", "😀", "\xff", "\xe2\x9c", "\xed\xa0\x80"}
+	for n := 0; n <= 24; n++ {
+		for at := 0; at <= n; at++ {
+			for _, ins := range inserts {
+				if at+len(ins) > n {
+					continue
+				}
+				s := bytes.Repeat([]byte("a"), n)
+				copy(s[at:], ins)
+				if got, want := plain(s), byteLoop(s); got != want {
+					t.Errorf("plain(%q) = %v, the byte loop gives %v", s, got, want)
+				}
+			}
+		}
+	}
+}
+
 var sinkRecord Record
 
 // BenchmarkParseLine times one stored line's CRC check, decode and
 // validation, the per-line cost of Open's walk and of All (the
-// setup.store_open_s and setup.store_read_s layers).
+// setup.store_open_s and setup.store_read_s layers), in a walk that has
+// read the line's strings and receive time before, as it has for most
+// lines of a stored history.
 func BenchmarkParseLine(b *testing.B) {
 	r := Record{SessionID: "preload", UserID: "user-0007", Vector: "Hybrid", Iteration: 29,
 		Hash: strings.Repeat("0f", 32), UserAgent: "Mozilla/5.0 (X11; Linux x86_64) Gecko/20100101 Firefox/96.0",
@@ -208,11 +314,12 @@ func BenchmarkParseLine(b *testing.B) {
 		b.Fatal(err)
 	}
 	line := appendCRC(payload, payload)
+	var lines lineCache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkRecord = Record{}
-		if !parseLine(line, &sinkRecord) {
+		if !lines.parseLine(line, &sinkRecord) {
 			b.Fatal("line refused")
 		}
 	}

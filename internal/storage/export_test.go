@@ -6,3 +6,11 @@ func (s *Store) Segments() []string {
 	defer s.mu.Unlock()
 	return append([]string(nil), s.sealed...)
 }
+
+// parseLine, decodeRecord and parseCanonical decode a line or payload on
+// its own, as the first line of a walk.
+func parseLine(line []byte, rec *Record) bool { return new(lineCache).parseLine(line, rec) }
+
+func decodeRecord(payload []byte, r *Record) error { return new(lineCache).decodeRecord(payload, r) }
+
+func parseCanonical(p []byte) (Record, bool) { return new(lineCache).parseCanonical(p) }

@@ -113,15 +113,15 @@ func splitCRC(line []byte) (payload []byte, ok bool) {
 	return payload, true
 }
 
-// parseLine decodes one stored line into a record. It reports ok=false for
-// torn, corrupt, CRC-mismatched or invalid lines.
-func parseLine(line []byte, rec *Record) bool {
+// parseLine decodes one stored line of c's walk into a record. It reports
+// ok=false for torn, corrupt, CRC-mismatched or invalid lines.
+func (c *lineCache) parseLine(line []byte, rec *Record) bool {
 	payload, ok := splitCRC(line)
 	if !ok {
 		mCorruptLines.Inc()
 		return false
 	}
-	if err := decodeRecord(payload, rec); err != nil {
+	if err := c.decodeRecord(payload, rec); err != nil {
 		mCorruptLines.Inc()
 		return false
 	}
@@ -224,12 +224,13 @@ func (s *Store) walkOpen(size int64) error {
 	if size == 0 {
 		return nil
 	}
+	var lines lineCache
 	return walkLines(io.NewSectionReader(s.f, 0, size), maxLineBytes, func(line []byte, terminated bool) bool {
 		// A scan drops one '\r' before the '\n'; Recover keeps it, which
 		// breaks a CRC tag but not a legacy line's JSON.
 		payload, cr := bytes.CutSuffix(line, []byte{'\r'})
 		var rec Record
-		ok := parseLine(payload, &rec)
+		ok := lines.parseLine(payload, &rec)
 		if ok {
 			s.activeRecs++
 			s.maxSeq = max(s.maxSeq, rec.Seq)
@@ -372,7 +373,7 @@ func (s *Store) Append(recs ...Record) error {
 		// scan now reads the two as one line.
 		var rec Record
 		merged := append(s.tail, buf[:firstLen-1]...)
-		s.activeRecs += b2i(parseLine(merged, &rec)) - b2i(s.tailOK) - 1
+		s.activeRecs += b2i(new(lineCache).parseLine(merged, &rec)) - b2i(s.tailOK) - 1
 		s.tail = nil
 	}
 	s.segBytes += int64(len(buf))
@@ -454,7 +455,8 @@ func (s *Store) files() []string {
 }
 
 // scanFile streams every valid record of one file through fn. Corrupt,
-// torn and CRC-mismatched lines are skipped.
+// torn and CRC-mismatched lines are skipped. The records share the
+// strings and receive times the file repeats (lineCache).
 func scanFile(path string, fn func(Record) error) error {
 	rf, err := os.Open(path)
 	if err != nil {
@@ -463,9 +465,10 @@ func scanFile(path string, fn func(Record) error) error {
 	defer rf.Close()
 	sc := bufio.NewScanner(rf)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	var lines lineCache
 	for sc.Scan() {
 		var rec Record
-		if !parseLine(sc.Bytes(), &rec) {
+		if !lines.parseLine(sc.Bytes(), &rec) {
 			continue
 		}
 		if err := fn(rec); err != nil {
@@ -582,10 +585,11 @@ func (s *Store) Recover() (RecoverReport, error) {
 	size := st.Size()
 	if !s.torn && size > s.salvage {
 		rest := size - s.salvage
+		var lines lineCache
 		// Recover bounds no line's length: any unread byte may be salvaged.
 		err := walkLines(io.NewSectionReader(s.f, s.salvage, rest), int(rest)+1, func(line []byte, terminated bool) bool {
 			var rec Record
-			if !terminated || !parseLine(line, &rec) {
+			if !terminated || !lines.parseLine(line, &rec) {
 				s.torn = true
 				return false
 			}

@@ -174,7 +174,8 @@ func New(cfg Config) *Engine {
 // and blocks (counted) when it is full; after Close the batch is dropped.
 // The caller's trace identity rides the queue: the ingest request's active
 // span becomes the parent of the eventual "streaming.apply" span
-// (Config.Spans).
+// (Config.Spans). The engine keeps recs, not a copy, until it applies
+// the batch, so the caller must not modify recs after the call.
 func (e *Engine) EnqueueContext(ctx context.Context, recs []storage.Record) {
 	b := batch{recs: recs}
 	if e.spans != nil {
