@@ -110,17 +110,21 @@ bench-stream:
 
 # Sharded-vs-single cost at the paper's 2093-user scale: per-record routing
 # overhead, the cold cross-shard merge, the cached read, and a four-shard
-# restart's storage half and whole (DESIGN.md §14). The committed
-# BENCH_shard.json is one run (-count 1) on a 2-vCPU Xeon (Go 1.24.0,
-# GOMAXPROCS 2).
+# restart's storage half and whole (DESIGN.md §14). Five runs per entry
+# (-count 5); benchgate reads the fastest of each name, so one noisy run
+# moves nothing. The committed BENCH_shard.json is five runs on a 2-vCPU
+# Xeon (Go 1.24.0, GOMAXPROCS 2).
 bench-shard:
-	$(GO) test -run '^$$' -bench 'BenchmarkShard|BenchmarkStores' -benchmem ./internal/shard/ | $(GO) run ./cmd/benchjson > BENCH_shard.json
+	$(GO) test -run '^$$' -bench 'BenchmarkShard|BenchmarkStores' -benchmem -count 5 ./internal/shard/ | $(GO) run ./cmd/benchjson > BENCH_shard.json
 	@echo wrote BENCH_shard.json
 
-# Verification decision latency at enrolled-population scale: the serving
-# path behind POST /api/v1/verify, serial and parallel (DESIGN.md §15).
+# Verification decision latency at enrolled-population scale, the serving
+# path behind POST /api/v1/verify, serial and parallel, and enrollment
+# with and without shared hashes (DESIGN.md §15.2). Five runs per entry
+# (-count 5), as for bench-shard. The committed BENCH_verify.json is five
+# runs on a 2-vCPU Xeon (Go 1.24.0, GOMAXPROCS 2).
 bench-verify:
-	$(GO) test -run '^$$' -bench BenchmarkVerify -benchmem ./internal/verify/ | $(GO) run ./cmd/benchjson > BENCH_verify.json
+	$(GO) test -run '^$$' -bench BenchmarkVerify -benchmem -count 5 ./internal/verify/ | $(GO) run ./cmd/benchjson > BENCH_verify.json
 	@echo wrote BENCH_verify.json
 
 # Short fuzzing passes over the parsing/ingestion surfaces.

@@ -30,6 +30,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -172,6 +173,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
+	// swept is when expired sessions were last dropped from sessions.
+	swept time.Time
 }
 
 type session struct {
@@ -183,27 +186,40 @@ type session struct {
 	// records counts the session's stored records plus the batches being
 	// appended (the quota reservation).
 	records int
-	// seen caches submission responses by idempotency key so a client
-	// retrying a lost ack replays the original outcome instead of
-	// duplicating records; seenOrder evicts oldest-first.
-	seen      map[string]SubmitResponse
-	seenOrder []string
+	// seen caches submission responses by idempotency key, oldest first,
+	// so a client retrying a lost ack replays the original outcome
+	// instead of duplicating records.
+	seen []seenKey
+}
+
+// seenKey is one cached submission response.
+type seenKey struct {
+	key  string
+	resp SubmitResponse
+}
+
+// find returns the index of key's cached response in seen, -1 when there
+// is none. Caller holds the server mutex.
+func (s *session) find(key string) int {
+	for i := range s.seen {
+		if s.seen[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // remember caches resp for key, evicting the oldest cached key beyond the
 // window. Caller holds the server mutex.
 func (s *session) remember(key string, resp SubmitResponse, window int) {
-	if s.seen == nil {
-		s.seen = make(map[string]SubmitResponse)
+	if i := s.find(key); i >= 0 {
+		s.seen[i].resp = resp
+		return
 	}
-	if _, dup := s.seen[key]; !dup {
-		s.seenOrder = append(s.seenOrder, key)
-		if len(s.seenOrder) > window {
-			delete(s.seen, s.seenOrder[0])
-			s.seenOrder = s.seenOrder[1:]
-		}
+	if len(s.seen) >= window {
+		s.seen = slices.Delete(s.seen, 0, 1)
 	}
-	s.seen[key] = resp
+	s.seen = append(s.seen, seenKey{key, resp})
 }
 
 // requestTimeout caps how long one request's handler may run; the
@@ -412,7 +428,9 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 		created: now, lastSeen: now,
 	}
 	s.mu.Lock()
-	s.gcLocked(now)
+	if now.Sub(s.swept) >= s.cfg.SessionTTL {
+		s.gcLocked(now)
+	}
 	s.sessions[tok] = sess
 	s.mu.Unlock()
 	s.met.sessionsCreated.Inc()
@@ -495,7 +513,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.IdempotencyKey != "" {
-		if cached, dup := sess.seen[req.IdempotencyKey]; dup {
+		if i := sess.find(req.IdempotencyKey); i >= 0 {
+			cached := sess.seen[i].resp
 			sess.lastSeen = now
 			s.mu.Unlock()
 			s.met.idempotentReplays.Inc()
@@ -666,20 +685,31 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// gcLocked drops expired sessions; caller holds s.mu.
+// gcLocked drops expired sessions; caller holds s.mu. New sessions call it
+// at most once per SessionTTL, so creating one does not walk every live
+// session: an expired session lingers at most one more TTL, refused on
+// use, before a sweep drops it.
 func (s *Server) gcLocked(now time.Time) {
 	for tok, sess := range s.sessions {
 		if now.Sub(sess.lastSeen) > s.cfg.SessionTTL {
 			delete(s.sessions, tok)
 		}
 	}
+	s.swept = now
 }
 
-// ActiveSessions reports the live session count (monitoring).
+// ActiveSessions reports the unexpired session count (monitoring).
 func (s *Server) ActiveSessions() int {
+	now := s.cfg.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sessions)
+	n := 0
+	for _, sess := range s.sessions {
+		if now.Sub(sess.lastSeen) <= s.cfg.SessionTTL {
+			n++
+		}
+	}
+	return n
 }
 
 func newToken() (string, error) {

@@ -520,6 +520,51 @@ func TestSessionGC(t *testing.T) {
 	}
 }
 
+// TestSessionSweepOncePerTTL: a new session sweeps expired ones only when
+// a TTL has passed since the last sweep. In between, an expired session
+// stays in the table, but ActiveSessions leaves it out and its token is
+// refused.
+func TestSessionSweepOncePerTTL(t *testing.T) {
+	f := newFixture(t, func(c *Config) { c.SessionTTL = time.Minute })
+	t0 := f.now
+	at := func(d time.Duration) { f.now = t0.Add(d) }
+	held := func() int {
+		f.srv.mu.Lock()
+		defer f.srv.mu.Unlock()
+		return len(f.srv.sessions)
+	}
+
+	a := f.startSession(t, "a") // sweeps the empty table at t0
+	at(30 * time.Second)
+	b := f.startSession(t, "b")
+	at(61 * time.Second)
+	f.startSession(t, "c") // a TTL since t0: sweeps, dropping a
+	if got := held(); got != 2 {
+		t.Fatalf("after the sweep at 61s: %d sessions held, want 2 (b, c)", got)
+	}
+
+	at(100 * time.Second) // b expired at 90s; the last sweep was 39s ago
+	f.startSession(t, "d")
+	if got := held(); got != 3 {
+		t.Errorf("at 100s: %d sessions held, want 3 (b not swept yet)", got)
+	}
+	if got := f.srv.ActiveSessions(); got != 2 {
+		t.Errorf("at 100s: ActiveSessions = %d, want 2 (c, d)", got)
+	}
+	for _, tok := range []string{a, b} {
+		resp, body := f.post(t, "/api/v1/fingerprints", SubmitRequest{Token: tok, Records: []FPRecord{validRecord(0)}})
+		if resp.StatusCode != http.StatusUnauthorized {
+			t.Errorf("expired token: %d %s, want 401", resp.StatusCode, body)
+		}
+	}
+
+	at(130 * time.Second) // a TTL since the sweep at 61s: c (idle 69s) goes
+	f.startSession(t, "e")
+	if got, active := held(), f.srv.ActiveSessions(); got != 2 || active != 2 {
+		t.Errorf("after the sweep at 130s: %d held, %d active, want 2 and 2 (d, e)", got, active)
+	}
+}
+
 func TestNewRequiresStore(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New without store succeeded")

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // SinFunc computes sin(x) for x in radians. math.Sin is the reference.
@@ -21,7 +22,7 @@ type SinFunc func(float64) float64
 // It is safe for concurrent use after construction.
 type FFT struct {
 	n      int
-	rev    []int     // bit-reversal permutation
+	rev    []int     // bit-reversal permutation, shared by every plan of size n
 	cosTab []float64 // twiddle cosines, n/2 entries
 	sinTab []float64 // twiddle sines, n/2 entries
 }
@@ -37,13 +38,9 @@ func NewFFT(n int, sin SinFunc) (*FFT, error) {
 	}
 	f := &FFT{
 		n:      n,
-		rev:    make([]int, n),
+		rev:    bitReversal(n),
 		cosTab: make([]float64, n/2),
 		sinTab: make([]float64, n/2),
-	}
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := range f.rev {
-		f.rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
 	}
 	for i := 0; i < n/2; i++ {
 		theta := -2 * math.Pi * float64(i) / float64(n)
@@ -51,6 +48,25 @@ func NewFFT(n int, sin SinFunc) (*FFT, error) {
 		f.sinTab[i] = sin(theta)
 	}
 	return f, nil
+}
+
+// revTables holds one bit-reversal permutation per transform size. The
+// permutation depends on the size alone, so plans of one size share it
+// whatever their sine kernel; Transform only reads it.
+var revTables sync.Map // int → []int
+
+// bitReversal returns the shared bit-reversal permutation of size n.
+func bitReversal(n int) []int {
+	if rev, ok := revTables.Load(n); ok {
+		return rev.([]int)
+	}
+	rev := make([]int, n)
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := range rev {
+		rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
+	}
+	shared, _ := revTables.LoadOrStore(n, rev)
+	return shared.([]int)
 }
 
 // Transform computes the in-place forward FFT of (re, im).

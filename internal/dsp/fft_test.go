@@ -24,6 +24,29 @@ func TestNewFFTRejectsBadSizes(t *testing.T) {
 	}
 }
 
+// TestBitReversalShared: plans of one size share one bit-reversal table
+// whatever their sine kernel, and the table is the size's permutation.
+func TestBitReversalShared(t *testing.T) {
+	a, _ := NewFFT(2048, nil)
+	b, _ := NewFFT(2048, func(x float64) float64 { return math.Sin(x) * (1 + 1e-12) })
+	c, _ := NewFFT(1024, nil)
+	if &a.rev[0] != &b.rev[0] {
+		t.Error("two 2048-point plans hold separate bit-reversal tables")
+	}
+	if len(c.rev) != 1024 || &a.rev[0] == &c.rev[0] {
+		t.Error("the 1024-point plan shares the 2048-point table")
+	}
+	for i, j := range c.rev {
+		want := 0
+		for bit := 0; bit < 10; bit++ {
+			want |= (i >> bit & 1) << (9 - bit)
+		}
+		if j != want {
+			t.Fatalf("rev[%d] = %d, want %d", i, j, want)
+		}
+	}
+}
+
 // naiveDFT is the O(n²) reference used to validate the FFT.
 func naiveDFT(re, im []float64) ([]float64, []float64) {
 	n := len(re)

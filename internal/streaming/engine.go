@@ -95,6 +95,10 @@ type Engine struct {
 	st    *State
 	users map[string]int32 // user ID → dense ID
 	vecs  []vecIndex       // indexed in vectors.All order
+	// surfs holds each distinct surface value once: every user whose
+	// value equals it points at that one string, not at the copy its
+	// record was decoded into. Nil until the first value.
+	surfs map[string]string
 
 	amiMu   sync.Mutex
 	ami     *AMISnapshot
@@ -380,11 +384,11 @@ func (e *Engine) applyLocked(r *storage.Record) {
 		}
 	}
 	if s.Surfs[surfUA][uid] == "" {
-		s.Surfs[surfUA][uid] = r.UserAgent
+		s.Surfs[surfUA][uid] = e.surface(r.UserAgent)
 	}
 	for i, key := range surfaceKeys {
 		if v, ok := r.Surfaces[key]; ok && key != "" {
-			s.Surfs[i][uid] = v
+			s.Surfs[i][uid] = e.surface(v)
 		}
 	}
 	s.Records++
@@ -407,6 +411,21 @@ func (e *Engine) applyLocked(r *storage.Record) {
 		vs.Distinct[uid]++
 	}
 	vs.Obs++
+}
+
+// surface returns the engine's copy of the surface value v, making v that
+// copy when no user has held the value before. Values stay in the table
+// for the engine's life, as the users' values mostly do. The table is
+// made on first use, so an empty engine holds none.
+func (e *Engine) surface(v string) string {
+	if c, ok := e.surfs[v]; ok {
+		return c
+	}
+	if e.surfs == nil {
+		e.surfs = make(map[string]string)
+	}
+	e.surfs[v] = v
+	return v
 }
 
 // insertSorted inserts v into the sorted slice *s if absent and reports

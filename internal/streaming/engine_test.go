@@ -2,8 +2,10 @@ package streaming_test
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/diversity"
 	"repro/internal/obs"
@@ -71,5 +73,38 @@ func TestEngineSkipsAuxiliaryRecords(t *testing.T) {
 	}
 	if got := eng.Clusters().Rows[0]; got.Clusters != 3 || got.Observations != 2 {
 		t.Errorf("DC clusters = %+v, want 3 clusters from 2 observations", got)
+	}
+}
+
+// TestEngineSharesSurfaceValues: users whose surface values are equal
+// point at one string in the engine's state, though each user's records
+// carry their own copy, as decoded requests do; a value no other user
+// holds stays the user's own.
+func TestEngineSharesSurfaceValues(t *testing.T) {
+	rec := func(user, canvas string) storage.Record {
+		return storage.Record{UserID: user, Vector: vectors.DC.String(), Hash: "a",
+			UserAgent: strings.Clone("Mozilla/5.0 (X11; Linux x86_64) Firefox/96.0"),
+			Surfaces: map[string]string{
+				study.SurfaceCanvas:   strings.Clone(canvas),
+				study.SurfaceFonts:    strings.Clone("Arial,Helvetica"),
+				study.SurfaceMathJS:   strings.Clone("mathjs-1"),
+				study.SurfacePlatform: strings.Clone("Linux x86_64"),
+			}}
+	}
+	recs := []storage.Record{rec("u1", "canvas-a"), rec("u2", "canvas-a"), rec("u3", "canvas-b")}
+	eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
+	defer eng.Close()
+	eng.Apply(recs)
+	st := eng.State()
+	if len(st.Surfs) != 5 || len(st.Users) != 3 {
+		t.Fatalf("state has %d surfaces over %d users, want 5 over 3", len(st.Surfs), len(st.Users))
+	}
+	for i, values := range st.Surfs {
+		if values[0] != values[1] || unsafe.StringData(values[0]) != unsafe.StringData(values[1]) {
+			t.Errorf("surface %d: u1 %q and u2 %q do not share one string", i, values[0], values[1])
+		}
+	}
+	if canvas := st.Surfs[0]; canvas[2] != "canvas-b" || unsafe.StringData(canvas[2]) != unsafe.StringData(recs[2].Surfaces[study.SurfaceCanvas]) {
+		t.Errorf("u3's canvas %q is not its own record's string", canvas[2])
 	}
 }

@@ -7,13 +7,15 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/vectors"
 )
 
 // mapGroupedScore is the decision as first written: samples grouped
-// through a map, the vectors sorted by name, evidence appended per vector.
-func mapGroupedScore(e *Engine, userID string, samples []Sample) (float64, []VectorEvidence, bool) {
-	hist, known := e.users[userID]
+// through a map, the vectors sorted by name, evidence appended per vector,
+// each hash looked up in the string-set oracle's history.
+func mapGroupedScore(o *oracle, userID string, samples []Sample) (float64, []VectorEvidence, bool) {
+	hist, known := o.users[userID]
 	if !known {
 		return 0, nil, false
 	}
@@ -61,10 +63,11 @@ func mapGroupedScore(e *Engine, userID string, samples []Sample) (float64, []Vec
 
 // TestScoreMatchesMapGrouping: over random sample sets — duplicate
 // hashes, foreign hashes, vectors the user was never seen on, empty sets
-// and unknown users — Score must return exactly the map-grouped decision.
+// and unknown users — Score must return exactly the map-grouped decision
+// over the same enrollments in the string-set oracle.
 func TestScoreMatchesMapGrouping(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	e := New(Config{})
+	e, o := New(Config{}), newOracle()
 	for u := 0; u < 20; u++ {
 		user := fmt.Sprintf("u%d", u)
 		for _, v := range vectors.All {
@@ -72,7 +75,9 @@ func TestScoreMatchesMapGrouping(t *testing.T) {
 				continue // no history on v
 			}
 			for h := 0; h < 1+rng.Intn(3); h++ {
-				e.EnrollHashes(user, v, fmt.Sprintf("%v-%d-%d", v, u, h))
+				hash := fmt.Sprintf("%v-%d-%d", v, u, h)
+				e.EnrollHashes(user, v, hash)
+				o.Enroll([]storage.Record{{UserID: user, Vector: v.String(), Hash: hash}})
 			}
 		}
 	}
@@ -89,7 +94,7 @@ func TestScoreMatchesMapGrouping(t *testing.T) {
 			samples[i] = Sample{Vector: v, Hash: fmt.Sprintf("%v-%d-%d", v, owner, rng.Intn(3))}
 		}
 		score, evidence, known := e.Score(user, samples)
-		wantScore, wantEvidence, wantKnown := mapGroupedScore(e, user, samples)
+		wantScore, wantEvidence, wantKnown := mapGroupedScore(o, user, samples)
 		if score != wantScore || known != wantKnown || !reflect.DeepEqual(evidence, wantEvidence) {
 			t.Fatalf("trial %d (%s, %v):\ngot  %v %v %+v\nwant %v %v %+v",
 				trial, user, samples, score, known, evidence, wantScore, wantKnown, wantEvidence)

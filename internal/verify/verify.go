@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -115,8 +114,13 @@ type StatsSnapshot struct {
 type Engine struct {
 	cfg Config
 
-	mu      sync.RWMutex
-	users   map[string][]vectorHistory
+	mu sync.RWMutex
+	// intern gives each distinct hash of a vector one dense ID and keeps
+	// the string once, however many users hold it. A vector's map is made
+	// by the first enrollment on it.
+	intern  [numVectors]map[string]int32
+	users   map[string]int32 // user ID → index into hists
+	hists   []history
 	records int64
 
 	accepted, rejected, unknown int64
@@ -124,30 +128,43 @@ type Engine struct {
 	metAccept, metReject, metUnknown *obs.Counter
 }
 
-// vectorHistory is one user's stored history on one vector: the distinct
-// hashes ever enrolled, sorted so recognition is a binary search. The
-// exact strings are kept, not a digest: hashes come from clients, and a
+// numVectors bounds the vector IDs an Engine stores history for.
+const numVectors = int(vectors.FM) + 1
+
+// history is one user's stored history: per vector, the IDs of the
+// distinct hashes ever enrolled, sorted so recognition is a binary search.
+// The vectors' sets lie back to back in ID order; vector v's set is
+// ids[end[v-1]:end[v]], starting at 0 for the first. The exact strings
+// behind the IDs are kept, not a digest: hashes come from clients, and a
 // truncated digest would let two different strings compare equal.
-type vectorHistory struct {
-	vector vectors.ID
-	hashes []string
+type history struct {
+	end [numVectors]int32
+	ids []int32
 }
 
-// historyIndex returns the index of v's history in hist, -1 when the user
-// has none on v.
-func historyIndex(hist []vectorHistory, v vectors.ID) int {
-	for i := range hist {
-		if hist[i].vector == v {
-			return i
-		}
+// set returns the user's sorted ID set on v and its offset in h.ids.
+func (h *history) set(v vectors.ID) ([]int32, int) {
+	lo := 0
+	if v > 0 {
+		lo = int(h.end[v-1])
 	}
-	return -1
+	return h.ids[lo:h.end[v]], lo
 }
 
-// recognized reports whether hash is in the sorted set.
-func recognized(set []string, hash string) bool {
-	i := sort.SearchStrings(set, hash)
-	return i < len(set) && set[i] == hash
+// insert adds id to the user's set on v unless it is there.
+func (h *history) insert(v vectors.ID, id int32) {
+	set, lo := h.set(v)
+	j, found := slices.BinarySearch(set, id)
+	if found {
+		return
+	}
+	j += lo
+	h.ids = append(h.ids, 0)
+	copy(h.ids[j+1:], h.ids[j:])
+	h.ids[j] = id
+	for w := int(v); w < numVectors; w++ {
+		h.end[w]++
+	}
 }
 
 // New builds an Engine.
@@ -159,7 +176,7 @@ func New(cfg Config) *Engine {
 			cfg.Threshold = DefaultThreshold
 		}
 	}
-	e := &Engine{cfg: cfg, users: make(map[string][]vectorHistory)}
+	e := &Engine{cfg: cfg, users: make(map[string]int32)}
 	if cfg.Registry != nil {
 		lbl := func(decision string) obs.Labels {
 			l := obs.Labels{"decision": decision}
@@ -189,25 +206,29 @@ func New(cfg Config) *Engine {
 func (e *Engine) Enroll(recs []storage.Record) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, rec := range recs {
+	for i := range recs {
+		rec := &recs[i]
 		v, err := vectors.ParseID(rec.Vector)
 		if err != nil || rec.Hash == "" || rec.UserID == "" {
 			continue
 		}
-		hist := e.users[rec.UserID]
-		i := historyIndex(hist, v)
-		if i < 0 {
-			i = len(hist)
-			hist = append(hist, vectorHistory{vector: v})
-			e.users[rec.UserID] = hist
+		m := e.intern[v]
+		if m == nil {
+			m = make(map[string]int32)
+			e.intern[v] = m
 		}
-		set := hist[i].hashes
-		if j := sort.SearchStrings(set, rec.Hash); j == len(set) || set[j] != rec.Hash {
-			set = append(set, "")
-			copy(set[j+1:], set[j:])
-			set[j] = rec.Hash
-			hist[i].hashes = set
+		id, ok := m[rec.Hash]
+		if !ok {
+			id = int32(len(m))
+			m[rec.Hash] = id
 		}
+		u, ok := e.users[rec.UserID]
+		if !ok {
+			u = int32(len(e.hists))
+			e.users[rec.UserID] = u
+			e.hists = append(e.hists, history{})
+		}
+		e.hists[u].insert(v, id)
 		e.records++
 	}
 }
@@ -227,10 +248,11 @@ func (e *Engine) EnrollHashes(userID string, v vectors.ID, hashes ...string) {
 func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence []VectorEvidence, known bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	hist, known := e.users[userID]
+	u, known := e.users[userID]
 	if !known {
 		return 0, nil, false
 	}
+	hist := &e.hists[u]
 
 	// Group the submitted hashes per vector: sort one copy of the samples
 	// stably by vector name, the evidence order, and walk its runs.
@@ -259,8 +281,11 @@ func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence
 		group := sorted[lo:hi]
 		lo = hi
 		ve := VectorEvidence{Vector: v.String(), Samples: len(group)}
-		i := historyIndex(hist, v)
-		if i < 0 {
+		var set []int32
+		if v >= 0 && int(v) < numVectors {
+			set, _ = hist.set(v)
+		}
+		if len(set) == 0 {
 			// The user was never observed on this vector: the submission
 			// is neither confirming nor refuting, so it stays out of the
 			// score — a verifier cannot hold absent enrollment against a
@@ -269,9 +294,14 @@ func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence
 			evidence = append(evidence, ve)
 			continue
 		}
+		// A hash the engine never interned is in no user's set; the
+		// lookup never inserts, so impostor probes leave the engine as
+		// it was.
 		for _, s := range group {
-			if recognized(hist[i].hashes, s.Hash) {
-				ve.Recognized++
+			if id, ok := e.intern[v][s.Hash]; ok {
+				if _, found := slices.BinarySearch(set, id); found {
+					ve.Recognized++
+				}
 			}
 		}
 		ve.Outcome = "none"

@@ -3,6 +3,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -189,33 +190,49 @@ func TestCalibrate(t *testing.T) {
 }
 
 // TestEnrollSortedDistinct: a user's history on a vector is the sorted set
-// of distinct enrolled strings, compared exactly; every record still
-// counts toward Stats.Records.
+// of distinct enrolled strings, compared exactly — the oracle holds that
+// set and the engine must decide as it does; every record still counts
+// toward Stats.Records.
 func TestEnrollSortedDistinct(t *testing.T) {
-	e := New(Config{})
+	e, o := New(Config{}), newOracle()
+	enroll := func(v vectors.ID, h string) {
+		e.EnrollHashes("alice", v, h)
+		o.Enroll([]storage.Record{{UserID: "alice", Vector: v.String(), Hash: h}})
+	}
 	for _, h := range []string{"c3", "a1", "b2", "a1", "c3", "a10"} {
-		e.EnrollHashes("alice", vectors.DC, h)
+		enroll(vectors.DC, h)
 	}
-	e.EnrollHashes("alice", vectors.FFT, "ff")
+	enroll(vectors.FFT, "ff")
 	want := []string{"a1", "a10", "b2", "c3"}
-	hist := e.users["alice"]
+	hist := o.users["alice"]
 	if i := historyIndex(hist, vectors.DC); i < 0 || strings.Join(hist[i].hashes, ",") != strings.Join(want, ",") {
-		t.Errorf("DC history = %+v, want %v", hist, want)
+		t.Errorf("oracle DC history = %+v, want %v", hist, want)
 	}
-	if got := e.Stats().Records; got != 7 {
-		t.Errorf("Records = %d, want 7", got)
+	if got, want := e.Stats(), o.Stats(); got.Records != 7 || got != want {
+		t.Errorf("Stats = %+v, want %+v with Records 7", got, want)
 	}
-	d, err := e.Verify("alice", []Sample{
+	probe := []Sample{
 		{Vector: vectors.DC, Hash: "a1"},
 		{Vector: vectors.DC, Hash: "a"}, // a prefix of enrolled hashes
 		{Vector: vectors.DC, Hash: "c3"},
 		{Vector: vectors.DC, Hash: "c30"},
-	})
+	}
+	d, err := e.Verify("alice", probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev := d.Vectors[0]; ev.Recognized != 2 || ev.Samples != 4 || ev.Outcome != "unique" {
 		t.Errorf("DC evidence = %+v, want 2 of 4 recognized", ev)
+	}
+	if od, _ := o.Verify("alice", probe); !reflect.DeepEqual(d, od) {
+		t.Errorf("decision = %+v, oracle's = %+v", d, od)
+	}
+	for _, h := range append(want, "a", "c30", "ff") {
+		d, _ := e.Verify("alice", []Sample{{Vector: vectors.DC, Hash: h}})
+		od, _ := o.Verify("alice", []Sample{{Vector: vectors.DC, Hash: h}})
+		if !reflect.DeepEqual(d, od) {
+			t.Errorf("probe %q: decision = %+v, oracle's = %+v", h, d, od)
+		}
 	}
 }
 
