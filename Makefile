@@ -50,7 +50,8 @@ stress:
 # compiles it) and the tracker example, a short fuzz pass over the
 # ingestion surfaces (10s per target, seeded from the checked-in
 # torn/corrupt corpora), and a report-only bench-gate comparison against
-# the committed render trajectory (shared CI runners are too noisy to
+# the committed render trajectory, reading each entry's minimum of three
+# runs as the enforced gate does (shared CI runners are too noisy to
 # enforce here; nightly enforces).
 check: build vet stress
 	$(GO) test -race ./internal/obs/ ./internal/obs/series/ ./internal/watch/ ./internal/webaudio/ ./internal/diag/
@@ -67,7 +68,7 @@ check: build vet stress
 	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/obs/
 	$(GO) test -run '^$$' -fuzz FuzzShardOf -fuzztime 10s ./internal/shard/
 	$(GO) test -run '^$$' -fuzz FuzzMergedSnapshotJSON -fuzztime 10s ./internal/shard/
-	$(MAKE) bench-gate GATE_FLAGS=-report-only GATE_COUNT=1
+	$(MAKE) bench-gate GATE_FLAGS=-report-only GATE_COUNT=3
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -109,8 +110,10 @@ bench-stream:
 	@echo wrote BENCH_stream.json
 
 # Sharded-vs-single cost at the paper's 2093-user scale: per-record routing
-# overhead, the cold cross-shard merge, the cached read, and a four-shard
-# restart's storage half and whole (DESIGN.md §14). Five runs per entry
+# overhead, the cold cross-shard merge, the cached read, the plane's heap
+# per user at rest (BenchmarkShardLiveHeap's heap-B/user, which only the
+# raw output shows: benchjson keeps ns/op, B/op and allocs/op), and a
+# four-shard restart's storage half and whole (DESIGN.md §14). Five runs per entry
 # (-count 5); benchgate reads the fastest of each name, so one noisy run
 # moves nothing. The committed BENCH_shard.json is five runs on a 2-vCPU
 # Xeon (Go 1.24.0, GOMAXPROCS 2).

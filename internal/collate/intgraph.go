@@ -9,7 +9,8 @@
 // disjoint-set forest (path halving, union by user count) over dense int32
 // IDs — the fingerprinter data structure the paper's §3.2 scalability
 // argument assumes. Graph is a string interner in front of it for callers
-// that observe raw user ids and hashes.
+// that observe raw user ids and hashes. UserSets is one user's side of the
+// seven audio vectors' graphs, the per-user sets the served planes keep.
 package collate
 
 // IntGraph is the dense, int-keyed bipartite collation graph: users and

@@ -175,6 +175,16 @@ type Server struct {
 	sessions map[string]*session
 	// swept is when expired sessions were last dropped from sessions.
 	swept time.Time
+
+	// uas holds each distinct User-Agent of the sessions created since the
+	// last sweep once, so sessions with equal User-Agents share one
+	// string rather than each keeping the copy its request decoded. Nil
+	// until the first session, and dropped at every sweep, so it never
+	// outgrows one TTL's sessions. A new session resolves its User-Agent
+	// before it takes s.mu, so the table has a lock of its own and s.mu
+	// is held no longer for it.
+	uaMu sync.Mutex
+	uas  map[string]string
 }
 
 type session struct {
@@ -424,7 +434,7 @@ func (s *Server) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	}
 	now := s.cfg.Now()
 	sess := &session{
-		id: "s-" + tok[:12], userID: req.UserID, userAgent: req.UserAgent,
+		id: "s-" + tok[:12], userID: req.UserID, userAgent: s.userAgent(req.UserAgent),
 		created: now, lastSeen: now,
 	}
 	s.mu.Lock()
@@ -685,10 +695,10 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// gcLocked drops expired sessions; caller holds s.mu. New sessions call it
-// at most once per SessionTTL, so creating one does not walk every live
-// session: an expired session lingers at most one more TTL, refused on
-// use, before a sweep drops it.
+// gcLocked drops expired sessions and the User-Agent table; caller holds
+// s.mu. New sessions call it at most once per SessionTTL, so creating one
+// does not walk every live session: an expired session lingers at most
+// one more TTL, refused on use, before a sweep drops it.
 func (s *Server) gcLocked(now time.Time) {
 	for tok, sess := range s.sessions {
 		if now.Sub(sess.lastSeen) > s.cfg.SessionTTL {
@@ -696,6 +706,24 @@ func (s *Server) gcLocked(now time.Time) {
 		}
 	}
 	s.swept = now
+	s.uaMu.Lock()
+	s.uas = nil
+	s.uaMu.Unlock()
+}
+
+// userAgent returns the table's copy of the User-Agent ua, making ua
+// that copy when no session since the last sweep carried it.
+func (s *Server) userAgent(ua string) string {
+	s.uaMu.Lock()
+	defer s.uaMu.Unlock()
+	if c, ok := s.uas[ua]; ok {
+		return c
+	}
+	if s.uas == nil {
+		s.uas = make(map[string]string)
+	}
+	s.uas[ua] = ua
+	return ua
 }
 
 // ActiveSessions reports the unexpired session count (monitoring).

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -562,6 +563,43 @@ func TestSessionSweepOncePerTTL(t *testing.T) {
 	f.startSession(t, "e")
 	if got, active := held(), f.srv.ActiveSessions(); got != 2 || active != 2 {
 		t.Errorf("after the sweep at 130s: %d held, %d active, want 2 and 2 (d, e)", got, active)
+	}
+}
+
+// TestSessionUserAgentShared: sessions whose requests carry equal
+// User-Agents keep one string, not one decoded copy each, and the
+// once-per-TTL sweep drops the table, so a later session keeps its own.
+func TestSessionUserAgentShared(t *testing.T) {
+	f := newFixture(t, func(c *Config) { c.SessionTTL = time.Minute })
+	t0 := f.now
+	ua := func(tok string) *byte {
+		f.srv.mu.Lock()
+		defer f.srv.mu.Unlock()
+		s := f.srv.sessions[tok].userAgent
+		if s != "TestUA/1.0" {
+			t.Fatalf("session User-Agent = %q", s)
+		}
+		return unsafe.StringData(s)
+	}
+	f.startSession(t, "a") // sweeps the empty table at t0
+	shared := ua(f.startSession(t, "b"))
+	f.now = t0.Add(30 * time.Second)
+	if ua(f.startSession(t, "c")) != shared {
+		t.Fatal("two sessions with one User-Agent hold separate strings")
+	}
+
+	f.now = t0.Add(61 * time.Second)
+	if ua(f.startSession(t, "d")) != shared { // a TTL since t0: sweeps
+		t.Error("the session that sweeps did not share the table's string")
+	}
+	f.srv.uaMu.Lock()
+	held := len(f.srv.uas)
+	f.srv.uaMu.Unlock()
+	if held != 0 {
+		t.Errorf("after the sweep the User-Agent table holds %d entries, want 0", held)
+	}
+	if ua(f.startSession(t, "e")) == shared {
+		t.Error("a session created after the sweep shares a string the dropped table held")
 	}
 }
 

@@ -3,6 +3,8 @@ package shard_test
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -84,6 +86,68 @@ func BenchmarkShardCachedSnapshot(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = rt.Diversity()
 			}
+		})
+	}
+}
+
+// BenchmarkShardLiveHeap prices what a served analytics plane holds per
+// user at rest: a router bootstraps the 2093-user fixture from records
+// that each carry their own copies of their strings, as decoded ones do,
+// serves one read of each payload and one RefreshAMI, and the records are
+// dropped before the heap is read. heap-B/user is then everything the
+// router keeps per user: the shard engines' state, the routing ledger and
+// the cached read payloads.
+func BenchmarkShardLiveHeap(b *testing.B) {
+	fixture := paperRecords(b)
+	users := map[string]bool{}
+	for _, r := range fixture {
+		users[r.UserID] = true
+	}
+	for _, n := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			var ms runtime.MemStats
+			var held float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				before := ms.HeapAlloc
+				recs := make([]storage.Record, len(fixture))
+				for j, r := range fixture {
+					r.UserID, r.Hash, r.UserAgent = strings.Clone(r.UserID), strings.Clone(r.Hash), strings.Clone(r.UserAgent)
+					if r.Surfaces != nil {
+						surfs := make(map[string]string, len(r.Surfaces))
+						for k, v := range r.Surfaces {
+							surfs[k] = strings.Clone(v)
+						}
+						r.Surfaces = surfs
+					}
+					recs[j] = r
+				}
+				b.StartTimer()
+				rt, err := shard.NewRouter(shard.Config{
+					Shards: n,
+					Engine: streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rt.Bootstrap(recs)
+				_, _, _ = rt.Diversity(), rt.Clusters(), rt.Stability()
+				rt.RefreshAMI()
+				b.StopTimer()
+				recs = nil
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				held += float64(ms.HeapAlloc) - float64(before)
+				// Closed only once measured, so no router outlives its
+				// iteration.
+				rt.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(held/float64(b.N)/float64(len(users)), "heap-B/user")
 		})
 	}
 }

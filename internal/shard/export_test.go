@@ -5,8 +5,11 @@ import (
 	"repro/internal/verify"
 )
 
-// Merged returns the router's merged state.
-func (r *Router) Merged() *streaming.State { return r.merged() }
+// Merged returns a merge of the router's shard states.
+func (r *Router) Merged() *streaming.State {
+	m, _ := r.merge()
+	return m
+}
 
 // Engine returns shard i's engine.
 func (v *Verifiers) Engine(i int) *verify.Engine { return v.engines[i] }

@@ -27,9 +27,9 @@ func (r *Router) registerMetrics(reg *obs.Registry, n int) {
 	r.met.merges = reg.Counter("shard_merges_total",
 		"Cross-shard analytics state merges performed.", nil)
 	r.met.cacheHits = reg.Counter("shard_merge_cache_hits_total",
-		"Analytics reads served from the cached merged state.", nil)
+		"Analytics reads served from the cached merged views.", nil)
 	r.met.mergeSeconds = reg.Histogram("shard_merge_seconds",
-		"Latency of one cross-shard state merge (snapshot + fold).",
+		"Latency of one cross-shard state merge (snapshot + fold + views).",
 		obs.LatencyBuckets(), nil)
 	reg.GaugeFunc("shard_count", "Configured shard count.", nil,
 		func() float64 { return float64(n) })

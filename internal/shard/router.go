@@ -37,10 +37,12 @@ type Config struct {
 // Stability answer from a merge of the shards' current states (exact, as
 // of each shard's applied position) through the same State methods an
 // engine answers from, and AMI serves the last refreshed snapshot. The
-// merged state is cached keyed by the per-shard applied record counts, so
-// an idle system answers repeated reads with one merge. Concurrent reads
-// and the async AMI refresh share the cached state, which the State read
-// methods never write.
+// router keeps no merged state between reads, only the payloads built
+// from it (streaming.Views) and the labels the AMI refresh needs, cached
+// keyed by the per-shard record counts of the states merged, so an idle
+// system answers repeated reads and refreshes with one merge. Concurrent
+// reads and the async AMI refresh share the cached views, which nothing
+// writes once they are built.
 type Router struct {
 	engines []*streaming.Engine
 
@@ -56,8 +58,8 @@ type Router struct {
 	refreshing atomic.Bool // an auto refresh is in flight
 
 	cacheMu  sync.Mutex
-	cacheKey []int64 // per-shard applied record counts of cached
-	cached   *streaming.State
+	cacheKey []int64 // per-shard record counts of the states cached was built from
+	cached   *streaming.Views
 
 	queueCap int
 	met      routerMetrics
@@ -193,13 +195,11 @@ func (r *Router) Close() {
 	}
 }
 
-// merged returns the merge of all shards' current states, with each
-// user's Seq rewritten from the router's global first-seen ledger so the
-// merged dense order reproduces the original submission order. Cached
-// keyed by the per-shard applied record counts. A merge error means two
-// shards claim one user — impossible while Of routes every record — so it
-// panics rather than serving silently wrong analytics.
-func (r *Router) merged() *streaming.State {
+// views returns the read payloads of the shards' current states. They
+// are built from a merge and cached keyed by the per-shard record counts
+// of the states merged, so a read at an unchanged version merges nothing;
+// the merged state itself is garbage once its views are built.
+func (r *Router) views() *streaming.Views {
 	key := make([]int64, len(r.engines))
 	for i, e := range r.engines {
 		key[i] = e.Status().Records
@@ -214,9 +214,30 @@ func (r *Router) merged() *streaming.State {
 	r.cacheMu.Unlock()
 
 	start := time.Now()
+	m, key := r.merge()
+	v := m.Views()
+	r.met.merges.Inc()
+	r.met.mergeSeconds.Observe(time.Since(start).Seconds())
+
+	r.cacheMu.Lock()
+	r.cacheKey = key
+	r.cached = v
+	r.cacheMu.Unlock()
+	return v
+}
+
+// merge returns the merge of copies of all shards' current states, with
+// each user's Seq rewritten from the router's global first-seen ledger so
+// the merged dense order reproduces the original submission order, and
+// the copies' record counts: the version the merge is of. A merge error
+// means two shards claim one user — impossible while Of routes every
+// record — so it panics rather than serving silently wrong analytics.
+func (r *Router) merge() (*streaming.State, []int64) {
 	states := make([]*streaming.State, len(r.engines))
+	key := make([]int64, len(r.engines))
 	for i, e := range r.engines {
 		states[i] = e.State()
+		key[i] = states[i].Records
 	}
 	r.mu.Lock()
 	for _, s := range states {
@@ -225,33 +246,32 @@ func (r *Router) merged() *streaming.State {
 		}
 	}
 	r.mu.Unlock()
-	acc := streaming.NewState()
-	for _, s := range states {
+	// The copies are the router's own, so the fold starts from the first
+	// rather than merging it into NewState, the merge identity.
+	acc := states[0]
+	for _, s := range states[1:] {
 		m, err := acc.Merge(s)
 		if err != nil {
 			panic(fmt.Sprintf("shard: user owned by two shards: %v", err))
 		}
 		acc = m
 	}
-	r.met.merges.Inc()
-	r.met.mergeSeconds.Observe(time.Since(start).Seconds())
-
-	r.cacheMu.Lock()
-	r.cacheKey = key
-	r.cached = acc
-	r.cacheMu.Unlock()
-	return acc
+	return acc, key
 }
 
 // Diversity returns the merged entropy table (bit-identical to a single
-// engine over the same stream).
-func (r *Router) Diversity() streaming.EntropySnapshot { return r.merged().Diversity() }
+// engine over the same stream). Its rows are shared with every reader of
+// the same version and must not be modified.
+func (r *Router) Diversity() streaming.EntropySnapshot { return r.views().Diversity }
 
-// Clusters returns the merged per-vector collation statistics.
-func (r *Router) Clusters() streaming.ClusterSnapshot { return r.merged().Clusters() }
+// Clusters returns the merged per-vector collation statistics. Its rows
+// are shared with every reader of the same version and must not be
+// modified.
+func (r *Router) Clusters() streaming.ClusterSnapshot { return r.views().Clusters }
 
-// Stability returns the merged Table 1 rows.
-func (r *Router) Stability() streaming.StabilitySnapshot { return r.merged().Stability() }
+// Stability returns the merged Table 1 rows. Its rows are shared with
+// every reader of the same version and must not be modified.
+func (r *Router) Stability() streaming.StabilitySnapshot { return r.views().Stability }
 
 // AMI returns the most recent merged pairwise-AMI snapshot, or nil when
 // none has been computed yet.
@@ -261,12 +281,12 @@ func (r *Router) AMI() *streaming.AMISnapshot {
 	return r.ami
 }
 
-// RefreshAMI syncs every shard, merges, recomputes the pairwise-vector
-// AMI matrix and installs it as the served snapshot.
+// RefreshAMI syncs every shard, recomputes the pairwise-vector AMI matrix
+// over the current version's merged labels and installs it as the served
+// snapshot. At a version whose views are cached it merges nothing.
 func (r *Router) RefreshAMI() *streaming.AMISnapshot {
 	_ = r.Sync() // a lost batch on a closing engine still yields a valid (partial) snapshot
-	s := r.merged()
-	snap := s.AMI()
+	snap := r.views().AMI()
 	r.amiMu.Lock()
 	r.ami = snap
 	r.lastAMI = snap.Records

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/collate"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/study"
@@ -67,13 +68,6 @@ type Config struct {
 	MetricLabels obs.Labels
 }
 
-// vecIndex is what folding a record into one audio vector needs beside
-// the State: the hash interning and each user's distinct fingerprints.
-type vecIndex struct {
-	intern   map[string]int32 // hash → dense fingerprint ID
-	distinct [][]int32        // per-user sorted distinct fingerprint IDs
-}
-
 // Engine is the incremental analysis engine. Create with New; feed it
 // accepted submissions with EnqueueContext (or Bootstrap for recovery
 // replay); read consistent snapshots with the methods in snapshot.go. All
@@ -94,7 +88,12 @@ type Engine struct {
 	// them in its copy.
 	st    *State
 	users map[string]int32 // user ID → dense ID
-	vecs  []vecIndex       // indexed in vectors.All order
+	// intern maps each vector's hashes to dense fingerprint IDs, indexed
+	// in vectors.All order.
+	intern [collate.NumVectors]map[string]int32
+	// sets holds each user's sorted distinct fingerprint IDs per vector,
+	// indexed by dense user ID.
+	sets []collate.UserSets
 	// surfs holds each distinct surface value once: every user whose
 	// value equals it points at that one string, not at the copy its
 	// record was decoded into. Nil until the first value.
@@ -160,9 +159,8 @@ func New(cfg Config) *Engine {
 	e.queue = make(chan batch, e.queueDepth)
 	e.qcond = sync.NewCond(&e.qmu)
 	e.st = NewState()
-	e.vecs = make([]vecIndex, len(vectors.All))
-	for i := range e.vecs {
-		e.vecs[i].intern = map[string]int32{}
+	for i := range e.intern {
+		e.intern[i] = map[string]int32{}
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -364,9 +362,9 @@ func (e *Engine) loadLastAMI() int64 {
 // in first-record order (even for records whose vector does not parse),
 // User-Agent is first-non-empty-wins, surfaces are last-record-wins, and
 // unparseable vectors contribute nothing beyond user/surface bookkeeping.
-// O(α(n)) amortized per record plus the distinct-set insertion (bounded by
-// a user's distinct fingerprints for one vector — single digits in
-// practice, Table 1).
+// O(α(n)) amortized per record plus the distinct-set insertion, which
+// shifts at most the user's distinct fingerprints over all seven vectors
+// (a few dozen in practice, Table 1).
 func (e *Engine) applyLocked(r *storage.Record) {
 	s := e.st
 	uid, ok := e.users[r.UserID]
@@ -380,8 +378,8 @@ func (e *Engine) applyLocked(r *storage.Record) {
 		for i := range s.Vecs {
 			s.Vecs[i].Graph.AddUser()
 			s.Vecs[i].Distinct = append(s.Vecs[i].Distinct, 0)
-			e.vecs[i].distinct = append(e.vecs[i].distinct, nil)
 		}
+		e.sets = append(e.sets, collate.UserSets{})
 	}
 	if s.Surfs[surfUA][uid] == "" {
 		s.Surfs[surfUA][uid] = e.surface(r.UserAgent)
@@ -399,15 +397,15 @@ func (e *Engine) applyLocked(r *storage.Record) {
 		return
 	}
 	i := slices.Index(vectors.All, v)
-	vi, vs := &e.vecs[i], &s.Vecs[i]
-	fp, ok := vi.intern[r.Hash]
+	vs := &s.Vecs[i]
+	fp, ok := e.intern[i][r.Hash]
 	if !ok {
-		fp = int32(len(vi.intern))
-		vi.intern[r.Hash] = fp
+		fp = int32(len(e.intern[i]))
+		e.intern[i][r.Hash] = fp
 		vs.Graph.EnsureUniverse(int(fp) + 1)
 	}
 	vs.Graph.AddObservation(uid, fp)
-	if insertSorted(&vi.distinct[uid], fp) {
+	if e.sets[uid].Insert(i, fp) {
 		vs.Distinct[uid]++
 	}
 	vs.Obs++
@@ -426,27 +424,4 @@ func (e *Engine) surface(v string) string {
 	}
 	e.surfs[v] = v
 	return v
-}
-
-// insertSorted inserts v into the sorted slice *s if absent and reports
-// whether it did.
-func insertSorted(s *[]int32, v int32) bool {
-	d := *s
-	lo, hi := 0, len(d)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(d) && d[lo] == v {
-		return false
-	}
-	d = append(d, 0)
-	copy(d[lo+1:], d[lo:])
-	d[lo] = v
-	*s = d
-	return true
 }

@@ -22,3 +22,10 @@ func (s *State) Labels(v vectors.ID) []int {
 func (s *State) DistinctPerUser(v vectors.ID) []int {
 	return slices.Clone(s.Vecs[slices.Index(vectors.All, v)].Distinct)
 }
+
+// AMI computes the pairwise-vector AMI matrix over s's dense user order,
+// as Engine.RefreshAMI does over its live state.
+func (s *State) AMI() *AMISnapshot {
+	labels, ks := s.labels()
+	return amiSnapshot(s.Records, labels, ks)
+}

@@ -83,8 +83,8 @@ func (e *Engine) State() *State {
 		c.Surfs[i] = slices.Clone(values)
 	}
 	for i, vs := range s.Vecs {
-		hashes := make([]string, len(e.vecs[i].intern))
-		for h, id := range e.vecs[i].intern {
+		hashes := make([]string, len(e.intern[i]))
+		for h, id := range e.intern[i] {
 			hashes[id] = h
 		}
 		c.Vecs[i] = VecState{

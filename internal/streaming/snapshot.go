@@ -99,9 +99,42 @@ func summaryRow(name string, counts []int) DiversityRow {
 
 // The State methods below are the one implementation of every read
 // payload: Engine reads call them on its live state under its read lock,
-// and the shard router calls them on its merged state. They write
-// nothing, so any number of goroutines may read a State that no one is
-// writing.
+// and the shard router builds its cached Views from its merged state. They
+// write nothing, so any number of goroutines may read a State that no one
+// is writing.
+
+// Views holds every per-read payload of one State, built from a single
+// pass of per-vector labels, and the labels themselves, so the AMI matrix
+// can be computed later without the State. The shard router caches one
+// per state version, and every reader of that version shares its payload
+// slices: they must not be modified.
+type Views struct {
+	Diversity EntropySnapshot
+	Clusters  ClusterSnapshot
+	Stability StabilitySnapshot
+	labels    [][]int32
+	ks        []int
+}
+
+// Views returns s's Diversity, Clusters and Stability payloads, computed
+// from one labeling of every vector's collation graph.
+func (s *State) Views() *Views {
+	labels, ks := s.labels()
+	return &Views{
+		Diversity: s.diversity(labels, ks),
+		Clusters:  s.clusters(labels, ks),
+		Stability: s.Stability(),
+		labels:    labels,
+		ks:        ks,
+	}
+}
+
+// AMI computes the pairwise-vector AMI matrix from the views' labels,
+// matching Dataset.PairwiseVectorAMI bit for bit over the dense user
+// order of the State the views were built from.
+func (v *Views) AMI() *AMISnapshot {
+	return amiSnapshot(v.Diversity.Records, v.labels, v.ks)
+}
 
 // Diversity returns the entropy table: one row per audio vector, the
 // Combined row (omitted for an empty population) and one row per surface.
@@ -109,8 +142,14 @@ func summaryRow(name string, counts []int) DiversityRow {
 // diversity.SummaryFromCounts, which sorts it, so the rows are
 // bit-identical to the batch analyses whatever the dense ID order.
 func (s *State) Diversity() EntropySnapshot {
-	snap := EntropySnapshot{Records: s.Records, Users: len(s.Users)}
 	labels, ks := s.labels()
+	return s.diversity(labels, ks)
+}
+
+// diversity is Diversity over s's labels and cluster counts as returned
+// by labels.
+func (s *State) diversity(labels [][]int32, ks []int) EntropySnapshot {
+	snap := EntropySnapshot{Records: s.Records, Users: len(s.Users)}
 	for i, v := range vectors.All {
 		snap.Rows = append(snap.Rows, summaryRow(v.String(), groupSizes(labels[i], ks[i])))
 	}
@@ -167,12 +206,18 @@ func combine(labels [][]int32, k0 int) ([]int32, int) {
 
 // Clusters returns the per-vector collation statistics.
 func (s *State) Clusters() ClusterSnapshot {
+	labels, ks := s.labels()
+	return s.clusters(labels, ks)
+}
+
+// clusters is Clusters over s's labels and cluster counts as returned by
+// labels.
+func (s *State) clusters(labels [][]int32, ks []int) ClusterSnapshot {
 	snap := ClusterSnapshot{Records: s.Records, Users: len(s.Users)}
 	for i, v := range vectors.All {
 		vs := &s.Vecs[i]
-		sizes := vs.Graph.ClusterSizes()
 		unique := 0
-		for _, n := range sizes {
+		for _, n := range groupSizes(labels[i], ks[i]) {
 			if n == 1 {
 				unique++
 			}
@@ -180,7 +225,7 @@ func (s *State) Clusters() ClusterSnapshot {
 		snap.Rows = append(snap.Rows, ClusterRow{
 			Vector:       v.String(),
 			Users:        vs.Graph.NumUsers(),
-			Clusters:     len(sizes),
+			Clusters:     ks[i],
 			Unique:       unique,
 			Fingerprints: vs.Graph.NumFingerprints(),
 			Observations: vs.Obs,
@@ -215,13 +260,6 @@ func (s *State) Stability() StabilitySnapshot {
 	return snap
 }
 
-// AMI computes the pairwise-vector AMI matrix, matching
-// Dataset.PairwiseVectorAMI bit for bit over s's dense user order.
-func (s *State) AMI() *AMISnapshot {
-	labels, ks := s.labels()
-	return amiSnapshot(s.Records, labels, ks)
-}
-
 // labels returns every vector's first-appearance-canonical cluster labels
 // over s's dense user order, and each vector's cluster count.
 func (s *State) labels() ([][]int32, []int) {
@@ -238,7 +276,7 @@ func (s *State) labels() ([][]int32, []int) {
 
 // amiSnapshot runs cluster.PairwiseAMI over labels and ks as returned by
 // State.labels, which the engine reads under its lock and this computes
-// outside it.
+// outside it, and which Views keeps for the router.
 func amiSnapshot(records int64, labels [][]int32, ks []int) *AMISnapshot {
 	snap := &AMISnapshot{Records: records, Vectors: make([]string, len(vectors.All))}
 	for i, v := range vectors.All {

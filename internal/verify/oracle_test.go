@@ -266,7 +266,9 @@ func TestScoreLeavesInternTablesUnchanged(t *testing.T) {
 			out = append(out, len(e.intern[v]))
 		}
 		for _, h := range e.hists {
-			out = append(out, len(h.ids))
+			for v := 0; v < numVectors; v++ {
+				out = append(out, len(h.Set(v)))
+			}
 		}
 		return out
 	}

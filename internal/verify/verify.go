@@ -23,6 +23,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/collate"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/vectors"
@@ -118,9 +119,14 @@ type Engine struct {
 	// intern gives each distinct hash of a vector one dense ID and keeps
 	// the string once, however many users hold it. A vector's map is made
 	// by the first enrollment on it.
-	intern  [numVectors]map[string]int32
-	users   map[string]int32 // user ID → index into hists
-	hists   []history
+	intern [numVectors]map[string]int32
+	users  map[string]int32 // user ID → index into hists
+	// hists holds each user's stored history: per vector, the IDs of the
+	// distinct hashes ever enrolled, sorted so recognition is a binary
+	// search. The exact strings behind the IDs are kept, not a digest:
+	// hashes come from clients, and a truncated digest would let two
+	// different strings compare equal.
+	hists   []collate.UserSets
 	records int64
 
 	accepted, rejected, unknown int64
@@ -129,43 +135,7 @@ type Engine struct {
 }
 
 // numVectors bounds the vector IDs an Engine stores history for.
-const numVectors = int(vectors.FM) + 1
-
-// history is one user's stored history: per vector, the IDs of the
-// distinct hashes ever enrolled, sorted so recognition is a binary search.
-// The vectors' sets lie back to back in ID order; vector v's set is
-// ids[end[v-1]:end[v]], starting at 0 for the first. The exact strings
-// behind the IDs are kept, not a digest: hashes come from clients, and a
-// truncated digest would let two different strings compare equal.
-type history struct {
-	end [numVectors]int32
-	ids []int32
-}
-
-// set returns the user's sorted ID set on v and its offset in h.ids.
-func (h *history) set(v vectors.ID) ([]int32, int) {
-	lo := 0
-	if v > 0 {
-		lo = int(h.end[v-1])
-	}
-	return h.ids[lo:h.end[v]], lo
-}
-
-// insert adds id to the user's set on v unless it is there.
-func (h *history) insert(v vectors.ID, id int32) {
-	set, lo := h.set(v)
-	j, found := slices.BinarySearch(set, id)
-	if found {
-		return
-	}
-	j += lo
-	h.ids = append(h.ids, 0)
-	copy(h.ids[j+1:], h.ids[j:])
-	h.ids[j] = id
-	for w := int(v); w < numVectors; w++ {
-		h.end[w]++
-	}
-}
+const numVectors = collate.NumVectors
 
 // New builds an Engine.
 func New(cfg Config) *Engine {
@@ -226,9 +196,9 @@ func (e *Engine) Enroll(recs []storage.Record) {
 		if !ok {
 			u = int32(len(e.hists))
 			e.users[rec.UserID] = u
-			e.hists = append(e.hists, history{})
+			e.hists = append(e.hists, collate.UserSets{})
 		}
-		e.hists[u].insert(v, id)
+		e.hists[u].Insert(int(v), id)
 		e.records++
 	}
 }
@@ -283,7 +253,7 @@ func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence
 		ve := VectorEvidence{Vector: v.String(), Samples: len(group)}
 		var set []int32
 		if v >= 0 && int(v) < numVectors {
-			set, _ = hist.set(v)
+			set = hist.Set(int(v))
 		}
 		if len(set) == 0 {
 			// The user was never observed on this vector: the submission
