@@ -49,10 +49,11 @@ stress:
 # the hint), the cmd/fpbench harness (its own module, so ./... above never
 # compiles it) and the tracker example, a short fuzz pass over the
 # ingestion surfaces (10s per target, seeded from the checked-in
-# torn/corrupt corpora), and a report-only bench-gate comparison against
-# the committed render trajectory, reading each entry's minimum of three
-# runs as the enforced gate does (shared CI runners are too noisy to
-# enforce here; nightly enforces).
+# torn/corrupt corpora; -fuzzminimizetime 1s keeps shrinking each new
+# input, 60s by default, from spending the budget), and a report-only
+# bench-gate comparison against the committed render trajectory, reading
+# each entry's minimum of three runs as the enforced gate does (shared CI
+# runners are too noisy to enforce here; nightly enforces).
 check: build vet stress
 	$(GO) test -race ./internal/obs/ ./internal/obs/series/ ./internal/watch/ ./internal/webaudio/ ./internal/diag/
 	$(GO) test -race ./internal/shard/
@@ -62,12 +63,12 @@ check: build vet stress
 	$(GO) run ./cmd/fpstudy -render-engine reference 2>/dev/null | cmp - cmd/fpbench/testdata/study-20220325.txt
 	(cd cmd/fpbench && $(GO) vet ./... && $(GO) test ./...)
 	$(GO) run ./examples/tracker | grep -q 'returning visitors recognized'
-	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 10s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime 10s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz FuzzSubmitHandler -fuzztime 10s ./internal/collectserver/
-	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s ./internal/obs/
-	$(GO) test -run '^$$' -fuzz FuzzShardOf -fuzztime 10s ./internal/shard/
-	$(GO) test -run '^$$' -fuzz FuzzMergedSnapshotJSON -fuzztime 10s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 10s -fuzzminimizetime 1s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime 10s -fuzzminimizetime 1s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzSubmitHandler -fuzztime 10s -fuzzminimizetime 1s ./internal/collectserver/
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 10s -fuzzminimizetime 1s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzShardOf -fuzztime 10s -fuzzminimizetime 1s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzMergedSnapshotJSON -fuzztime 10s -fuzzminimizetime 1s ./internal/shard/
 	$(MAKE) bench-gate GATE_FLAGS=-report-only GATE_COUNT=3
 
 bench:
@@ -130,14 +131,15 @@ bench-verify:
 	$(GO) test -run '^$$' -bench BenchmarkVerify -benchmem -count 5 ./internal/verify/ | $(GO) run ./cmd/benchjson > BENCH_verify.json
 	@echo wrote BENCH_verify.json
 
-# Short fuzzing passes over the parsing/ingestion surfaces.
+# Short fuzzing passes over the parsing/ingestion surfaces, each
+# minimizing a new input for at most 1s.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 20s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime 20s ./internal/storage/
-	$(GO) test -run '^$$' -fuzz FuzzSubmitHandler -fuzztime 20s ./internal/collectserver/
-	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 20s ./internal/obs/
-	$(GO) test -run '^$$' -fuzz FuzzShardOf -fuzztime 20s ./internal/shard/
-	$(GO) test -run '^$$' -fuzz FuzzMergedSnapshotJSON -fuzztime 20s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzStoreScan -fuzztime 20s -fuzzminimizetime 1s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzRecordCodec -fuzztime 20s -fuzzminimizetime 1s ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzSubmitHandler -fuzztime 20s -fuzzminimizetime 1s ./internal/collectserver/
+	$(GO) test -run '^$$' -fuzz FuzzParseTraceparent -fuzztime 20s -fuzzminimizetime 1s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzShardOf -fuzztime 20s -fuzzminimizetime 1s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzMergedSnapshotJSON -fuzztime 20s -fuzzminimizetime 1s ./internal/shard/
 
 # Regenerate every table and figure at paper scale.
 study:

@@ -235,57 +235,43 @@ func (g *IntGraph) Merge(other *IntGraph, userMap, fpMap []int32) {
 // only for the graph's current state.
 func (g *IntGraph) ClusterOf(user int32) int32 { return g.find(g.userElem[user]) }
 
-// Labels returns each user's cluster label as a dense int32 in
-// [0, NumClusters), canonicalized by first appearance in user order, the
-// form cluster.PairwiseAMI takes. Equal partitions therefore get equal
-// label vectors, and their AMI values are bit-identical.
-func (g *IntGraph) Labels() []int32 {
-	return g.labelsInto(make([]int32, g.numUsers), make([]int32, len(g.parent)))
-}
-
-// labelsInto is Labels with caller-provided buffers: dst must have length
-// NumUsers; canon must have length ≥ len(parent) (total elements) and is
-// used as scratch. It returns dst. The number of clusters is
-// max(dst)+1 (or 0 for an empty population).
-func (g *IntGraph) labelsInto(dst, canon []int32) []int32 {
-	if len(dst) < g.numUsers || len(canon) < len(g.parent) {
-		panic("collate: labelsInto buffers too short")
-	}
-	canon = canon[:len(g.parent)]
-	for i := range canon {
-		canon[i] = -1
-	}
-	var next int32
-	for u := 0; u < g.numUsers; u++ {
-		root := g.root(g.userElem[u])
-		if canon[root] < 0 {
-			canon[root] = next
-			next++
-		}
-		dst[u] = canon[root]
-	}
-	return dst[:g.numUsers]
-}
-
-// NumClusters returns the number of components containing at least one
-// user.
-func (g *IntGraph) NumClusters() int { return len(g.ClusterSizes()) }
-
-// ClusterSizes returns the user count of every cluster in first-appearance
-// order (not sorted).
-func (g *IntGraph) ClusterSizes() []int {
+// Labels returns each user's cluster label as a dense int32 in [0, k),
+// canonicalized by first appearance in user order, the form
+// cluster.PairwiseAMI takes, and the number of clusters k. Equal
+// partitions therefore get equal label vectors, and their AMI values are
+// bit-identical. It walks each user to its root without path halving
+// (root), so it writes nothing.
+func (g *IntGraph) Labels() (labels []int32, k int) {
 	canon := make([]int32, len(g.parent))
 	for i := range canon {
 		canon[i] = -1
 	}
-	var sizes []int
-	for u := 0; u < g.numUsers; u++ {
+	labels = make([]int32, g.numUsers)
+	for u := range labels {
 		root := g.root(g.userElem[u])
 		if canon[root] < 0 {
-			canon[root] = int32(len(sizes))
-			sizes = append(sizes, 0)
+			canon[root] = int32(k)
+			k++
 		}
-		sizes[canon[root]]++
+		labels[u] = canon[root]
+	}
+	return labels, k
+}
+
+// NumClusters returns the number of components containing at least one
+// user.
+func (g *IntGraph) NumClusters() int {
+	_, k := g.Labels()
+	return k
+}
+
+// ClusterSizes returns the user count of every cluster in first-appearance
+// order (not sorted).
+func (g *IntGraph) ClusterSizes() []int {
+	labels, k := g.Labels()
+	sizes := make([]int, k)
+	for _, l := range labels {
+		sizes[l]++
 	}
 	return sizes
 }
@@ -319,21 +305,6 @@ const (
 	// unrecognized.
 	MatchNoEvidence
 )
-
-// String renders the result for logs and decision payloads.
-func (r MatchResult) String() string {
-	switch r {
-	case MatchNone:
-		return "none"
-	case MatchUnique:
-		return "unique"
-	case MatchAmbiguous:
-		return "ambiguous"
-	case MatchNoEvidence:
-		return "no_evidence"
-	}
-	return "invalid"
-}
 
 // Match looks up a set of fingerprint IDs without inserting them and
 // reports which existing cluster they identify. An empty fps slice returns

@@ -21,7 +21,8 @@ func buildFromEdges(nUsers, fpUniverse int, edges [][2]int32) *IntGraph {
 // user by first appearance. Two graphs with equal signatures over the same
 // user order collate identically.
 func partitionSignature(g *IntGraph) []int32 {
-	return g.Labels()
+	labels, _ := g.Labels()
+	return labels
 }
 
 // TestMergeDisjointUniverses merges two shards whose fingerprint universes

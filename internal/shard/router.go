@@ -229,9 +229,11 @@ func (r *Router) views() *streaming.Views {
 // merge returns the merge of copies of all shards' current states, with
 // each user's Seq rewritten from the router's global first-seen ledger so
 // the merged dense order reproduces the original submission order, and
-// the copies' record counts: the version the merge is of. A merge error
-// means two shards claim one user — impossible while Of routes every
-// record — so it panics rather than serving silently wrong analytics.
+// the copies' record counts: the version the merge is of. The copies are
+// the router's own, so a one-shard merge may return its copy as is. A
+// merge error means two shards claim one user — impossible while Of
+// routes every record — so it panics rather than serving silently wrong
+// analytics.
 func (r *Router) merge() (*streaming.State, []int64) {
 	states := make([]*streaming.State, len(r.engines))
 	key := make([]int64, len(r.engines))
@@ -246,17 +248,11 @@ func (r *Router) merge() (*streaming.State, []int64) {
 		}
 	}
 	r.mu.Unlock()
-	// The copies are the router's own, so the fold starts from the first
-	// rather than merging it into NewState, the merge identity.
-	acc := states[0]
-	for _, s := range states[1:] {
-		m, err := acc.Merge(s)
-		if err != nil {
-			panic(fmt.Sprintf("shard: user owned by two shards: %v", err))
-		}
-		acc = m
+	m, err := streaming.Merge(states...)
+	if err != nil {
+		panic(fmt.Sprintf("shard: user owned by two shards: %v", err))
 	}
-	return acc, key
+	return m, key
 }
 
 // Diversity returns the merged entropy table (bit-identical to a single

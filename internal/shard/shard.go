@@ -3,14 +3,14 @@
 // (internal/storage) and its own streaming engine (internal/streaming),
 // behind an in-process router that fans accepted submissions to the
 // owning shard and answers analytics reads from a merged snapshot
-// (streaming.State.Merge).
+// (streaming.Merge).
 //
 // The partitioning contract is user-granular: every record of one user
 // lands on one shard (Of is a pure function of the user ID), so per-user
 // state — distinct-fingerprint sets, surface values, collation-graph
 // membership — never splits. Fingerprint hashes are NOT partitioned: two
 // users on different shards can emit the same hash, which is exactly the
-// cross-shard cluster join streaming.State.Merge reconstructs through the
+// cross-shard cluster join streaming.Merge reconstructs through the
 // shared intern translation.
 //
 // The correctness gate is bit-identity: a sharded replay of any record

@@ -9,7 +9,7 @@ import (
 // Labels returns v's first-appearance-canonical cluster labels over s's
 // dense user order, in the form Dataset.Labels returns.
 func (s *State) Labels(v vectors.ID) []int {
-	labels := s.Vecs[slices.Index(vectors.All, v)].Graph.Labels()
+	labels, _ := s.Vecs[slices.Index(vectors.All, v)].Graph.Labels()
 	out := make([]int, len(labels))
 	for i, l := range labels {
 		out[i] = int(l)

@@ -13,10 +13,11 @@ import (
 	"repro/internal/vectors"
 )
 
-// The merge algebra property: streaming.State.Merge over any user-disjoint
-// split of a record stream — any number of parts, merged in any order and
-// any fold shape — must produce exactly the payloads of one engine that
-// ingested the whole stream, and NewState() must be a two-sided identity.
+// The merge algebra property: streaming.Merge over any user-disjoint split
+// of a record stream — any number of parts, merged in one call or folded
+// pairwise, in any order and any fold shape — must produce exactly the
+// payloads of one engine that ingested the whole stream, and NewState()
+// must be a two-sided identity.
 // This is the correctness contract the shard router rests on (DESIGN.md
 // §14); the differential HTTP test in internal/shard exercises the same
 // property end-to-end at paper scale.
@@ -142,7 +143,7 @@ func foldStates(t *testing.T, states []*streaming.State) *streaming.State {
 	t.Helper()
 	acc := streaming.NewState()
 	for _, s := range states {
-		m, err := acc.Merge(s)
+		m, err := streaming.Merge(acc, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,9 +167,9 @@ func TestStateMatchesEngine(t *testing.T) {
 }
 
 // TestStateMergeProperty is the ≥200-case seeded sweep: random streams,
-// random split arity, random merge order — merged payloads equal the
-// single-engine reference exactly, commutativity holds pairwise, and
-// NewState is a two-sided identity.
+// random split arity, random merge order — payloads merged pairwise and in
+// one call equal the single-engine reference exactly, commutativity holds
+// pairwise, and NewState is a two-sided identity.
 func TestStateMergeProperty(t *testing.T) {
 	cases := 220
 	if testing.Short() {
@@ -191,14 +192,22 @@ func TestStateMergeProperty(t *testing.T) {
 			t.Fatalf("case %d (%d parts): merged payloads differ from single engine\n got %+v\nwant %+v",
 				c, nParts, got, want)
 		}
+		all, err := streaming.Merge(shuffled...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := payloadsOf(all); !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d (%d parts): one-call merge differs from single engine\n got %+v\nwant %+v",
+				c, nParts, got, want)
+		}
 
 		// Commutativity on the first pair.
 		if nParts >= 2 {
-			ab, err := states[0].Merge(states[1])
+			ab, err := streaming.Merge(states[0], states[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			ba, err := states[1].Merge(states[0])
+			ba, err := streaming.Merge(states[1], states[0])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,11 +217,11 @@ func TestStateMergeProperty(t *testing.T) {
 		}
 
 		// Identity on both sides of the full merge.
-		li, err := streaming.NewState().Merge(merged)
+		li, err := streaming.Merge(streaming.NewState(), merged)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ri, err := merged.Merge(streaming.NewState())
+		ri, err := streaming.Merge(merged, streaming.NewState())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +231,8 @@ func TestStateMergeProperty(t *testing.T) {
 	}
 }
 
-// TestStateMergeAssociative: (a·b)·c == a·(b·c), payload-for-payload.
+// TestStateMergeAssociative: (a·b)·c == a·(b·c) == Merge(a, b, c),
+// payload-for-payload.
 func TestStateMergeAssociative(t *testing.T) {
 	for c := 0; c < 40; c++ {
 		rng := rand.New(rand.NewSource(int64(777 + c)))
@@ -230,19 +240,23 @@ func TestStateMergeAssociative(t *testing.T) {
 		states, want := splitStates(t, recs, 3, rng)
 		a, b, d := states[0], states[1], states[2]
 
-		ab, err := a.Merge(b)
+		ab, err := streaming.Merge(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		left, err := ab.Merge(d)
+		left, err := streaming.Merge(ab, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bd, err := b.Merge(d)
+		bd, err := streaming.Merge(b, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		right, err := a.Merge(bd)
+		right, err := streaming.Merge(a, bd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abd, err := streaming.Merge(a, b, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,22 +264,53 @@ func TestStateMergeAssociative(t *testing.T) {
 		if !reflect.DeepEqual(lp, rp) {
 			t.Fatalf("case %d: Merge not associative", c)
 		}
+		if !reflect.DeepEqual(payloadsOf(abd), lp) {
+			t.Fatalf("case %d: Merge(a, b, c) differs from both groupings", c)
+		}
 		if !reflect.DeepEqual(lp, want) {
 			t.Fatalf("case %d: associative fold differs from single engine", c)
 		}
 	}
 }
 
+// TestMergeIdentities: Merge of no states serves NewState's payloads, and
+// Merge of one state returns that state itself.
+func TestMergeIdentities(t *testing.T) {
+	empty, err := streaming.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := payloadsOf(empty), payloadsOf(streaming.NewState()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Merge() payloads differ from NewState()'s:\n got %+v\nwant %+v", got, want)
+	}
+	rng := rand.New(rand.NewSource(5))
+	states, _ := splitStates(t, genRecords(rng), 1, rng)
+	if got, err := streaming.Merge(states[0]); err != nil || got != states[0] {
+		t.Fatalf("Merge(s) = %p, %v; want s (%p)", got, err, states[0])
+	}
+}
+
 // TestStateMergeRejectsOverlap: sharing a user across states is a routing
-// bug and must be reported, not silently double-counted.
+// bug and must be reported, not silently double-counted — also when the
+// shared user sits in the first and the third of three states under
+// different Seqs, so no two neighbours in the merged order share it.
 func TestStateMergeRejectsOverlap(t *testing.T) {
-	mk := func() *streaming.State {
+	mk := func(users ...string) *streaming.State {
 		eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
 		defer eng.Close()
-		eng.Apply([]storage.Record{{UserID: "dup", Vector: "DC", Hash: "h"}})
+		for _, u := range users {
+			eng.Apply([]storage.Record{{UserID: u, Vector: "DC", Hash: "h"}})
+		}
 		return eng.State()
 	}
-	if _, err := mk().Merge(mk()); err == nil {
+	if _, err := streaming.Merge(mk("dup"), mk("dup")); err == nil {
 		t.Fatal("Merge of states sharing a user succeeded, want error")
+	}
+	first, second, third := mk("dup", "a"), mk("b"), mk("c", "dup")
+	first.Seq = []int64{0, 1}
+	second.Seq = []int64{2}
+	third.Seq = []int64{3, 4}
+	if _, err := streaming.Merge(first, second, third); err == nil {
+		t.Fatal("Merge of three states with the first and third sharing a user succeeded, want error")
 	}
 }

@@ -1,9 +1,11 @@
 package streaming
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/collate"
 	"repro/internal/vectors"
@@ -16,16 +18,18 @@ import (
 // merge algebra the sharded ingest plane is built on (DESIGN.md §14). Each
 // shard's engine owns a disjoint slice of the user population; a copy
 // captures that slice together with the per-user global arrival sequence,
-// and Merge folds two slices into one whose analytics payloads are
-// bit-identical to an engine that ingested the union directly.
+// and Merge combines any number of slices in one pass into a state whose
+// analytics payloads are bit-identical to an engine that ingested the
+// union directly.
 //
-// Merge is associative and commutative, with NewState() as the identity —
-// the property that lets a router fold shard snapshots in any order (or a
-// tree) and serve one answer. The proof obligation is discharged by the
-// payload shapes: every served quantity depends only on (a) the user
-// partition of each vector's collation graph, (b) the global user order
-// reconstructed from Seq, and (c) per-user values/counts — none on the
-// shard-local dense ID assignment that differs between merge orders.
+// The payloads do not depend on the order or grouping of the states
+// merged, and NewState() merges as nothing, so a router can merge its
+// shard copies in one call and serve one answer. The proof obligation is
+// discharged by the payload shapes: every served quantity depends only on
+// (a) the user partition of each vector's collation graph, (b) the global
+// user order reconstructed from Seq, and (c) per-user values/counts —
+// none on the merged fingerprint ID assignment, which follows the order
+// of the states.
 type State struct {
 	// Users holds the user IDs in this state's dense order; Seq holds each
 	// user's global first-seen sequence number, which only Merge reads.
@@ -49,7 +53,7 @@ type State struct {
 type VecState struct {
 	// Hashes maps this state's dense fingerprint ID to the fingerprint
 	// hash — the intern table exported in ID order, which is what lets
-	// Merge translate two shard-local universes into one. Only Merge
+	// Merge translate the shard-local universes into one. Only Merge
 	// reads it, so an engine fills it in Engine.State's copy.
 	Hashes []string
 	// Graph is the collation graph over this state's users and Hashes.
@@ -109,103 +113,91 @@ func NewState() *State {
 	return s
 }
 
-// Merge combines two states over disjoint user sets into a new state and
-// leaves both inputs untouched. The merged dense user order is by
-// ascending Seq (user ID as a tie-break, which never fires when Seq comes
-// from one global ledger), so a router stamping global sequences gets back
-// the single-engine arrival order. Sharing a user between the two states
-// is a routing bug and returns an error.
-func (s *State) Merge(o *State) (*State, error) {
-	na, nb := len(s.Users), len(o.Users)
-	m := &State{
-		Users:   make([]string, 0, na+nb),
-		Seq:     make([]int64, 0, na+nb),
-		Records: s.Records + o.Records,
-		Surfs:   make([][]string, numSurfaces),
-		Vecs:    make([]VecState, len(s.Vecs)),
+// Merge combines states over disjoint user sets into one and leaves every
+// input untouched; Merge() is NewState() and Merge(s) is s itself. The
+// merged dense user order is by ascending Seq (user ID as a tie-break,
+// which never fires when Seq comes from one global ledger), so a router
+// stamping global sequences gets back the single-engine arrival order.
+// Sharing a user between two states is a routing bug and returns an
+// error.
+func Merge(states ...*State) (*State, error) {
+	switch len(states) {
+	case 0:
+		return NewState(), nil
+	case 1:
+		return states[0], nil
 	}
-	// Two-pointer merge by (Seq, Users) producing each input's user→merged
-	// translation.
-	mapA := make([]int32, na)
-	mapB := make([]int32, nb)
-	i, j := 0, 0
-	for i < na || j < nb {
-		takeA := j >= nb
-		if i < na && j < nb {
-			switch {
-			case s.Seq[i] < o.Seq[j]:
-				takeA = true
-			case s.Seq[i] > o.Seq[j]:
-				takeA = false
-			default:
-				takeA = s.Users[i] < o.Users[j]
-			}
+	// One sort by (Seq, user ID) over every state's users gives the
+	// merged order and each state's user→merged translation.
+	type entry struct {
+		seq  int64
+		id   string
+		s, u int32
+	}
+	n := 0
+	for _, s := range states {
+		n += len(s.Users)
+	}
+	order := make([]entry, 0, n)
+	m := &State{Surfs: make([][]string, numSurfaces), Vecs: make([]VecState, len(states[0].Vecs))}
+	userMaps := make([][]int32, len(states))
+	for si, s := range states {
+		for u, id := range s.Users {
+			order = append(order, entry{s.Seq[u], id, int32(si), int32(u)})
 		}
-		if takeA {
-			mapA[i] = int32(len(m.Users))
-			m.Users = append(m.Users, s.Users[i])
-			m.Seq = append(m.Seq, s.Seq[i])
-			i++
-		} else {
-			mapB[j] = int32(len(m.Users))
-			m.Users = append(m.Users, o.Users[j])
-			m.Seq = append(m.Seq, o.Seq[j])
-			j++
+		userMaps[si] = make([]int32, len(s.Users))
+		m.Records += s.Records
+	}
+	slices.SortFunc(order, func(a, b entry) int {
+		if a.seq != b.seq {
+			return cmp.Compare(a.seq, b.seq)
 		}
+		return strings.Compare(a.id, b.id)
+	})
+	m.Users, m.Seq = make([]string, n), make([]int64, n)
+	for k, e := range order {
+		m.Users[k], m.Seq[k] = e.id, e.seq
+		userMaps[e.s][e.u] = int32(k)
 	}
 	if overlap := findOverlap(m.Users); overlap != "" {
 		return nil, fmt.Errorf("streaming: Merge states share user %q", overlap)
 	}
-	for si := 0; si < numSurfaces; si++ {
-		m.Surfs[si] = make([]string, len(m.Users))
-		for u, v := range s.Surfs[si] {
-			m.Surfs[si][mapA[u]] = v
-		}
-		for u, v := range o.Surfs[si] {
-			m.Surfs[si][mapB[u]] = v
+	for si := range m.Surfs {
+		m.Surfs[si] = make([]string, n)
+		for k, e := range order {
+			m.Surfs[si][k] = states[e.s].Surfs[si][e.u]
 		}
 	}
-	for vi := range s.Vecs {
-		a, b := &s.Vecs[vi], &o.Vecs[vi]
-		// Merged intern table: a's hashes keep their IDs, b's unseen
-		// hashes append in b's ID order. The assignment order differs
-		// between merge orders, but no payload reads fingerprint IDs —
-		// only partition structure and per-user counts.
-		hashes := append([]string(nil), a.Hashes...)
-		idx := make(map[string]int32, len(a.Hashes)+len(b.Hashes))
-		for id, h := range hashes {
-			idx[h] = int32(id)
-		}
-		fpMapA := make([]int32, len(a.Hashes))
-		for id := range fpMapA {
-			fpMapA[id] = int32(id)
-		}
-		fpMapB := make([]int32, len(b.Hashes))
-		for id, h := range b.Hashes {
-			mid, ok := idx[h]
-			if !ok {
-				mid = int32(len(hashes))
-				hashes = append(hashes, h)
-				idx[h] = mid
+	for vi := range m.Vecs {
+		// One intern table over every state's hashes, in state order. The
+		// IDs it assigns depend on the order of states, but no payload
+		// reads fingerprint IDs — only partition structure and per-user
+		// counts.
+		var hashes []string
+		idx := map[string]int32{}
+		fpMaps := make([][]int32, len(states))
+		for si, s := range states {
+			fpMaps[si] = make([]int32, len(s.Vecs[vi].Hashes))
+			for id, h := range s.Vecs[vi].Hashes {
+				mid, ok := idx[h]
+				if !ok {
+					mid = int32(len(hashes))
+					hashes = append(hashes, h)
+					idx[h] = mid
+				}
+				fpMaps[si][id] = mid
 			}
-			fpMapB[id] = mid
 		}
-		g := collate.NewIntGraph(len(m.Users), len(hashes))
-		g.Merge(a.Graph, mapA, fpMapA)
-		g.Merge(b.Graph, mapB, fpMapB)
-		distinct := make([]int, len(m.Users))
-		for u, d := range a.Distinct {
-			distinct[mapA[u]] = d
+		mv := VecState{Hashes: hashes, Graph: collate.NewIntGraph(n, len(hashes)), Distinct: make([]int, n)}
+		for si, s := range states {
+			vs := &s.Vecs[vi]
+			mv.Graph.Merge(vs.Graph, userMaps[si], fpMaps[si])
+			for u, d := range vs.Distinct {
+				mv.Distinct[userMaps[si][u]] = d
+			}
+			mv.Obs += vs.Obs
 		}
-		for u, d := range b.Distinct {
-			distinct[mapB[u]] = d
-		}
-		m.Vecs[vi] = VecState{
-			Hashes:   hashes,
-			Graph:    g,
-			Distinct: distinct,
-			Obs:      a.Obs + b.Obs,
-		}
+		m.Vecs[vi] = mv
 	}
 	return m, nil
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/collate"
 	"repro/internal/diversity"
 	"repro/internal/vectors"
 )
@@ -154,8 +155,7 @@ func (s *State) diversity(labels [][]int32, ks []int) EntropySnapshot {
 		snap.Rows = append(snap.Rows, summaryRow(v.String(), groupSizes(labels[i], ks[i])))
 	}
 	if len(s.Users) > 0 {
-		combined, k := combine(labels, ks[0])
-		snap.Rows = append(snap.Rows, summaryRow("Combined", groupSizes(combined, k)))
+		snap.Rows = append(snap.Rows, summaryRow("Combined", combine(labels, ks)))
 	}
 	for i, values := range s.Surfs {
 		counts := map[string]int{}
@@ -180,28 +180,25 @@ func groupSizes(labels []int32, k int) []int {
 	return sizes
 }
 
-// combine folds the per-vector labelings, k0 clusters in the first, into
-// one dense label per distinct tuple of them: the grouping of the Combined
-// row, with the same group-size multiset as diversity.Combine's tuple
-// strings (the batch oracle) but no strings. It returns the labels and
-// their count.
-func combine(labels [][]int32, k0 int) ([]int32, int) {
-	ids := slices.Clone(labels[0])
-	k := k0
-	for _, next := range labels[1:] {
-		tuples := make(map[[2]int32]int32, k)
-		for u, l := range next {
-			key := [2]int32{ids[u], l}
-			id, ok := tuples[key]
-			if !ok {
-				id = int32(len(tuples))
-				tuples[key] = id
-			}
-			ids[u] = id
+// combine counts the users of each distinct tuple of per-vector labels:
+// the group sizes of the Combined row, the same multiset as
+// diversity.Combine's tuple strings (the batch oracle) but without
+// strings. A tuple refines every vector's labeling, so the largest of the
+// cluster counts ks bounds the number of tuples from below.
+func combine(labels [][]int32, ks []int) []int {
+	counts := make(map[[collate.NumVectors]int32]int, slices.Max(ks))
+	for u := range labels[0] {
+		var key [collate.NumVectors]int32
+		for i, l := range labels {
+			key[i] = l[u]
 		}
-		k = len(tuples)
+		counts[key]++
 	}
-	return ids, k
+	sizes := make([]int, 0, len(counts))
+	for _, n := range counts {
+		sizes = append(sizes, n)
+	}
+	return sizes
 }
 
 // Clusters returns the per-vector collation statistics.
@@ -266,10 +263,7 @@ func (s *State) labels() ([][]int32, []int) {
 	labels := make([][]int32, len(s.Vecs))
 	ks := make([]int, len(s.Vecs))
 	for i := range s.Vecs {
-		labels[i] = s.Vecs[i].Graph.Labels()
-		for _, l := range labels[i] {
-			ks[i] = max(ks[i], int(l)+1)
-		}
+		labels[i], ks[i] = s.Vecs[i].Graph.Labels()
 	}
 	return labels, ks
 }

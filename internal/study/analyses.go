@@ -118,13 +118,7 @@ func (ds *Dataset) AgreementScores(sValues []int) ([]AgreementPoint, error) {
 		labelings := make([][]int32, len(subs))
 		ks := make([]int, len(subs))
 		for i, iters := range subs {
-			g := intGraphOf(ix, len(ds.Users), v, iters)
-			labelings[i] = g.Labels()
-			for _, l := range labelings[i] {
-				if int(l) >= ks[i] {
-					ks[i] = int(l) + 1
-				}
-			}
+			labelings[i], ks[i] = intGraphOf(ix, len(ds.Users), v, iters).Labels()
 		}
 		m, err := cluster.PairwiseAMI(labelings, ks)
 		if err != nil {

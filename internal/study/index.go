@@ -103,18 +103,12 @@ func (ds *Dataset) dense(v vectors.ID) *denseInfo {
 	sp := ds.span("collate/" + v.String())
 	defer sp.End()
 	g := intGraphOf(ds.indexLocked(), len(ds.Users), v, nil)
-	labels := g.Labels()
-	k := 0
-	for _, l := range labels {
-		if int(l) >= k {
-			k = int(l) + 1
-		}
-	}
+	labels, k := g.Labels()
 	sizes := make([]int, k)
 	for _, l := range labels {
 		sizes[l]++
 	}
-	d := &denseInfo{labels: labels, k: len(sizes)}
+	d := &denseInfo{labels: labels, k: k}
 	for _, s := range sizes {
 		if s == 1 {
 			d.unique++
