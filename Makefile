@@ -23,7 +23,8 @@ test-short:
 
 # The concurrency contracts at high -count under the race detector:
 # read-after-Sync, refresh-in-flight, concurrent engine and router reads,
-# verify read-your-writes, the concurrent restart folds under reads, watch
+# verify read-your-writes, the concurrent restart folds under reads, one ID
+# per value from an interner the shard engines share, watch
 # hook delivery, and one render per (stack, vector) under parallel study
 # and evolved-population workers (each stack has one owning worker, so no
 # key renders twice); then fpdiag's heap diff repeated in one process,
@@ -34,6 +35,7 @@ stress:
 	$(GO) test -race -count=50 -run 'TestEngineConcurrentReads' ./internal/streaming/
 	$(GO) test -race -count=50 -run 'TestRouterAutoRefreshOneInFlight|TestRouterConcurrentReads|TestStoresAllConcurrentAppends|TestVerifiersEnrollReadYourWrites|TestRestartFoldsUnderReads' ./internal/shard/
 	$(GO) test -race -count=50 -run 'TestEnrollReadYourWrites' ./internal/verify/
+	$(GO) test -race -count=50 -run 'TestInternerConcurrent' ./internal/collate/
 	$(GO) test -race -count=50 -run 'TestHookDeliveredBeforeSync' ./internal/watch/
 	$(GO) test -race -count=5 -run 'TestParallelRenderSingleflight|TestBuildEvolvedRenderBill' ./internal/study/
 	$(GO) test -count=5 -run TestFpdiagListShowDiff ./cmd/fpdiag/

@@ -22,6 +22,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/collate"
 	"repro/internal/collectserver"
 	"repro/internal/diag"
 	"repro/internal/obs"
@@ -209,8 +210,10 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 	}
 
 	// The analytics bootstrap and the verify enrollment replay the same
-	// stored history: read it once for both.
+	// stored history: read it once for both. Both planes number hashes in
+	// one interner, so the process keeps each hash once.
 	var history []storage.Record
+	in := collate.NewInterner()
 	if *analytics || *watchFlag || *verifyFlag {
 		if history, err = store.All(); err != nil {
 			return err
@@ -222,7 +225,7 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 	if *analytics || *watchFlag {
 		// Same registry as the server so engine gauges land on /metrics;
 		// same exporter so apply spans land in the trace file.
-		cfg := streaming.Config{Registry: obs.Default}
+		cfg := streaming.Config{Registry: obs.Default, Interner: in}
 		if exporter != nil {
 			cfg.Spans = exporter
 		}
@@ -259,7 +262,7 @@ func run(ctx context.Context, args []string, errw io.Writer) error {
 
 	var verifier collectserver.Verifier
 	if *verifyFlag {
-		vcfg := verify.Config{Threshold: *verifyThr, Registry: obs.Default}
+		vcfg := verify.Config{Threshold: *verifyThr, Registry: obs.Default, Interner: in}
 		if *verifyCal != "" {
 			cal, err := loadCalibration(*verifyCal)
 			if err != nil {

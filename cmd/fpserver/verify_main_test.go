@@ -184,28 +184,36 @@ func TestRunVerifySmoke(t *testing.T) {
 
 // TestRunVerifyShardedDifferential: the binary-level acceptance gate — the
 // same enrolled history answers byte-identical verification envelopes with
-// -shards 1 and -shards 3.
+// -shards 1 and -shards 3, and with -shards 3 -analytics, where the verify
+// plane interns through the interner the analytics plane shares.
 func TestRunVerifyShardedDifferential(t *testing.T) {
 	users := []string{"alice", "bob", "carol", "dave", "erin", "frank"}
-	results := map[string]map[string]string{}
-	for _, shards := range []string{"1", "3"} {
-		store := filepath.Join(t.TempDir(), "fp"+shards+".ndjson")
-		base, _, cancel, done := startServer(t, store, "-shards", shards, "-verify")
+	runs := [][]string{
+		{"-shards", "1", "-verify"},
+		{"-shards", "3", "-verify"},
+		{"-shards", "3", "-analytics", "-verify"},
+	}
+	results := make([]map[string]string, len(runs))
+	for i, args := range runs {
+		store := filepath.Join(t.TempDir(), "fp.ndjson")
+		base, _, cancel, done := startServer(t, store, args...)
 		enrollUsers(t, base, users)
-		results[shards] = verifyProbes(t, base, users)
+		results[i] = verifyProbes(t, base, users)
 		cancel()
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("-shards %s run returned %v", shards, err)
+				t.Fatalf("%v run returned %v", args, err)
 			}
 		case <-time.After(15 * time.Second):
 			t.Fatal("server never shut down")
 		}
 	}
-	for key, want := range results["1"] {
-		if got := results["3"][key]; got != want {
-			t.Errorf("probe %s diverges:\n -shards 1: %s\n -shards 3: %s", key, want, got)
+	for i, args := range runs[1:] {
+		for key, want := range results[0] {
+			if got := results[i+1][key]; got != want {
+				t.Errorf("probe %s diverges:\n %v: %s\n %v: %s", key, runs[0], want, args, got)
+			}
 		}
 	}
 }

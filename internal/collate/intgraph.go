@@ -10,7 +10,9 @@
 // IDs — the fingerprinter data structure the paper's §3.2 scalability
 // argument assumes. Graph is a string interner in front of it for callers
 // that observe raw user ids and hashes. UserSets is one user's side of the
-// seven audio vectors' graphs, the per-user sets the served planes keep.
+// seven audio vectors' graphs, the per-user sets the served planes keep,
+// and Interner is the one ID space a served plane's engines number
+// fingerprints and surface values in.
 package collate
 
 // IntGraph is the dense, int-keyed bipartite collation graph: users and
@@ -179,35 +181,30 @@ func (g *IntGraph) Clone() *IntGraph {
 }
 
 // Merge folds other's connected components into g — the cross-shard union
-// of the collation graph, and the one place the "single dense universe
-// built at intern time" assumption is deliberately crossed.
+// of the collation graph.
 //
-// The remap contract: g and other were built over *different* dense
-// universes (each shard interns users and fingerprints independently), so
-// the caller supplies the translation. userMap[u] is the g-user every
-// other-user u maps to; it must be injective and every mapped ID must
-// already exist in g (AddUser / NewIntGraph population). fpMap[f] is the
-// g-universe fingerprint ID for other's fingerprint f; mapped IDs must be
-// addressable in g (EnsureUniverse), and entries for IDs other never
-// observed are ignored. The fingerprint maps of two shards may overlap —
-// two shards interning the same hash to the same g-ID is exactly how
-// cross-shard clusters join — or be disjoint, in which case Merge is a
-// plain disjoint union of partitions.
+// The remap contract: g and other number fingerprints in one universe
+// (the shard engines of a plane share one Interner), so a fingerprint ID
+// means the same in both, and Merge grows g's universe to other's. Users
+// are numbered per graph, so the caller supplies the translation:
+// userMap[u] is the g-user every other-user u maps to; it must be
+// injective and every mapped ID must already exist in g (AddUser /
+// NewIntGraph population). A fingerprint both graphs observed is how
+// cross-shard clusters join; where their fingerprints are disjoint, Merge
+// is a plain disjoint union of partitions.
 //
 // After Merge, g's partition is the join of the two partitions under the
 // mapping: ClusterSizes/Labels/NumClusters over g are identical to a graph
 // built from the union of both observation multisets, which is what makes
 // a sharded replay bit-identical to the single-engine result. Merging an
-// empty graph is a no-op; merging g into itself under identity maps leaves
-// the partition unchanged. Merge only reads other. O((users+fps)·log) —
-// no per-edge replay.
-func (g *IntGraph) Merge(other *IntGraph, userMap, fpMap []int32) {
+// empty graph is a no-op; merging g into itself under the identity map
+// leaves the partition unchanged. Merge only reads other.
+// O((users+fps)·log) — no per-edge replay.
+func (g *IntGraph) Merge(other *IntGraph, userMap []int32) {
 	if len(userMap) < other.numUsers {
 		panic("collate: Merge userMap shorter than other's population")
 	}
-	if len(fpMap) < len(other.fpElem) {
-		panic("collate: Merge fpMap shorter than other's fingerprint universe")
-	}
+	g.EnsureUniverse(len(other.fpElem))
 	// gElem translates other's element index into g's element index.
 	gElem := make([]int32, len(other.parent))
 	for i := range gElem {
@@ -218,7 +215,7 @@ func (g *IntGraph) Merge(other *IntGraph, userMap, fpMap []int32) {
 	}
 	for f, e := range other.fpElem {
 		if e >= 0 {
-			gElem[e] = g.fpNode(fpMap[f])
+			gElem[e] = g.fpNode(int32(f))
 		}
 	}
 	// Union every element with its root, translated. This transfers the

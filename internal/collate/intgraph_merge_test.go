@@ -8,7 +8,9 @@ import (
 )
 
 // buildFromEdges constructs an IntGraph over nUsers users and a universe
-// of fpUniverse fingerprints from an explicit edge list.
+// of fpUniverse fingerprints from an explicit edge list. The graphs a test
+// merges number fingerprints in one universe, as a plane's shard engines
+// do through their shared Interner.
 func buildFromEdges(nUsers, fpUniverse int, edges [][2]int32) *IntGraph {
 	g := NewIntGraph(nUsers, fpUniverse)
 	for _, e := range edges {
@@ -25,20 +27,19 @@ func partitionSignature(g *IntGraph) []int32 {
 	return labels
 }
 
-// TestMergeDisjointUniverses merges two shards whose fingerprint universes
-// do not overlap at all: the result must be the disjoint union of the two
+// TestMergeDisjointUniverses merges two shards that observed disjoint
+// fingerprints: the result must be the disjoint union of the two
 // partitions.
 func TestMergeDisjointUniverses(t *testing.T) {
 	// Shard A: users 0,1 joined by fp 0; user 2 alone on fp 1.
 	a := buildFromEdges(3, 2, [][2]int32{{0, 0}, {1, 0}, {2, 1}})
-	// Shard B: users 0,1 joined by fp 0.
-	b := buildFromEdges(2, 1, [][2]int32{{0, 0}, {1, 0}})
+	// Shard B: users 0,1 joined by fp 2.
+	b := buildFromEdges(2, 3, [][2]int32{{0, 2}, {1, 2}})
 
-	// Global layout: A's users at 0,1,2; B's at 3,4. A's fps at 0,1; B's
-	// fp at 2.
+	// Global layout: A's users at 0,1,2; B's at 3,4.
 	g := NewIntGraph(5, 3)
-	g.Merge(a, []int32{0, 1, 2}, []int32{0, 1})
-	g.Merge(b, []int32{3, 4}, []int32{2})
+	g.Merge(a, []int32{0, 1, 2})
+	g.Merge(b, []int32{3, 4})
 
 	want := []int32{0, 0, 1, 2, 2}
 	if got := partitionSignature(g); !reflect.DeepEqual(got, want) {
@@ -53,17 +54,17 @@ func TestMergeDisjointUniverses(t *testing.T) {
 }
 
 // TestMergeOverlappingUniverses is the cross-shard join case: both shards
-// observed the same global fingerprint, so their clusters must fuse.
+// observed the same fingerprint, so their clusters must fuse. The merged
+// graph starts with no universe, so Merge must grow it to each shard's.
 func TestMergeOverlappingUniverses(t *testing.T) {
-	// Shard A: users 0,1 share local fp 0 (global fp 7).
-	a := buildFromEdges(2, 1, [][2]int32{{0, 0}, {1, 0}})
-	// Shard B: user 0 has local fp 0 (global fp 7 again!), user 1 has
-	// local fp 1 (global fp 3).
-	b := buildFromEdges(2, 2, [][2]int32{{0, 0}, {1, 1}})
+	// Shard A: users 0,1 share fp 7.
+	a := buildFromEdges(2, 8, [][2]int32{{0, 7}, {1, 7}})
+	// Shard B: user 0 has fp 7 too, user 1 has fp 3.
+	b := buildFromEdges(2, 8, [][2]int32{{0, 7}, {1, 3}})
 
-	g := NewIntGraph(4, 8)
-	g.Merge(a, []int32{0, 1}, []int32{7})
-	g.Merge(b, []int32{2, 3}, []int32{7, 3})
+	g := NewIntGraph(4, 0)
+	g.Merge(a, []int32{0, 1})
+	g.Merge(b, []int32{2, 3})
 
 	// Users 0,1 (from A) and 2 (from B) all touch global fp 7 → one
 	// cluster; user 3 is alone.
@@ -87,7 +88,7 @@ func TestMergeEmptyGraph(t *testing.T) {
 	before := partitionSignature(a)
 
 	empty := NewIntGraph(0, 0)
-	a.Merge(empty, nil, nil)
+	a.Merge(empty, nil)
 	if got := partitionSignature(a); !reflect.DeepEqual(got, before) {
 		t.Fatalf("merge of empty graph changed labels: %v → %v", before, got)
 	}
@@ -97,22 +98,21 @@ func TestMergeEmptyGraph(t *testing.T) {
 
 	// Other direction: fold a into a fresh graph with the same layout.
 	g := NewIntGraph(3, 2)
-	g.Merge(a, []int32{0, 1, 2}, []int32{0, 1})
+	g.Merge(a, []int32{0, 1, 2})
 	if got := partitionSignature(g); !reflect.DeepEqual(got, before) {
 		t.Fatalf("merge into empty graph: labels = %v, want %v", got, before)
 	}
 }
 
-// TestMergeSelfIdentity merges a clone of g into g under identity maps:
-// the partition must not change (idempotence of the union pass).
+// TestMergeSelfIdentity merges a clone of g into g under the identity
+// map: the partition must not change (idempotence of the union pass).
 func TestMergeSelfIdentity(t *testing.T) {
 	g := buildFromEdges(5, 4, [][2]int32{{0, 0}, {1, 0}, {2, 1}, {3, 2}, {4, 2}})
 	before := partitionSignature(g)
 	beforeSizes := g.ClusterSizes()
 
 	userMap := []int32{0, 1, 2, 3, 4}
-	fpMap := []int32{0, 1, 2, 3}
-	g.Merge(g.Clone(), userMap, fpMap)
+	g.Merge(g.Clone(), userMap)
 
 	if got := partitionSignature(g); !reflect.DeepEqual(got, before) {
 		t.Fatalf("self-merge changed labels: %v → %v", before, got)
@@ -146,21 +146,19 @@ func TestMergeMatchesReplay(t *testing.T) {
 			ref.AddObservation(o.u, o.fp)
 		}
 
-		// Shards: users assigned randomly; each shard interns its own
-		// dense users and fingerprints in arrival order.
+		// Shards: users assigned randomly; each shard numbers its own
+		// dense users in arrival order and grows its universe to the
+		// shared fingerprint IDs it observes, as a shard engine does.
 		type shard struct {
 			g       *IntGraph
 			userMap []int32 // local user → global
 			userIdx map[int32]int32
-			fpMap   []int32 // local fp → global
-			fpIdx   map[int32]int32
 		}
 		shards := [2]*shard{}
 		for i := range shards {
 			shards[i] = &shard{
 				g:       NewIntGraph(0, 0),
 				userIdx: map[int32]int32{},
-				fpIdx:   map[int32]int32{},
 			}
 		}
 		owner := make([]int, nUsers)
@@ -175,19 +173,13 @@ func TestMergeMatchesReplay(t *testing.T) {
 				sh.userIdx[o.u] = lu
 				sh.userMap = append(sh.userMap, o.u)
 			}
-			lf, ok := sh.fpIdx[o.fp]
-			if !ok {
-				lf = int32(len(sh.fpMap))
-				sh.fpIdx[o.fp] = lf
-				sh.fpMap = append(sh.fpMap, o.fp)
-				sh.g.EnsureUniverse(int(lf) + 1)
-			}
-			sh.g.AddObservation(lu, lf)
+			sh.g.EnsureUniverse(int(o.fp) + 1)
+			sh.g.AddObservation(lu, o.fp)
 		}
 
-		merged := NewIntGraph(nUsers, universe)
+		merged := NewIntGraph(nUsers, 0)
 		for _, sh := range shards {
-			merged.Merge(sh.g, sh.userMap, sh.fpMap)
+			merged.Merge(sh.g, sh.userMap)
 		}
 
 		if got, want := partitionSignature(merged), partitionSignature(ref); !reflect.DeepEqual(got, want) {
@@ -232,7 +224,7 @@ func TestReadsWriteNothing(t *testing.T) {
 	g.NumClusters()
 	g.UniqueClusters()
 	g.Clone()
-	NewIntGraph(5, 2).Merge(g, []int32{0, 1, 2, 3, 4}, []int32{0, 1})
+	NewIntGraph(5, 2).Merge(g, []int32{0, 1, 2, 3, 4})
 	if !slices.Equal(g.parent, before) {
 		t.Fatalf("reads rewrote the forest: parent %v, was %v", g.parent, before)
 	}

@@ -2,9 +2,10 @@ package collate
 
 import "slices"
 
-// NumVectors is the number of audio vectors a UserSets holds a set for:
-// the paper's seven, indexed in vectors.ID order, which is also the order
-// of vectors.All (usersets_test.go pins both).
+// NumVectors is the number of audio vectors a UserSets holds a set for
+// and an Interner holds a fingerprint space for: the paper's seven,
+// indexed in vectors.ID order, which is also the order of vectors.All
+// (usersets_test.go pins both).
 const NumVectors = 7
 
 // UserSets is one user's side of the per-vector collation graphs: for

@@ -95,8 +95,8 @@ func BenchmarkShardCachedSnapshot(b *testing.B) {
 // that each carry their own copies of their strings, as decoded ones do,
 // serves one read of each payload and one RefreshAMI, and the records are
 // dropped before the heap is read. heap-B/user is then everything the
-// router keeps per user: the shard engines' state, the routing ledger and
-// the cached read payloads.
+// router keeps per user: the shard engines' state, the plane's interner,
+// the routing ledger and the cached read payloads.
 func BenchmarkShardLiveHeap(b *testing.B) {
 	fixture := paperRecords(b)
 	users := map[string]bool{}

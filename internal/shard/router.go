@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/collate"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/streaming"
@@ -18,9 +19,10 @@ import (
 type Config struct {
 	// Shards is the partition count (min 1).
 	Shards int
-	// Engine is the per-shard engine template: Registry, QueueDepth and
-	// Spans apply to every shard engine (each additionally labeled
-	// {"shard": i} on its metrics); AMIRefreshEvery sets the ROUTER's
+	// Engine is the per-shard engine template: Registry, QueueDepth,
+	// Spans and Interner apply to every shard engine (each additionally
+	// labeled {"shard": i} on its metrics; a nil Interner gets the router
+	// one, which all its engines share); AMIRefreshEvery sets the ROUTER's
 	// refresh cadence over total routed records — shard engines never
 	// refresh on their own, because a per-shard AMI matrix over a slice of
 	// the population is not a meaningful serving payload.
@@ -86,6 +88,11 @@ func NewRouter(cfg Config) (*Router, error) {
 	reg := cfg.Engine.Registry
 	if reg == nil {
 		reg = obs.Default
+	}
+	// One ID space for the plane: the shard states merge without
+	// translating a fingerprint or a surface value.
+	if cfg.Engine.Interner == nil {
+		cfg.Engine.Interner = collate.NewInterner()
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		ecfg := cfg.Engine

@@ -10,8 +10,9 @@
 // state — distinct-fingerprint sets, surface values, collation-graph
 // membership — never splits. Fingerprint hashes are NOT partitioned: two
 // users on different shards can emit the same hash, which is exactly the
-// cross-shard cluster join streaming.Merge reconstructs through the
-// shared intern translation.
+// cross-shard cluster join streaming.Merge reconstructs. The shard
+// engines of a plane share one collate.Interner, so a hash has one ID on
+// every shard and the merge translates none.
 //
 // The correctness gate is bit-identity: a sharded replay of any record
 // stream must serve /api/v1/analytics/* payloads byte-identical to a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/collate"
 	"repro/internal/storage"
 	"repro/internal/verify"
 )
@@ -20,10 +21,14 @@ type Verifiers struct {
 }
 
 // NewVerifiers builds n engines from cfg, tagging each engine's metrics
-// with its shard index.
+// with its shard index. The engines share cfg.Interner, or one interner
+// made here when it is nil, so a hash two shards enroll is kept once.
 func NewVerifiers(n int, cfg verify.Config) (*Verifiers, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 verifier shard, got %d", n)
+	}
+	if cfg.Interner == nil {
+		cfg.Interner = collate.NewInterner()
 	}
 	v := &Verifiers{engines: make([]*verify.Engine, n)}
 	for i := range v.engines {

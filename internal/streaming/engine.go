@@ -9,7 +9,9 @@
 // AddUser/EnsureUniverse/AddObservation) and each user's distinct-
 // fingerprint count for the Table 1 stability row, and per non-audio
 // surface (canvas, fonts, Math-JS, platform, User-Agent) each user's
-// current value for the Table 3 rows. Every read is a State method under
+// current value for the Table 3 rows. Fingerprint hashes and surface
+// values are numbered by a collate.Interner, which the engines of one
+// plane share (Config.Interner). Every read is a State method under
 // the engine's read lock, so an engine and a router answer from one
 // implementation: the Table 2 diversity rows, cluster statistics and
 // stability rows are computed per read in O(users·vectors). Pairwise-
@@ -66,6 +68,10 @@ type Config struct {
 	// N shard engines share one registry without their gauges replacing
 	// each other (each shard passes {"shard": i}).
 	MetricLabels obs.Labels
+	// Interner numbers the engine's fingerprint hashes and surface
+	// values. Engines whose states are merged must share one (a shard
+	// router gives its engines one); nil makes the engine its own.
+	Interner *collate.Interner
 }
 
 // Engine is the incremental analysis engine. Create with New; feed it
@@ -83,21 +89,14 @@ type Engine struct {
 	observer atomic.Value
 
 	mu sync.RWMutex // guards st and the fold indexes below
-	// st is the live analysis state every read answers from. Its Seq and
-	// Hashes fields stay empty: only the merge needs them, and State fills
-	// them in its copy.
+	// st is the live analysis state every read answers from, over the
+	// engine's interner. Its Seq stays empty: only the merge reads it, and
+	// State fills it in its copy.
 	st    *State
 	users map[string]int32 // user ID → dense ID
-	// intern maps each vector's hashes to dense fingerprint IDs, indexed
-	// in vectors.All order.
-	intern [collate.NumVectors]map[string]int32
 	// sets holds each user's sorted distinct fingerprint IDs per vector,
 	// indexed by dense user ID.
 	sets []collate.UserSets
-	// surfs holds each distinct surface value once: every user whose
-	// value equals it points at that one string, not at the copy its
-	// record was decoded into. Nil until the first value.
-	surfs map[string]string
 
 	amiMu   sync.Mutex
 	ami     *AMISnapshot
@@ -138,6 +137,9 @@ const (
 var surfaceNames = [numSurfaces]string{"Canvas", "Fonts", "MathJS", "Platform", "User-Agent"}
 var surfaceKeys = [numSurfaces]string{study.SurfaceCanvas, study.SurfaceFonts, study.SurfaceMathJS, study.SurfacePlatform, ""}
 
+// surfaceSpace is the interner's space of surface values, where "" is 0.
+const surfaceSpace = collate.NumVectors
+
 // New returns a running engine: its consumer goroutine drains the update
 // queue until Close.
 func New(cfg Config) *Engine {
@@ -159,8 +161,9 @@ func New(cfg Config) *Engine {
 	e.queue = make(chan batch, e.queueDepth)
 	e.qcond = sync.NewCond(&e.qmu)
 	e.st = NewState()
-	for i := range e.intern {
-		e.intern[i] = map[string]int32{}
+	e.st.in = cfg.Interner
+	if e.st.in == nil {
+		e.st.in = collate.NewInterner()
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -319,8 +322,13 @@ func (e *Engine) applyBatch(b batch) {
 	}
 	start := time.Now()
 	e.mu.Lock()
-	for i := range b.recs {
-		e.applyLocked(&b.recs[i])
+	vecs, fps, surf, surfIDs := e.intern(b.recs)
+	for k := range b.recs {
+		var ids []int32
+		if len(surf) > 0 && surf[0] == int32(k) {
+			ids, surf, surfIDs = surfIDs[:numSurfaces], surf[1:], surfIDs[numSurfaces:]
+		}
+		e.applyLocked(&b.recs[k], vecs[k], fps[k], ids)
 	}
 	records := e.st.Records
 	e.mu.Unlock()
@@ -357,15 +365,67 @@ func (e *Engine) loadLastAMI() int64 {
 	return e.lastAMI
 }
 
-// applyLocked folds one record into the analysis state. Mirrors the
-// semantics of study.FromRecordsOpts(KeepAllObservations): users register
-// in first-record order (even for records whose vector does not parse),
+// intern resolves the batch's strings in one interner call. Per record it
+// returns the index of its vector in vectors.All and its hash's ID, both
+// -1 for an auxiliary row; the key function parses the vector for the
+// hash and keeps its index for the fold. surf lists the records that can
+// set a surface value, and surfIDs holds numSurfaces IDs for each, in
+// State.Surfs order, -1 where the record sets none. Those are the records
+// that carry Surfaces and those whose User-Agent can be the user's first
+// non-empty one: it cannot once the previous record is the same user's
+// with the same User-Agent, because folding that record already set it.
+func (e *Engine) intern(recs []storage.Record) (vecs, fps, surf, surfIDs []int32) {
+	setsSurface := func(k int) bool {
+		r := &recs[k]
+		return r.Surfaces != nil || r.UserAgent != "" &&
+			(k == 0 || r.UserID != recs[k-1].UserID || r.UserAgent != recs[k-1].UserAgent)
+	}
+	n, m := len(recs), 0
+	for k := range recs {
+		if setsSurface(k) {
+			m++
+		}
+	}
+	buf := make([]int32, 2*n+m*(1+numSurfaces))
+	vecs, surf, ids := buf[:n], buf[n:n:n+m], buf[n+m:]
+	for k := range recs {
+		if setsSurface(k) {
+			surf = append(surf, int32(k))
+		}
+	}
+	e.st.in.Intern(ids, func(i int) (int, string) {
+		if i < n {
+			vecs[i] = -1
+			if v, err := vectors.ParseID(recs[i].Vector); err == nil {
+				vecs[i] = int32(slices.Index(vectors.All, v))
+				return int(vecs[i]), recs[i].Hash
+			}
+			return -1, ""
+		}
+		r, slot := &recs[surf[(i-n)/numSurfaces]], (i-n)%numSurfaces
+		if slot == surfUA {
+			if r.UserAgent != "" {
+				return surfaceSpace, r.UserAgent
+			}
+		} else if v, ok := r.Surfaces[surfaceKeys[slot]]; ok {
+			return surfaceSpace, v
+		}
+		return -1, ""
+	})
+	return vecs, ids[:n], surf, ids[n:]
+}
+
+// applyLocked folds one record into the analysis state: vec is its
+// vector's index, fp its hash's ID and surfIDs its surface IDs, nil when
+// it sets none (intern). Mirrors the semantics of
+// study.FromRecordsOpts(KeepAllObservations): users register in
+// first-record order (even for records whose vector does not parse),
 // User-Agent is first-non-empty-wins, surfaces are last-record-wins, and
 // unparseable vectors contribute nothing beyond user/surface bookkeeping.
 // O(α(n)) amortized per record plus the distinct-set insertion, which
 // shifts at most the user's distinct fingerprints over all seven vectors
 // (a few dozen in practice, Table 1).
-func (e *Engine) applyLocked(r *storage.Record) {
+func (e *Engine) applyLocked(r *storage.Record, vec, fp int32, surfIDs []int32) {
 	s := e.st
 	uid, ok := e.users[r.UserID]
 	if !ok {
@@ -373,7 +433,7 @@ func (e *Engine) applyLocked(r *storage.Record) {
 		e.users[r.UserID] = uid
 		s.Users = append(s.Users, r.UserID)
 		for i := range s.Surfs {
-			s.Surfs[i] = append(s.Surfs[i], "")
+			s.Surfs[i] = append(s.Surfs[i], 0)
 		}
 		for i := range s.Vecs {
 			s.Vecs[i].Graph.AddUser()
@@ -381,47 +441,23 @@ func (e *Engine) applyLocked(r *storage.Record) {
 		}
 		e.sets = append(e.sets, collate.UserSets{})
 	}
-	if s.Surfs[surfUA][uid] == "" {
-		s.Surfs[surfUA][uid] = e.surface(r.UserAgent)
-	}
-	for i, key := range surfaceKeys {
-		if v, ok := r.Surfaces[key]; ok && key != "" {
-			s.Surfs[i][uid] = e.surface(v)
+	for i, id := range surfIDs {
+		if id >= 0 && (i != surfUA || s.Surfs[surfUA][uid] == 0) {
+			s.Surfs[i][uid] = id
 		}
 	}
 	s.Records++
 
 	// Auxiliary rows ride in Surfaces only, as in FromRecords.
-	v, err := vectors.ParseID(r.Vector)
-	if err != nil {
+	if vec < 0 {
 		return
 	}
-	i := slices.Index(vectors.All, v)
+	i := int(vec)
 	vs := &s.Vecs[i]
-	fp, ok := e.intern[i][r.Hash]
-	if !ok {
-		fp = int32(len(e.intern[i]))
-		e.intern[i][r.Hash] = fp
-		vs.Graph.EnsureUniverse(int(fp) + 1)
-	}
+	vs.Graph.EnsureUniverse(int(fp) + 1)
 	vs.Graph.AddObservation(uid, fp)
 	if e.sets[uid].Insert(i, fp) {
 		vs.Distinct[uid]++
 	}
 	vs.Obs++
-}
-
-// surface returns the engine's copy of the surface value v, making v that
-// copy when no user has held the value before. Values stay in the table
-// for the engine's life, as the users' values mostly do. The table is
-// made on first use, so an empty engine holds none.
-func (e *Engine) surface(v string) string {
-	if c, ok := e.surfs[v]; ok {
-		return c
-	}
-	if e.surfs == nil {
-		e.surfs = make(map[string]string)
-	}
-	e.surfs[v] = v
-	return v
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/internal/diversity"
 	"repro/internal/obs"
@@ -76,10 +75,10 @@ func TestEngineSkipsAuxiliaryRecords(t *testing.T) {
 	}
 }
 
-// TestEngineSharesSurfaceValues: users whose surface values are equal
-// point at one string in the engine's state, though each user's records
-// carry their own copy, as decoded requests do; a value no other user
-// holds stays the user's own.
+// TestEngineSharesSurfaceValues: users whose surface values are equal hold
+// one surface ID, though each user's records carry their own copy of the
+// string, as decoded requests do; a value no other user holds gets an ID
+// of its own, and a user with no value holds 0, the ID of "".
 func TestEngineSharesSurfaceValues(t *testing.T) {
 	rec := func(user, canvas string) storage.Record {
 		return storage.Record{UserID: user, Vector: vectors.DC.String(), Hash: "a",
@@ -91,20 +90,24 @@ func TestEngineSharesSurfaceValues(t *testing.T) {
 				study.SurfacePlatform: strings.Clone("Linux x86_64"),
 			}}
 	}
-	recs := []storage.Record{rec("u1", "canvas-a"), rec("u2", "canvas-a"), rec("u3", "canvas-b")}
+	recs := []storage.Record{rec("u1", "canvas-a"), rec("u2", "canvas-a"), rec("u3", "canvas-b"),
+		{UserID: "u4", Vector: vectors.DC.String(), Hash: "a"}}
 	eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
 	defer eng.Close()
 	eng.Apply(recs)
 	st := eng.State()
-	if len(st.Surfs) != 5 || len(st.Users) != 3 {
-		t.Fatalf("state has %d surfaces over %d users, want 5 over 3", len(st.Surfs), len(st.Users))
+	if len(st.Surfs) != 5 || len(st.Users) != 4 {
+		t.Fatalf("state has %d surfaces over %d users, want 5 over 4", len(st.Surfs), len(st.Users))
 	}
-	for i, values := range st.Surfs {
-		if values[0] != values[1] || unsafe.StringData(values[0]) != unsafe.StringData(values[1]) {
-			t.Errorf("surface %d: u1 %q and u2 %q do not share one string", i, values[0], values[1])
+	for i, ids := range st.Surfs {
+		if ids[0] == 0 || ids[0] != ids[1] {
+			t.Errorf("surface %d: u1 holds ID %d and u2 ID %d, want one non-zero ID", i, ids[0], ids[1])
+		}
+		if ids[3] != 0 {
+			t.Errorf("surface %d: u4, which set no value, holds ID %d, want 0", i, ids[3])
 		}
 	}
-	if canvas := st.Surfs[0]; canvas[2] != "canvas-b" || unsafe.StringData(canvas[2]) != unsafe.StringData(recs[2].Surfaces[study.SurfaceCanvas]) {
-		t.Errorf("u3's canvas %q is not its own record's string", canvas[2])
+	if canvas := st.Surfs[0]; canvas[2] == 0 || canvas[2] == canvas[0] {
+		t.Errorf("u3's canvas ID %d, u1's %d: want a distinct non-zero ID", canvas[2], canvas[0])
 	}
 }

@@ -20,7 +20,12 @@ func (s *State) Labels(v vectors.ID) []int {
 // DistinctPerUser returns each user's distinct-fingerprint count for v in
 // s's dense user order, in the form Dataset.DistinctPerUser returns.
 func (s *State) DistinctPerUser(v vectors.ID) []int {
-	return slices.Clone(s.Vecs[slices.Index(vectors.All, v)].Distinct)
+	counts := s.Vecs[slices.Index(vectors.All, v)].Distinct
+	out := make([]int, len(counts))
+	for i, c := range counts {
+		out[i] = int(c)
+	}
+	return out
 }
 
 // AMI computes the pairwise-vector AMI matrix over s's dense user order,

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/collate"
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/streaming"
@@ -104,8 +105,8 @@ func genRecords(rng *rand.Rand) []storage.Record {
 // splitStates partitions recs across nParts engines by a random user
 // assignment (preserving global record order within each part), snapshots
 // each, and stamps the per-user global first-seen sequence a router would
-// maintain. Also returns the reference payloads of one engine over the
-// whole stream.
+// maintain. The part engines share one interner, as a router's do. Also
+// returns the reference payloads of one engine over the whole stream.
 func splitStates(t *testing.T, recs []storage.Record, nParts int, rng *rand.Rand) ([]*streaming.State, statePayloads) {
 	t.Helper()
 	ref := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
@@ -126,8 +127,9 @@ func splitStates(t *testing.T, recs []storage.Record, nParts int, rng *rand.Rand
 		parts[p] = append(parts[p], r)
 	}
 	states := make([]*streaming.State, nParts)
+	in := collate.NewInterner()
 	for i, part := range parts {
-		eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
+		eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1, Interner: in})
 		eng.Apply(part)
 		s := eng.State()
 		eng.Close()
@@ -293,10 +295,12 @@ func TestMergeIdentities(t *testing.T) {
 // TestStateMergeRejectsOverlap: sharing a user across states is a routing
 // bug and must be reported, not silently double-counted — also when the
 // shared user sits in the first and the third of three states under
-// different Seqs, so no two neighbours in the merged order share it.
+// different Seqs, so no two neighbours in the merged order share it. The
+// engines share one interner, so the shared user is what is refused.
 func TestStateMergeRejectsOverlap(t *testing.T) {
+	in := collate.NewInterner()
 	mk := func(users ...string) *streaming.State {
-		eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
+		eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1, Interner: in})
 		defer eng.Close()
 		for _, u := range users {
 			eng.Apply([]storage.Record{{UserID: u, Vector: "DC", Hash: "h"}})
@@ -312,5 +316,35 @@ func TestStateMergeRejectsOverlap(t *testing.T) {
 	third.Seq = []int64{3, 4}
 	if _, err := streaming.Merge(first, second, third); err == nil {
 		t.Fatal("Merge of three states with the first and third sharing a user succeeded, want error")
+	}
+}
+
+// TestStateMergeRejectsTwoInterners: states numbered by two interners give
+// one ID to different hashes, so merging them is refused, as a shared user
+// is; NewState(), which holds no IDs, merges with either.
+func TestStateMergeRejectsTwoInterners(t *testing.T) {
+	mk := func(user, hash string) *streaming.State {
+		eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1})
+		defer eng.Close()
+		eng.Apply([]storage.Record{{UserID: user, Vector: "DC", Hash: hash, UserAgent: "UA-" + hash}})
+		s := eng.State()
+		s.Seq[0] = int64(len(user))
+		return s
+	}
+	a, b := mk("a", "h1"), mk("bb", "h2")
+	if _, err := streaming.Merge(a, b); err == nil {
+		t.Fatal("Merge of states of two interners succeeded, want error")
+	}
+	if _, err := streaming.Merge(streaming.NewState(), a, streaming.NewState(), b); err == nil {
+		t.Fatal("Merge of states of two interners beside NewState() succeeded, want error")
+	}
+	for _, s := range []*streaming.State{a, b} {
+		m, err := streaming.Merge(streaming.NewState(), s)
+		if err != nil {
+			t.Fatalf("Merge(NewState(), s): %v", err)
+		}
+		if !reflect.DeepEqual(payloadsOf(m), payloadsOf(s)) {
+			t.Fatal("Merge(NewState(), s) payloads differ from s's")
+		}
 	}
 }

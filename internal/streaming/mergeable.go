@@ -2,6 +2,7 @@ package streaming
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -13,9 +14,9 @@ import (
 
 // State is a population's analysis state, and its methods in snapshot.go
 // are the one implementation of every analytics payload. An engine grows
-// one live State record by record; Engine.State hands out self-contained
-// copies that can be combined with the states of other engines — the
-// merge algebra the sharded ingest plane is built on (DESIGN.md §14). Each
+// one live State record by record; Engine.State hands out copies that can
+// be combined with the states of the other engines sharing its interner —
+// the merge algebra the sharded ingest plane is built on (DESIGN.md §14). Each
 // shard's engine owns a disjoint slice of the user population; a copy
 // captures that slice together with the per-user global arrival sequence,
 // and Merge combines any number of slices in one pass into a state whose
@@ -28,8 +29,13 @@ import (
 // discharged by the payload shapes: every served quantity depends only on
 // (a) the user partition of each vector's collation graph, (b) the global
 // user order reconstructed from Seq, and (c) per-user values/counts —
-// none on the merged fingerprint ID assignment, which follows the order
-// of the states.
+// none on fingerprint or surface IDs, which follow the order in which the
+// plane's engines first interned the values.
+//
+// A state numbers fingerprints and surface values in its engine's
+// collate.Interner, and carries it. States are mergeable only when they
+// share one: the IDs then mean the same in every state, so the merge
+// translates none.
 type State struct {
 	// Users holds the user IDs in this state's dense order; Seq holds each
 	// user's global first-seen sequence number, which only Merge reads.
@@ -41,34 +47,33 @@ type State struct {
 	Seq   []int64
 	// Records counts applied records (audio + auxiliary).
 	Records int64
-	// Surfs holds per-surface, per-user current values in surface index
-	// order (surfCanvas..surfUA) — value counts are built per read, so
-	// they merge by concatenation.
-	Surfs [][]string
+	// Surfs holds per-surface, per-user current value IDs in surface
+	// index order (surfCanvas..surfUA); 0 is "", the value of a user who
+	// has none. Value counts are built per read, so they merge by
+	// concatenation.
+	Surfs [][]int32
 	// Vecs holds one VecState per vectors.All entry.
 	Vecs []VecState
+	// in numbers the fingerprint and surface IDs; nil for NewState's
+	// state, which holds none.
+	in *collate.Interner
 }
 
 // VecState is one audio vector's mergeable analysis state.
 type VecState struct {
-	// Hashes maps this state's dense fingerprint ID to the fingerprint
-	// hash — the intern table exported in ID order, which is what lets
-	// Merge translate the shard-local universes into one. Only Merge
-	// reads it, so an engine fills it in Engine.State's copy.
-	Hashes []string
-	// Graph is the collation graph over this state's users and Hashes.
+	// Graph is the collation graph over this state's users and the
+	// interner's fingerprint IDs of the vector.
 	Graph *collate.IntGraph
 	// Distinct holds each user's distinct-fingerprint count (users are
 	// shard-disjoint, so counts merge by scatter).
-	Distinct []int
+	Distinct []int32
 	// Obs counts observations applied, duplicates included.
 	Obs int64
 }
 
 // State returns a deep copy of the engine's live state, stamped with local
 // sequence numbers 0..n-1 (dense order == arrival order within one
-// engine) and with each vector's Hashes exported from the intern table.
-// The copy shares nothing with the live engine.
+// engine). The copy shares nothing with the live engine but its interner.
 func (e *Engine) State() *State {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -77,8 +82,9 @@ func (e *Engine) State() *State {
 		Users:   slices.Clone(s.Users),
 		Seq:     make([]int64, len(s.Users)),
 		Records: s.Records,
-		Surfs:   make([][]string, len(s.Surfs)),
+		Surfs:   make([][]int32, len(s.Surfs)),
 		Vecs:    make([]VecState, len(s.Vecs)),
+		in:      s.in,
 	}
 	for i := range c.Seq {
 		c.Seq[i] = int64(i)
@@ -87,12 +93,7 @@ func (e *Engine) State() *State {
 		c.Surfs[i] = slices.Clone(values)
 	}
 	for i, vs := range s.Vecs {
-		hashes := make([]string, len(e.intern[i]))
-		for h, id := range e.intern[i] {
-			hashes[id] = h
-		}
 		c.Vecs[i] = VecState{
-			Hashes:   hashes,
 			Graph:    vs.Graph.Clone(),
 			Distinct: slices.Clone(vs.Distinct),
 			Obs:      vs.Obs,
@@ -101,10 +102,11 @@ func (e *Engine) State() *State {
 	return c
 }
 
-// NewState returns the merge identity: an empty state over zero users.
+// NewState returns the merge identity: an empty state over zero users. It
+// has no interner, so it merges with any state.
 func NewState() *State {
 	s := &State{
-		Surfs: make([][]string, numSurfaces),
+		Surfs: make([][]int32, numSurfaces),
 		Vecs:  make([]VecState, len(vectors.All)),
 	}
 	for i := range s.Vecs {
@@ -119,13 +121,24 @@ func NewState() *State {
 // which never fires when Seq comes from one global ledger), so a router
 // stamping global sequences gets back the single-engine arrival order.
 // Sharing a user between two states is a routing bug and returns an
-// error.
+// error, and so do states of two interners, whose IDs mean different
+// things.
 func Merge(states ...*State) (*State, error) {
 	switch len(states) {
 	case 0:
 		return NewState(), nil
 	case 1:
 		return states[0], nil
+	}
+	var in *collate.Interner
+	for _, s := range states {
+		if s.in == nil {
+			continue
+		}
+		if in != nil && s.in != in {
+			return nil, errors.New("streaming: Merge states of two interners")
+		}
+		in = s.in
 	}
 	// One sort by (Seq, user ID) over every state's users gives the
 	// merged order and each state's user→merged translation.
@@ -139,7 +152,7 @@ func Merge(states ...*State) (*State, error) {
 		n += len(s.Users)
 	}
 	order := make([]entry, 0, n)
-	m := &State{Surfs: make([][]string, numSurfaces), Vecs: make([]VecState, len(states[0].Vecs))}
+	m := &State{Surfs: make([][]int32, numSurfaces), Vecs: make([]VecState, len(states[0].Vecs)), in: in}
 	userMaps := make([][]int32, len(states))
 	for si, s := range states {
 		for u, id := range s.Users {
@@ -163,35 +176,22 @@ func Merge(states ...*State) (*State, error) {
 		return nil, fmt.Errorf("streaming: Merge states share user %q", overlap)
 	}
 	for si := range m.Surfs {
-		m.Surfs[si] = make([]string, n)
+		m.Surfs[si] = make([]int32, n)
 		for k, e := range order {
 			m.Surfs[si][k] = states[e.s].Surfs[si][e.u]
 		}
 	}
 	for vi := range m.Vecs {
-		// One intern table over every state's hashes, in state order. The
-		// IDs it assigns depend on the order of states, but no payload
-		// reads fingerprint IDs — only partition structure and per-user
-		// counts.
-		var hashes []string
-		idx := map[string]int32{}
-		fpMaps := make([][]int32, len(states))
-		for si, s := range states {
-			fpMaps[si] = make([]int32, len(s.Vecs[vi].Hashes))
-			for id, h := range s.Vecs[vi].Hashes {
-				mid, ok := idx[h]
-				if !ok {
-					mid = int32(len(hashes))
-					hashes = append(hashes, h)
-					idx[h] = mid
-				}
-				fpMaps[si][id] = mid
-			}
+		// The states share the interner's fingerprint IDs, so each graph
+		// merges as it is into one graph over the whole universe.
+		universe := 0
+		if in != nil {
+			universe = in.Len(vi)
 		}
-		mv := VecState{Hashes: hashes, Graph: collate.NewIntGraph(n, len(hashes)), Distinct: make([]int, n)}
+		mv := VecState{Graph: collate.NewIntGraph(n, universe), Distinct: make([]int32, n)}
 		for si, s := range states {
 			vs := &s.Vecs[vi]
-			mv.Graph.Merge(vs.Graph, userMaps[si], fpMaps[si])
+			mv.Graph.Merge(vs.Graph, userMaps[si])
 			for u, d := range vs.Distinct {
 				mv.Distinct[userMaps[si][u]] = d
 			}

@@ -157,14 +157,29 @@ func (s *State) diversity(labels [][]int32, ks []int) EntropySnapshot {
 	if len(s.Users) > 0 {
 		snap.Rows = append(snap.Rows, summaryRow("Combined", combine(labels, ks)))
 	}
-	for i, values := range s.Surfs {
-		counts := map[string]int{}
-		for _, v := range values {
-			counts[v]++
+	// A surface's group sizes are its users per value ID, counted in one
+	// slice over every surface's IDs.
+	universe := 0
+	for _, ids := range s.Surfs {
+		for _, id := range ids {
+			universe = max(universe, int(id)+1)
 		}
-		sizes := make([]int, 0, len(counts))
+	}
+	counts := make([]int, universe)
+	for i, ids := range s.Surfs {
+		clear(counts)
+		distinct := 0
+		for _, id := range ids {
+			if counts[id] == 0 {
+				distinct++
+			}
+			counts[id]++
+		}
+		sizes := make([]int, 0, distinct)
 		for _, n := range counts {
-			sizes = append(sizes, n)
+			if n > 0 {
+				sizes = append(sizes, n)
+			}
 		}
 		snap.Rows = append(snap.Rows, summaryRow(surfaceNames[i], sizes))
 	}
@@ -239,9 +254,10 @@ func (s *State) Stability() StabilitySnapshot {
 		vs := &s.Vecs[i]
 		row := StabilityRow{Vector: v.String()}
 		if len(vs.Distinct) > 0 {
-			row.Min = vs.Distinct[0]
+			row.Min = int(vs.Distinct[0])
 			sum := 0
-			for _, c := range vs.Distinct {
+			for _, d := range vs.Distinct {
+				c := int(d)
 				if c < row.Min {
 					row.Min = c
 				}

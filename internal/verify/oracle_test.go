@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/collate"
 	"repro/internal/storage"
 	"repro/internal/vectors"
 )
@@ -257,13 +258,13 @@ func TestEngineMatchesOracle(t *testing.T) {
 
 // TestScoreLeavesInternTablesUnchanged: probes with hashes the engine
 // never enrolled, on every vector, from known and unknown users, grow no
-// intern table and add no user or history.
+// space of the interner and add no user or history.
 func TestScoreLeavesInternTablesUnchanged(t *testing.T) {
 	e, _ := benchEngine(20, 2)
 	sizes := func() []int {
 		out := []int{len(e.users), len(e.hists)}
-		for v := range e.intern {
-			out = append(out, len(e.intern[v]))
+		for s := 0; s <= collate.NumVectors; s++ {
+			out = append(out, e.in.Len(s))
 		}
 		for _, h := range e.hists {
 			for v := 0; v < numVectors; v++ {

@@ -102,8 +102,8 @@ func TestScoreMatchesMapGrouping(t *testing.T) {
 	}
 }
 
-// TestScoreAllocs pins a decision to two allocations: the sorted copy of
-// the samples and the evidence slice.
+// TestScoreAllocs pins a decision to two allocations: the array of the
+// samples' hash IDs and sorted order, and the evidence slice.
 func TestScoreAllocs(t *testing.T) {
 	e, probe := benchEngine(50, 3)
 	user := fmt.Sprintf("u%05d", 25)

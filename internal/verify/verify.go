@@ -55,6 +55,10 @@ type Config struct {
 	// MetricLabels is merged into every metric label set (the sharded
 	// wrapper tags each engine with its shard index).
 	MetricLabels obs.Labels
+	// Interner numbers the enrolled hashes; the sharded wrapper gives its
+	// engines one, and a server may share it with its analytics plane.
+	// Nil makes the engine its own.
+	Interner *collate.Interner
 }
 
 // Sample is one submitted elementary fingerprint.
@@ -115,12 +119,12 @@ type StatsSnapshot struct {
 type Engine struct {
 	cfg Config
 
-	mu sync.RWMutex
-	// intern gives each distinct hash of a vector one dense ID and keeps
-	// the string once, however many users hold it. A vector's map is made
-	// by the first enrollment on it.
-	intern [numVectors]map[string]int32
-	users  map[string]int32 // user ID → index into hists
+	// in gives each distinct hash of a vector one dense ID and keeps the
+	// string once, however many users hold it (Config.Interner).
+	in *collate.Interner
+
+	mu    sync.RWMutex
+	users map[string]int32 // user ID → index into hists
 	// hists holds each user's stored history: per vector, the IDs of the
 	// distinct hashes ever enrolled, sorted so recognition is a binary
 	// search. The exact strings behind the IDs are kept, not a digest:
@@ -146,7 +150,10 @@ func New(cfg Config) *Engine {
 			cfg.Threshold = DefaultThreshold
 		}
 	}
-	e := &Engine{cfg: cfg, users: make(map[string]int32)}
+	e := &Engine{cfg: cfg, in: cfg.Interner, users: make(map[string]int32)}
+	if e.in == nil {
+		e.in = collate.NewInterner()
+	}
 	if cfg.Registry != nil {
 		lbl := func(decision string) obs.Labels {
 			l := obs.Labels{"decision": decision}
@@ -176,29 +183,33 @@ func New(cfg Config) *Engine {
 func (e *Engine) Enroll(recs []storage.Record) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i := range recs {
-		rec := &recs[i]
-		v, err := vectors.ParseID(rec.Vector)
-		if err != nil || rec.Hash == "" || rec.UserID == "" {
+	// One interner call resolves each record's hash to its ID. The key
+	// function keeps the vector it parses for the fold, -1 for a record
+	// that enrolls nothing.
+	n := len(recs)
+	buf := make([]int32, 2*n)
+	ids, vecs := buf[:n], buf[n:]
+	e.in.Intern(ids, func(i int) (int, string) {
+		vecs[i] = -1
+		if r := &recs[i]; r.Hash != "" && r.UserID != "" {
+			if v, err := vectors.ParseID(r.Vector); err == nil {
+				vecs[i] = int32(v)
+			}
+		}
+		return int(vecs[i]), recs[i].Hash
+	})
+	for i, id := range ids {
+		if id < 0 {
 			continue
 		}
-		m := e.intern[v]
-		if m == nil {
-			m = make(map[string]int32)
-			e.intern[v] = m
-		}
-		id, ok := m[rec.Hash]
-		if !ok {
-			id = int32(len(m))
-			m[rec.Hash] = id
-		}
+		rec := &recs[i]
 		u, ok := e.users[rec.UserID]
 		if !ok {
 			u = int32(len(e.hists))
 			e.users[rec.UserID] = u
 			e.hists = append(e.hists, collate.UserSets{})
 		}
-		e.hists[u].Insert(int(v), id)
+		e.hists[u].Insert(int(vecs[i]), id)
 		e.records++
 	}
 }
@@ -224,15 +235,29 @@ func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence
 	}
 	hist := &e.hists[u]
 
-	// Group the submitted hashes per vector: sort one copy of the samples
-	// stably by vector name, the evidence order, and walk its runs.
-	sorted := slices.Clone(samples)
-	slices.SortStableFunc(sorted, func(a, b Sample) int {
-		return strings.Compare(a.Vector.String(), b.Vector.String())
+	// One array holds each sample's hash ID and the samples' order. The
+	// IDs come from one lookup, which never inserts: a hash the plane never
+	// interned is in no user's set, so impostor probes leave the interner
+	// as it was. The order is the samples sorted stably by vector name,
+	// the evidence order, whose runs are the per-vector groups.
+	n := len(samples)
+	buf := make([]int32, 2*n)
+	ids, order := buf[:n], buf[n:]
+	e.in.Lookup(ids, func(i int) (int, string) {
+		if v := samples[i].Vector; v >= 0 && int(v) < numVectors {
+			return int(v), samples[i].Hash
+		}
+		return -1, ""
+	})
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		return strings.Compare(samples[a].Vector.String(), samples[b].Vector.String())
 	})
 	groups := 0
-	for i := range sorted {
-		if i == 0 || sorted[i].Vector != sorted[i-1].Vector {
+	for i := range order {
+		if i == 0 || samples[order[i]].Vector != samples[order[i-1]].Vector {
 			groups++
 		}
 	}
@@ -242,13 +267,13 @@ func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence
 
 	var sum float64
 	var scored int
-	for lo := 0; lo < len(sorted); {
-		v := sorted[lo].Vector
+	for lo := 0; lo < n; {
+		v := samples[order[lo]].Vector
 		hi := lo + 1
-		for hi < len(sorted) && sorted[hi].Vector == v {
+		for hi < n && samples[order[hi]].Vector == v {
 			hi++
 		}
-		group := sorted[lo:hi]
+		group := order[lo:hi]
 		lo = hi
 		ve := VectorEvidence{Vector: v.String(), Samples: len(group)}
 		var set []int32
@@ -264,11 +289,8 @@ func (e *Engine) Score(userID string, samples []Sample) (score float64, evidence
 			evidence = append(evidence, ve)
 			continue
 		}
-		// A hash the engine never interned is in no user's set; the
-		// lookup never inserts, so impostor probes leave the engine as
-		// it was.
-		for _, s := range group {
-			if id, ok := e.intern[v][s.Hash]; ok {
+		for _, j := range group {
+			if id := ids[j]; id >= 0 {
 				if _, found := slices.BinarySearch(set, id); found {
 					ve.Recognized++
 				}
