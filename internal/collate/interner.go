@@ -50,7 +50,6 @@ func (in *Interner) Intern(ids []int32, key func(i int) (space int, v string)) {
 	}
 	// Only the values the read found missing are resolved again: another
 	// caller may have inserted them since, and a batch may repeat one.
-	var last recent
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	for i := range ids {
@@ -58,14 +57,11 @@ func (in *Interner) Intern(ids []int32, key func(i int) (space int, v string)) {
 			continue
 		}
 		s, v := key(i)
-		id, ok := last.get(s, v)
+		m := in.spaces[s]
+		id, ok := m[v]
 		if !ok {
-			m := in.spaces[s]
-			if id, ok = m[v]; !ok {
-				id = int32(len(m))
-				m[v] = id
-			}
-			last.put(s, v, id)
+			id = int32(len(m))
+			m[v] = id
 		}
 		ids[i] = id
 	}
@@ -82,41 +78,19 @@ func (in *Interner) Lookup(ids []int32, key func(i int) (space int, v string)) {
 // lookup is Lookup under a held lock, setting ids[i] to missing where the
 // space does not hold the value. It reports whether any value was missing.
 func (in *Interner) lookup(ids []int32, key func(i int) (space int, v string), missing int32) (anyMissing bool) {
-	var last recent
 	for i := range ids {
 		s, v := key(i)
 		if s < 0 {
 			ids[i] = -1
 			continue
 		}
-		id, ok := last.get(s, v)
+		id, ok := in.spaces[s][v]
 		if !ok {
-			if id, ok = in.spaces[s][v]; !ok {
-				id, anyMissing = missing, true
-			}
-			last.put(s, v, id)
+			id, anyMissing = missing, true
 		}
 		ids[i] = id
 	}
 	return anyMissing
-}
-
-// recent holds the last value resolved in each space and its ID. A batch
-// repeats values in runs, as one user's iterations of a vector do, and a
-// repeat of the last value costs a string compare instead of a map probe.
-type recent [NumVectors + 1]struct {
-	v  string
-	id int32
-	ok bool
-}
-
-func (r *recent) get(s int, v string) (int32, bool) {
-	e := &r[s]
-	return e.id, e.ok && e.v == v
-}
-
-func (r *recent) put(s int, v string, id int32) {
-	r[s].v, r[s].id, r[s].ok = v, id, true
 }
 
 // Len returns the number of values space s holds, so its IDs are 0 to

@@ -366,20 +366,22 @@ func (e *Engine) loadLastAMI() int64 {
 }
 
 // intern resolves the batch's strings in one interner call. Per record it
-// returns the index of its vector in vectors.All and its hash's ID, both
-// -1 for an auxiliary row; the key function parses the vector for the
-// hash and keeps its index for the fold. surf lists the records that can
+// returns the index of its vector in vectors.All, parsed once, and its
+// hash's ID, both -1 for an auxiliary row. surf lists the records that can
 // set a surface value, and surfIDs holds numSurfaces IDs for each, in
 // State.Surfs order, -1 where the record sets none. Those are the records
 // that carry Surfaces and those whose User-Agent can be the user's first
 // non-empty one: it cannot once the previous record is the same user's
-// with the same User-Agent, because folding that record already set it.
+// with a User-Agent, because folding that record set one, nor when the
+// engine's state already holds one for the user. A user the batch
+// registers may so intern the User-Agent of each of its runs, of which
+// the fold keeps the first.
 func (e *Engine) intern(recs []storage.Record) (vecs, fps, surf, surfIDs []int32) {
-	setsSurface := func(k int) bool {
+	firstUA := func(k int) bool {
 		r := &recs[k]
-		return r.Surfaces != nil || r.UserAgent != "" &&
-			(k == 0 || r.UserID != recs[k-1].UserID || r.UserAgent != recs[k-1].UserAgent)
+		return r.UserAgent != "" && (k == 0 || r.UserID != recs[k-1].UserID || recs[k-1].UserAgent == "")
 	}
+	setsSurface := func(k int) bool { return recs[k].Surfaces != nil || firstUA(k) }
 	n, m := len(recs), 0
 	for k := range recs {
 		if setsSurface(k) {
@@ -389,25 +391,30 @@ func (e *Engine) intern(recs []storage.Record) (vecs, fps, surf, surfIDs []int32
 	buf := make([]int32, 2*n+m*(1+numSurfaces))
 	vecs, surf, ids := buf[:n], buf[n:n:n+m], buf[n+m:]
 	for k := range recs {
+		vecs[k] = -1
+		if v, err := vectors.ParseID(recs[k].Vector); err == nil {
+			vecs[k] = int32(slices.Index(vectors.All, v))
+		}
 		if setsSurface(k) {
 			surf = append(surf, int32(k))
 		}
 	}
 	e.st.in.Intern(ids, func(i int) (int, string) {
 		if i < n {
-			vecs[i] = -1
-			if v, err := vectors.ParseID(recs[i].Vector); err == nil {
-				vecs[i] = int32(slices.Index(vectors.All, v))
-				return int(vecs[i]), recs[i].Hash
-			}
-			return -1, ""
+			return int(vecs[i]), recs[i].Hash
 		}
-		r, slot := &recs[surf[(i-n)/numSurfaces]], (i-n)%numSurfaces
+		k, slot := surf[(i-n)/numSurfaces], (i-n)%numSurfaces
+		r := &recs[k]
 		if slot == surfUA {
-			if r.UserAgent != "" {
-				return surfaceSpace, r.UserAgent
+			if !firstUA(int(k)) {
+				return -1, ""
 			}
-		} else if v, ok := r.Surfaces[surfaceKeys[slot]]; ok {
+			if uid, ok := e.users[r.UserID]; ok && e.st.Surfs[surfUA][uid] != 0 {
+				return -1, ""
+			}
+			return surfaceSpace, r.UserAgent
+		}
+		if v, ok := r.Surfaces[surfaceKeys[slot]]; ok {
 			return surfaceSpace, v
 		}
 		return -1, ""

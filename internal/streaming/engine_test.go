@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/collate"
 	"repro/internal/diversity"
 	"repro/internal/obs"
 	"repro/internal/storage"
@@ -109,5 +110,40 @@ func TestEngineSharesSurfaceValues(t *testing.T) {
 	}
 	if canvas := st.Surfs[0]; canvas[2] == 0 || canvas[2] == canvas[0] {
 		t.Errorf("u3's canvas ID %d, u1's %d: want a distinct non-zero ID", canvas[2], canvas[0])
+	}
+}
+
+// TestEngineInternsOnlyFirstUserAgent: a User-Agent is interned only
+// where it can become its user's first non-empty one, so a user who
+// already holds one, from an earlier batch or from the previous record,
+// grows the surface space by nothing when it sends another; each user
+// keeps the first.
+func TestEngineInternsOnlyFirstUserAgent(t *testing.T) {
+	rec := func(user, ua string) storage.Record {
+		return storage.Record{UserID: user, Vector: vectors.DC.String(), Hash: "a", UserAgent: ua}
+	}
+	in := collate.NewInterner()
+	eng := streaming.New(streaming.Config{Registry: obs.NewRegistry(), AMIRefreshEvery: -1, Interner: in})
+	defer eng.Close()
+	steps := []struct {
+		recs []storage.Record
+		want int // surface values held, "" included
+	}{
+		{[]storage.Record{rec("u1", "ua-1")}, 2},
+		{[]storage.Record{rec("u1", "ua-2")}, 2},
+		{[]storage.Record{rec("u2", "ua-3"), rec("u2", "ua-4"), rec("u1", "ua-5")}, 3},
+		{[]storage.Record{rec("u3", ""), rec("u3", "ua-6"), rec("u3", "ua-7")}, 4},
+	}
+	for i, step := range steps {
+		eng.Apply(step.recs)
+		if got := in.Len(collate.NumVectors); got != step.want {
+			t.Errorf("after step %d the interner holds %d surface values, want %d", i, got, step.want)
+		}
+	}
+	wantUA := []string{"ua-1", "ua-3", "ua-6"}
+	ids := make([]int32, len(wantUA))
+	in.Lookup(ids, func(i int) (int, string) { return collate.NumVectors, wantUA[i] })
+	if got := eng.State().Surfs[4]; !reflect.DeepEqual(got, ids) {
+		t.Errorf("User-Agent IDs = %v, want %v (%v)", got, ids, wantUA)
 	}
 }

@@ -183,21 +183,20 @@ func New(cfg Config) *Engine {
 func (e *Engine) Enroll(recs []storage.Record) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// One interner call resolves each record's hash to its ID. The key
-	// function keeps the vector it parses for the fold, -1 for a record
-	// that enrolls nothing.
+	// Each record's vector is parsed once, -1 for a record that enrolls
+	// nothing, and one interner call resolves its hash to its ID.
 	n := len(recs)
 	buf := make([]int32, 2*n)
-	ids, vecs := buf[:n], buf[n:]
-	e.in.Intern(ids, func(i int) (int, string) {
+	vecs, ids := buf[:n], buf[n:]
+	for i := range recs {
 		vecs[i] = -1
 		if r := &recs[i]; r.Hash != "" && r.UserID != "" {
 			if v, err := vectors.ParseID(r.Vector); err == nil {
 				vecs[i] = int32(v)
 			}
 		}
-		return int(vecs[i]), recs[i].Hash
-	})
+	}
+	e.in.Intern(ids, func(i int) (int, string) { return int(vecs[i]), recs[i].Hash })
 	for i, id := range ids {
 		if id < 0 {
 			continue
